@@ -11,13 +11,18 @@ At a declared equality point the check instead certifies that the margin
 ball straddles zero with radius below 10^-30; the closed-form reasons for
 those equalities are verified separately (see verify.equality_witnesses).
 
-Targets:
-  H                        H(n)
-  H_minus_ln_gamma         H(n) - ln n - g
+Targets, and how each is evaluated from gap(n) = ln n + 1/(2n) - psi(n+1)
+(specfun.psi_gap, a cancellation-free series whose cost does not grow with
+n), so no exact partial sum is built:
+  H                        H(n) = ln n + g + 1/(2n) - gap(n)
+  H_minus_ln_gamma         H(n) - ln n - g = 1/(2n) - gap(n)
   H_minus_lnhalf_gamma     H(n) - ln(n + 1/2) - g
-  H_minus_ln_half_n_gamma  H(n) - ln n - 1/(2n) - g
-  odd_harmonic             1 + 1/3 + ... + 1/(2n-1)
-  alternating_tail         |ln 2 - (1 - 1/2 + ... +- 1/n)|
+                             = 1/(2n) - gap(n) - ln(1 + 1/(2n))
+  H_minus_ln_half_n_gamma  H(n) - ln n - 1/(2n) - g = -gap(n)
+  odd_harmonic             1 + 1/3 + ... + 1/(2n-1) = H(2n) - H(n)/2
+                             = ln 2 + (ln n + g)/2 - gap(2n) + gap(n)/2
+  alternating_tail         |ln 2 - (1 - 1/2 + ... +- 1/n)|, see
+                             specfun.alternating_tail
 where g is the Euler--Mascheroni constant.
 """
 
@@ -203,24 +208,30 @@ def _batir_const(w: int) -> Ball:
 # target evaluation
 # ---------------------------------------------------------------------------
 
+def _ln1p_half_recip(n: int, w: int) -> Ball:
+    # ln(1 + 1/(2n)) is of size 1/(2n); the argument is rounded far below
+    # the ln kernel's absolute error so the result keeps relative accuracy
+    return elementary.ln(Ball.from_fraction(Fraction(2 * n + 1, 2 * n), w + 64), w)
+
+
 @lru_cache(maxsize=256)
 def _target_cached(target_id: str, n: int, w: int) -> Ball:
-    if target_id == "H":
-        return Ball.from_fraction(specfun.harmonic_exact(n), w)
-    if target_id == "odd_harmonic":
-        return Ball.from_fraction(specfun.odd_harmonic_exact(n), w)
     if target_id == "alternating_tail":
         return specfun.alternating_tail(n, w)
-    if target_id == "H_minus_ln_gamma":
-        h = Ball.from_fraction(specfun.harmonic_exact(n), w)
-        return sub(sub(h, _ln_int(n, w), w), _gamma(w), w)
-    if target_id == "H_minus_lnhalf_gamma":
-        h = Ball.from_fraction(specfun.harmonic_exact(n), w)
-        return sub(sub(h, _ln_half_int(n, w), w), _gamma(w), w)
+    gap = specfun.psi_gap(n, w)
     if target_id == "H_minus_ln_half_n_gamma":
-        # H(n) - ln n - 1/(2n) - g equals -(ln n + 1/(2n) - psi(n+1)), and the
-        # gap on the right has a cancellation-free evaluator
-        return neg(specfun.psi_gap(n, w))
+        return neg(gap)
+    if target_id == "odd_harmonic":
+        # H(2n) - H(n)/2: the 1/(4n) terms cancel
+        s = add(elementary.ln2_ball(w), scale2(add(_ln_int(n, w), _gamma(w), w), -1), w)
+        return add(sub(s, specfun.psi_gap(2 * n, w), w), scale2(gap, -1), w)
+    d = sub(_half_recip(n, w), gap, w)  # H(n) - ln n - g
+    if target_id == "H_minus_ln_gamma":
+        return d
+    if target_id == "H_minus_lnhalf_gamma":
+        return sub(d, _ln1p_half_recip(n, w), w)
+    if target_id == "H":
+        return add(d, add(_ln_int(n, w), _gamma(w), w), w)
     raise KeyError(f"unknown target: {target_id!r}")
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from . import specfun
 from .ball import Ball, MAX_PRECISION, MIN_PRECISION, bits_of, enclosure_str
-from .bounds import bound_ids, check_bound
+from .bounds import bound_ids, check_bound, target_value
 from .report import (
     CheckRecord,
     VerificationReport,
@@ -101,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--exact",
         action="store_true",
-        help="print the exact fraction instead of a decimal enclosure",
+        help="print the exact fraction instead of a decimal enclosure "
+        "(its denominator has about 1.44 n bits)",
     )
     add_precision(p)
     p.set_defaults(func=cmd_eval)
@@ -162,11 +163,10 @@ def _enc(b: Ball) -> str:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    h = specfun.harmonic_exact(args.n)
     if args.exact:
-        print(h)
+        print(specfun.harmonic_exact(args.n))
     else:
-        print(enclosure_str(Ball.from_fraction(h, args.precision)))
+        print(enclosure_str(target_value("H", args.n, args.precision)))
     return 0
 
 

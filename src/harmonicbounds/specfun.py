@@ -1,8 +1,9 @@
 """Special functions with certified enclosures.
 
 Exact layer: Bernoulli numbers/polynomials and partial sums (harmonic,
-odd-denominator harmonic, alternating) as Fractions, with incremental
-streams so ascending sweeps advance in O(1) per step.
+odd-denominator harmonic, alternating) as Fractions.  These grow with n
+(H(n) has a denominator of about 1.44 n bits), so no certified evaluation
+uses them: they are public API and the test-suite's independent reference.
 
 Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, and the Stirling
@@ -30,7 +31,6 @@ from .ball import (
     Ball,
     DomainError,
     PrecisionExhausted,
-    MAX_PRECISION,
     _endpoints_scaled,
     add,
     add_rad_fraction,
@@ -173,9 +173,6 @@ class _PartialSumStream:
 
 
 _HARMONIC = _PartialSumStream(lambda i: Fraction(1, i))
-# separate stream for the half-index role in alternating sums, so sweeping
-# n = 1, 2, 3, ... keeps both cursors moving forward in small steps
-_HARMONIC_HALF = _PartialSumStream(lambda i: Fraction(1, i))
 _ODD_HARMONIC = _PartialSumStream(lambda i: Fraction(1, 2 * i - 1))
 
 
@@ -190,31 +187,30 @@ def odd_harmonic_exact(n: int) -> Fraction:
 
 
 def alternating_partial(n: int) -> Fraction:
-    """Exact alternating sum 1 - 1/2 + 1/3 - ... +- 1/n.
-
-    Uses the identity with plain harmonic numbers, so it shares the
-    incremental streams: sum = H(n) - H(floor(n/2)).
-    """
+    """Exact alternating sum 1 - 1/2 + 1/3 - ... +- 1/n = H(n) - H(floor(n/2))."""
     if n < 0:
         raise ValueError("partial sum index must be nonnegative")
-    return _HARMONIC.value_at(n) - _HARMONIC_HALF.value_at(n // 2)
+    return harmonic_exact(n) - harmonic_exact(n // 2)
 
 
 def alternating_tail(n: int, prec) -> Ball:
-    """Enclosure of |ln 2 - (1 - 1/2 + ... +- 1/n)|, n >= 1."""
+    """Enclosure of |ln 2 - (1 - 1/2 + ... +- 1/n)|, n >= 1.
+
+    With gap(n) = psi_gap(n) and H(n) = ln n + gamma + 1/(2n) - gap(n), the
+    partial sum at even n = 2m is H(n) - H(m), so its distance below ln 2
+    is 1/(2n) + gap(n) - gap(m): the logarithms and gamma cancel exactly.
+    The partial sum at odd n > 1 lies above ln 2 by 1/n less the distance
+    at n - 1, and at n = 1 by 1 - ln 2.  The cost does not depend on n.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = bits_of(prec)
-    w = p + 16
-    s = alternating_partial(n)
-    while True:
-        t = sub(elementary.ln2_ball(w), Ball.from_fraction(s, w), w)
-        if t.sign_definite():
-            m = Ball(abs(t.man), t.exp, t.rman, t.rexp)
-            return round_ball(m, p)
-        if w >= MAX_PRECISION:
-            raise PrecisionExhausted("alternating tail sign undecided at maximum precision")
-        w = min(2 * w, MAX_PRECISION)
+    if n == 1:
+        return sub(Ball.from_int(1), elementary.ln2_ball(p), p)
+    if n % 2:
+        return sub(Ball.from_fraction(Fraction(1, n), p), alternating_tail(n - 1, p), p)
+    d = add(Ball.from_fraction(Fraction(1, 2 * n), p), psi_gap(n, p), p)
+    return sub(d, psi_gap(n // 2, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +264,18 @@ def _half_ln_2pi(w: int) -> Ball:
 # Euler--Maclaurin: harmonic numbers and the Euler--Mascheroni constant
 # ---------------------------------------------------------------------------
 
+def _bernoulli_sum(n: int, count: int) -> tuple[Fraction, Fraction]:
+    """sum_{i=1}^{count} B_2i / (2i n^2i), and the magnitude of the first
+    omitted term, |B_(2 count + 2)| / ((2 count + 2) n^(2 count + 2))."""
+    acc = Fraction(0)
+    n2 = n * n
+    pw = n2
+    for i in range(1, count + 1):
+        acc += bernoulli_number(2 * i) / (2 * i * pw)
+        pw *= n2
+    return acc, abs(bernoulli_number(2 * count + 2)) / ((2 * count + 2) * pw)
+
+
 @dataclass(frozen=True)
 class EmConfig:
     """Order and precision for Euler--Maclaurin harmonic evaluation.
@@ -296,14 +304,8 @@ def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:
     cfg = config or EmConfig()
     p = bits_of(cfg.precision)
     w = p + 16
-    q = cfg.q
-    corr = Fraction(1, 2 * n)
-    n2 = n * n
-    pw = n2
-    for i in range(1, q):
-        corr -= bernoulli_number(2 * i) / (2 * i * pw)
-        pw *= n2
-    tail = abs(bernoulli_number(2 * q)) / (2 * q * pw)  # |B_2q| / (2q n^2q)
+    series, tail = _bernoulli_sum(n, cfg.q - 1)
+    corr = Fraction(1, 2 * n) - series
     ln_n = elementary.ln(Ball.from_int(n), w)
     g = euler_gamma(w)
     res = add(add(ln_n, g, w), Ball.from_fraction(corr, w), p)
@@ -355,13 +357,10 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
         if q > 2000:
             raise AssertionError("euler_gamma order selection ran away")
     w = p + 16
-    acc = harmonic_exact(n) - Fraction(1, 2 * n)
-    n2 = n * n
-    pw = n2
-    for i in range(1, q):
-        acc += bernoulli_number(2 * i) / (2 * i * pw)
-        pw *= n2
-    tail = abs(bernoulli_number(2 * q)) / (2 * q * pw)
+    series, tail = _bernoulli_sum(n, q - 1)
+    # H(2^k) summed here rather than read from the shared harmonic stream,
+    # which this one-off sum would only reposition
+    acc = _tree_sum(lambda i: Fraction(1, i), 1, n) - Fraction(1, 2 * n) + series
     ln_n = mul(elementary.ln2_ball(w), Ball.from_int(k), w)
     res = sub(Ball.from_fraction(acc, w), ln_n, p)
     res = add_rad_fraction(res, tail)
@@ -590,6 +589,23 @@ def lgamma(x, prec) -> Ball:
     return _eval_on_ball(_lgamma_point, _as_ball(x, w), w, p, monotone=False)
 
 
+def _gap_terms(n: int, w: int) -> int:
+    h = _log2_lower(n, 0)
+    return _pick_terms(h, w, lambda k: -(2 * k + 2) * h - (2 * k + 2).bit_length() + 1)
+
+
+@lru_cache(maxsize=32)
+def _threshold_series(w: int) -> tuple[Ball, Fraction]:
+    """The gap series at the shift threshold N, less 1/(2N), and its tail.
+
+    Every n below N shares it, so it is summed once per working precision;
+    at 1040 bits the sum takes most of a small-n psi_gap's cost.
+    """
+    big = _shift_threshold(w)
+    acc, tail = _bernoulli_sum(big, _gap_terms(big, w))
+    return Ball.from_fraction(acc - Fraction(1, 2 * big), w), tail
+
+
 def psi_gap(n: int, prec) -> Ball:
     """Enclosure of ln n + 1/(2n) - psi(n+1) for integer n >= 1.
 
@@ -598,40 +614,26 @@ def psi_gap(n: int, prec) -> Ball:
     subtracting two O(ln n) enclosures.  For n below the shift threshold
     the series is applied at a shifted integer N with the exact rational
     correction carried along, leaving ln(n/N) as the only transcendental.
+    The cost depends on the precision, not on n; results are memoised per
+    (n, precision).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = bits_of(prec)
+    return _psi_gap(n, bits_of(prec))
+
+
+@lru_cache(maxsize=1024)
+def _psi_gap(n: int, p: int) -> Ball:
     w = p + 16
-    y0 = _shift_threshold(w)
-    if n >= y0:
-        h = _log2_lower(n, 0)
-        kk = _pick_terms(h, w, lambda k: -(2 * k + 2) * h - (2 * k + 2).bit_length() + 1)
-        acc = Fraction(0)
-        n2 = n * n
-        pw = n2
-        for i in range(1, kk + 1):
-            acc += bernoulli_number(2 * i) / (2 * i * pw)
-            pw *= n2
-        tail = abs(bernoulli_number(2 * kk + 2)) / ((2 * kk + 2) * pw)
-        res = Ball.from_fraction(acc, p)
-        return add_rad_fraction(res, tail)
-    big = y0
-    h = _log2_lower(big, 0)
-    kk = _pick_terms(h, w, lambda k: -(2 * k + 2) * h - (2 * k + 2).bit_length() + 1)
-    acc = Fraction(1, 2 * n) - Fraction(1, 2 * big)
-    acc += _tree_sum(lambda i: Fraction(1, n + i), 1, big - n)  # 1/(n+1) .. 1/N
-    n2 = big * big
-    pw = n2
-    for i in range(1, kk + 1):
-        acc += bernoulli_number(2 * i) / (2 * i * pw)
-        pw *= n2
-    tail = abs(bernoulli_number(2 * kk + 2)) / ((2 * kk + 2) * pw)
-    res = add(
-        elementary.ln(Ball.from_fraction(Fraction(n, big), w), w),
-        Ball.from_fraction(acc, w),
-        p,
-    )
+    big = _shift_threshold(w)
+    if n >= big:
+        acc, tail = _bernoulli_sum(n, _gap_terms(n, w))
+        return add_rad_fraction(Ball.from_fraction(acc, p), tail)
+    series, tail = _threshold_series(w)
+    # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
+    rest = Fraction(1, 2 * n) + _tree_sum(lambda i: Fraction(1, n + i), 1, big - n)
+    res = add(Ball.from_fraction(rest, w), series, w)
+    res = add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
     return add_rad_fraction(res, tail)
 
 

@@ -12,7 +12,9 @@ to an exact algebraic identity.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
 the precision that decided it.  Comparisons that fail to resolve retry at
-doubled precision up to the library cap before reporting undecided.
+doubled precision up to the library cap before reporting undecided; they
+report undecided at once when doubling the precision did not at least
+halve the deciding radius, since the input's own width then sets it.
 """
 
 from __future__ import annotations
@@ -101,9 +103,16 @@ class SharpnessProfile:
 # decision ladders
 # ---------------------------------------------------------------------------
 
+def _stalled(w: int, rad: Fraction, prev: Fraction | None) -> bool:
+    """No higher rung can help: w is at the cap, or the last doubling of w
+    did not at least halve the deciding radius."""
+    return w >= _W_CAP or (prev is not None and 2 * rad > prev)
+
+
 def _decide_less(make: Callable[[int], tuple[Ball, Ball]], w0: int) -> tuple[Verdict, Ball, int]:
-    """Certify a < b for (a, b) = make(w), doubling w until decided."""
+    """Certify a < b for (a, b) = make(w), doubling w until decided or stalled."""
     w = w0
+    prev = None
     while True:
         a, b = make(w)
         order = compare(a, b)
@@ -112,8 +121,10 @@ def _decide_less(make: Callable[[int], tuple[Ball, Ball]], w0: int) -> tuple[Ver
             return Verdict.PASS, margin, w
         if order is Order.CERTAINLY_GREATER:
             return Verdict.FAIL, margin, w
-        if w >= _W_CAP:
+        rad = margin.rad_fraction()
+        if _stalled(w, rad, prev):
             return Verdict.UNDECIDED, margin, w
+        prev = rad
         w = min(2 * w, _W_CAP)
 
 
@@ -122,6 +133,7 @@ def _decide_window(
 ) -> tuple[Verdict, Ball, int]:
     """Certify that the value enclosed by make(w) lies inside (lo, hi)."""
     w = w0
+    prev = None
     while True:
         v = make(w)
         margin = Ball.from_fraction(min(v.lower() - lo, hi - v.upper()), 64)
@@ -129,8 +141,10 @@ def _decide_window(
             return Verdict.PASS, margin, w
         if v.upper() <= lo or v.lower() >= hi:
             return Verdict.FAIL, margin, w
-        if w >= _W_CAP:
+        rad = v.rad_fraction()
+        if _stalled(w, rad, prev):
             return Verdict.UNDECIDED, margin, w
+        prev = rad
         w = min(2 * w, _W_CAP)
 
 
@@ -710,9 +724,10 @@ def cm_spotcheck(
                 seq = [sub(b, a, ww) for a, b in zip(seq, seq[1:])]
             if j % 2 == 1:
                 seq = [sub(Ball.from_int(0), v, ww) for v in seq]
-            worst = seq[0]
-            for v in seq[1:]:
-                worst = _min_by_mid(worst, v)
+            # every element must be certifiably positive: a certainly
+            # negative one fails the signature, otherwise the one with the
+            # lowest certified lower endpoint decides
+            worst = min(seq, key=lambda v: (not v.is_negative(), v.lower()))
             return Ball.from_int(0), worst
 
         verdict, margin, w = _decide_less(signed_min, w0)

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonicbounds.ball import Order, compare, sub
+from harmonicbounds.ball import Ball, Order, compare, neg, sub
 from harmonicbounds.bounds import (
     EQUALITY_RADIUS,
     TARGETS,
@@ -25,9 +25,11 @@ from harmonicbounds.bounds import (
     evaluate_bound,
     target_value,
 )
+from harmonicbounds.elementary import ln, ln2_ball
 from harmonicbounds.report import Verdict
 from harmonicbounds.specfun import (
     alternating_partial,
+    euler_gamma,
     harmonic_exact,
     odd_harmonic_exact,
     psi_gap,
@@ -136,9 +138,48 @@ def test_targets_against_oracle():
             assert_contains(ball, _oracle_target(target_id, n), label=f"{target_id}({n})")
 
 
-def test_quartic_target_is_negated_psi_gap():
-    from harmonicbounds.ball import neg
+def _exact_route_target(target_id: str, n: int, w: int):
+    """The target built from exact partial sums, the route psi_gap replaced."""
+    if target_id == "odd_harmonic":
+        return Ball.from_fraction(odd_harmonic_exact(n), w)
+    if target_id == "alternating_tail":
+        d = sub(ln2_ball(w), Ball.from_fraction(alternating_partial(n), w), w)
+        return d if d.is_positive() else neg(d)
+    h = Ball.from_fraction(harmonic_exact(n), w)
+    if target_id == "H":
+        return h
+    if target_id == "H_minus_lnhalf_gamma":
+        return sub(sub(h, ln(Ball(2 * n + 1, -1), w), w), euler_gamma(w), w)
+    d = sub(sub(h, ln(Ball.from_int(n), w), w), euler_gamma(w), w)
+    if target_id == "H_minus_ln_gamma":
+        return d
+    assert target_id == "H_minus_ln_half_n_gamma"
+    return sub(d, Ball.from_fraction(Fraction(1, 2 * n), w), w)
 
+
+@pytest.mark.parametrize("w", [128, 1024])
+def test_targets_overlap_the_exact_sum_route(w):
+    for n in range(1, 201):
+        for target_id in TARGETS:
+            new = target_value(target_id, n, w)
+            old = _exact_route_target(target_id, n, w)
+            assert compare(new, old) is Order.OVERLAPPING, (target_id, n, w)
+
+
+def test_check_bound_at_huge_n_builds_no_exact_sum(monkeypatch):
+    from harmonicbounds import specfun
+
+    def refuse(n):
+        raise AssertionError(f"exact partial sum requested at n={n}")
+
+    for name in ("harmonic_exact", "odd_harmonic_exact", "alternating_partial"):
+        monkeypatch.setattr(specfun, name, refuse)
+    for n in (10**6, 10**12):
+        for bound_id in bound_ids():
+            assert check_bound(bound_id, n).verdict is Verdict.PASS, (bound_id, n)
+
+
+def test_quartic_target_is_negated_psi_gap():
     for n in (1, 7, 100):
         t = target_value("H_minus_ln_half_n_gamma", n, 128)
         assert compare(t, neg(psi_gap(n, 128))) is Order.OVERLAPPING

@@ -58,6 +58,21 @@ def test_eval_higher_precision_narrows_radius(capsys):
     assert out128.split("+/-")[0].strip()[:20] == out512.split("+/-")[0].strip()[:20]
 
 
+def test_eval_huge_n_encloses_the_harmonic_number(capsys):
+    import mpmath as mp
+    from fractions import Fraction
+
+    code, out, _ = run_cli(capsys, "eval", "1000000000000")
+    assert code == 0
+    mid, rad = (Fraction(part.strip()) for part in out.split("+/-"))
+    assert 0 < rad < Fraction(1, 10**30)
+    with mp.workdps(60):
+        want = Fraction(mp.nstr(mp.harmonic(10**12), 55))
+    # the midpoint is printed to 36 significant digits, so allow half a
+    # unit in its last place on top of the radius
+    assert abs(want - mid) <= rad + abs(mid) / 10**35 + Fraction(1, 10**50)
+
+
 def test_eval_rejects_bad_n():
     for bad in ("0", "-3", "2.5", "ten"):
         with pytest.raises(SystemExit) as exc:

@@ -173,6 +173,9 @@ def test_g_positivity_wide_ball_point_is_honestly_undecided():
     s = rep.summary()
     assert s["fail"] == 0
     assert s["undecided"] > 0
+    # doubling the precision cannot shrink a radius set by the input's
+    # width, so the ladder stops instead of climbing to the cap
+    assert max(r.precision_bits for r in rep.records) < 1024
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,23 @@ def test_cm_spotcheck_passes_for_both_remainder_kinds():
         assert _counts(rep)["cm_sign"] == 5  # depths 0..4
         depths = [r.params_dict()["depth"] for r in rep.records]
         assert depths == [0, 1, 2, 3, 4]
+
+
+def test_cm_spotcheck_decides_on_every_lower_endpoint(monkeypatch):
+    # one value straddling zero, [-0.00195, 0.0078], among positive ones
+    # whose midpoints are all smaller must not be certified positive
+    from harmonicbounds import specfun
+
+    def fake_tail(kind, order, x, prec):
+        if x == 10:
+            return Ball(3, -10, 5, -10)
+        return Ball.from_fraction(1 / Fraction(x) ** 3, prec)
+
+    monkeypatch.setattr(specfun, "stirling_tail", fake_tail)
+    rep = cm_spotcheck("F", 2, range(1, 21), 0)
+    (rec,) = rep.records
+    assert rec.verdict is not Verdict.PASS
+    assert rec.margin.lower() < 0
 
 
 def test_cm_spotcheck_validation():
