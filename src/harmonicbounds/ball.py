@@ -27,10 +27,12 @@ __all__ = [
     "EnclosureError",
     "RangeError",
     "PrecisionExhausted",
+    "CLIMB_CAP",
     "DEFAULT_PRECISION",
     "MAX_PRECISION",
     "MIN_PRECISION",
     "bits_of",
+    "climb",
     "add",
     "sub",
     "neg",
@@ -68,6 +70,10 @@ class PrecisionExhausted(RuntimeError):
 MIN_PRECISION = 53
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
+
+# The precision ladder's top rung: decisions evaluate a few guard bits above
+# the caller's precision, so the ladder may climb that far past the cap.
+CLIMB_CAP = MAX_PRECISION + 16
 
 # Internal evaluations stack guard bits on top of a caller's precision, so
 # plain-int precisions are allowed a bit past the user-facing cap.
@@ -112,6 +118,31 @@ def bits_of(prec) -> int:
             )
         return prec
     raise TypeError(f"precision must be an int or Precision, got {type(prec).__name__}")
+
+
+def climb(step, w0: int):
+    """The precision ladder: run step(w) for w = w0, 2 w0, ... up to CLIMB_CAP.
+
+    step(w) returns (decision, value, deciding), where decision is None
+    while the question is still open and `deciding` is the ball whose
+    radius keeps it open.  Returns (decision, value, w) from the first rung
+    that decides.  The ladder gives up, returning decision None, at the cap
+    or as soon as doubling w did not at least halve the deciding radius:
+    the inputs' own width then sets that radius, and no higher rung helps.
+    """
+    w = w0
+    prev = None
+    while True:
+        decision, value, deciding = step(w)
+        if decision is not None:
+            return decision, value, w
+        if w >= CLIMB_CAP or (
+            prev is not None
+            and _dyadic_cmp(deciding.rman, deciding.rexp + 1, prev.rman, prev.rexp) > 0
+        ):
+            return None, value, w
+        prev = deciding
+        w = min(2 * w, CLIMB_CAP)
 
 
 class Order(Enum):
@@ -544,8 +575,13 @@ def dyadic_decimal(man: int, exp: int, sig: int) -> str:
         raise ValueError("need at least one significant digit")
     if man == 0:
         return "0"
-    sign = "-" if man < 0 else ""
     d, t = _decimal_digits(abs(man), exp, sig)
+    return _decimal_body(man, d, t, sig)
+
+
+def _decimal_body(man: int, d: int, t: int, sig: int) -> str:
+    """Lay out D * 10^(t-sig+1), with the sign of man, as a decimal string."""
+    sign = "-" if man < 0 else ""
     ds = str(d)
     if -4 <= t < 17:
         if t >= sig - 1:
@@ -582,8 +618,16 @@ def radius_decimal(rman: int, rexp: int) -> str:
 
 
 def enclosure_str(b: Ball, sig: int = 36) -> str:
-    """Render a ball as 'midpoint +/- radius'."""
-    mid = dyadic_decimal(b.man, b.exp, sig)
-    if b.rman == 0:
-        return f"{mid} +/- 0"
-    return f"{mid} +/- {radius_decimal(b.rman, b.rexp)}"
+    """Render a ball as 'midpoint +/- radius', an interval containing the ball.
+
+    The printed radius covers the ball's radius plus the error of rounding
+    the midpoint to `sig` digits.
+    """
+    if b.man == 0:
+        mid, err = "0", Fraction(0)
+    else:
+        d, t = _decimal_digits(abs(b.man), b.exp, sig)
+        mid = _decimal_body(b.man, d, t, sig)
+        err = abs(abs(b.mid_fraction()) - d * Fraction(10) ** (t - sig + 1))
+    rm, re = _rad_add(b.rman, b.rexp, *_rad_from_fraction(err))
+    return f"{mid} +/- {radius_decimal(rm, re)}"

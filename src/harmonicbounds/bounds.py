@@ -5,7 +5,9 @@ upper expression in n, the set of n where an endpoint is attained exactly,
 and any sharp constants together with the decimal window they are known
 to lie in.  Checking a bound at some n compares three enclosures — lower,
 target, upper — and only returns pass/fail when the balls decide the
-comparison, escalating precision (doubling, capped) while they overlap.
+comparison.  While they overlap it climbs the precision ladder
+(ball.climb), which doubles the precision and stops, undecided, at the cap
+or once a doubling fails to at least halve the open side's radius.
 
 At a declared equality point the check instead certifies that the margin
 ball straddles zero with radius below 10^-30; the closed-form reasons for
@@ -37,10 +39,10 @@ from . import elementary, specfun
 from .ball import (
     Ball,
     DEFAULT_PRECISION,
-    MAX_PRECISION,
     Order,
     add,
     bits_of,
+    climb,
     compare,
     mul,
     neg,
@@ -564,10 +566,9 @@ _SIDE_FAIL = "fail"
 _SIDE_OPEN = "open"
 
 
-def _side_state(low: Ball, high: Ball, expect_equality: bool, p: int) -> str:
-    """Classify the claim low <= high (strict unless equality declared)."""
+def _side_state(low: Ball, high: Ball, d: Ball, expect_equality: bool) -> str:
+    """Classify the claim low <= high, d = high - low (strict unless equality declared)."""
     if expect_equality:
-        d = sub(high, low, p)
         if d.is_negative():
             return _SIDE_FAIL
         if d.is_positive():
@@ -589,47 +590,47 @@ def _min_by_mid(a: Ball, b: Ball) -> Ball:
     return a if _dyadic_cmp(a.man, a.exp, b.man, b.exp) <= 0 else b
 
 
-def check_bound(
-    bound_id: str,
-    n: int,
-    prec=DEFAULT_PRECISION,
-    max_prec=MAX_PRECISION,
-) -> BoundCheck:
-    """Check one bound at one n, escalating precision until decided."""
+def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundCheck, Ball | None]:
+    """One rung of check_bound's ladder: (verdict, or None while a side is
+    open; the check at p bits; the open side's difference)."""
+    t = _target_cached(spec.target, n, p)
+    lo = spec.lower(n, p)
+    hi = spec.upper(n, p)
+    d_lo = sub(t, lo, p)
+    d_hi = sub(hi, t, p)
+    s_lo = _side_state(lo, t, d_lo, n in spec.lower_equalities)
+    s_hi = _side_state(t, hi, d_hi, n in spec.upper_equalities)
+    if _SIDE_FAIL in (s_lo, s_hi):
+        verdict = Verdict.FAIL
+    elif _SIDE_OPEN in (s_lo, s_hi):
+        verdict = Verdict.UNDECIDED
+    elif _SIDE_EQ in (s_lo, s_hi):
+        verdict = Verdict.EQUALITY
+    else:
+        verdict = Verdict.PASS
+    sides = [name for name, s in (("lower", s_lo), ("upper", s_hi)) if s == _SIDE_EQ]
+    chk = BoundCheck(
+        bound_id=spec.bound_id,
+        n=n,
+        verdict=verdict,
+        lower=lo,
+        target=t,
+        upper=hi,
+        margin=_min_by_mid(d_lo, d_hi),
+        precision_bits=p,
+        equality_side=",".join(sides) if verdict is Verdict.EQUALITY else "",
+    )
+    if verdict is Verdict.UNDECIDED:
+        return None, chk, d_lo if s_lo == _SIDE_OPEN else d_hi
+    return verdict, chk, None
+
+
+def check_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> BoundCheck:
+    """Check one bound at one n, climbing the precision ladder until decided."""
     spec = _CATALOG_MAP.get(bound_id)
     if spec is None:
         raise KeyError(f"unknown bound: {bound_id!r}")
     if n < spec.domain_min:
         raise ValueError(f"bound {bound_id!r} needs n >= {spec.domain_min}")
-    p = bits_of(prec)
-    cap = bits_of(max_prec)
-    while True:
-        t = _target_cached(spec.target, n, p)
-        lo = spec.lower(n, p)
-        hi = spec.upper(n, p)
-        s_lo = _side_state(lo, t, n in spec.lower_equalities, p)
-        s_hi = _side_state(t, hi, n in spec.upper_equalities, p)
-        margin = _min_by_mid(sub(t, lo, p), sub(hi, t, p))
-        if _SIDE_FAIL in (s_lo, s_hi):
-            verdict = Verdict.FAIL
-        elif _SIDE_OPEN in (s_lo, s_hi):
-            if p < cap:
-                p = min(2 * p, cap)
-                continue
-            verdict = Verdict.UNDECIDED
-        elif _SIDE_EQ in (s_lo, s_hi):
-            verdict = Verdict.EQUALITY
-        else:
-            verdict = Verdict.PASS
-        sides = [name for name, s in (("lower", s_lo), ("upper", s_hi)) if s == _SIDE_EQ]
-        return BoundCheck(
-            bound_id=bound_id,
-            n=n,
-            verdict=verdict,
-            lower=lo,
-            target=t,
-            upper=hi,
-            margin=margin,
-            precision_bits=p,
-            equality_side=",".join(sides) if verdict is Verdict.EQUALITY else "",
-        )
+    _, chk, _ = climb(lambda w: _check_rung(spec, n, w), bits_of(prec))
+    return chk

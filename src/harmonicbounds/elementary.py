@@ -24,6 +24,7 @@ from .ball import (
     DomainError,
     RangeError,
     MAX_PRECISION,
+    _dyadic_fraction,
     _endpoints_scaled,
     _from_int_interval,
     add_rad_fraction,
@@ -117,15 +118,9 @@ def ln(a: Ball, prec) -> Ball:
     res = _from_int_interval(lo, hi, -w, p)
     if a.rman:
         # |ln x - ln mid| <= radius / inf(ball)
-        pad = a.rad_fraction() / _pos_fraction(lo_end, e)
+        pad = a.rad_fraction() / _dyadic_fraction(lo_end, e)
         res = add_rad_fraction(res, pad)
     return res
-
-
-def _pos_fraction(m: int, e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(m << e, 1)
-    return Fraction(m, 1 << -e)
 
 
 def _imul_iv(a_lo: int, a_hi: int, b_lo: int, b_hi: int, w: int) -> tuple[int, int]:

@@ -31,6 +31,7 @@ from .ball import (
     Ball,
     DomainError,
     PrecisionExhausted,
+    _dyadic_fraction,
     _endpoints_scaled,
     add,
     add_rad_fraction,
@@ -312,9 +313,6 @@ def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:
     return add_rad_fraction(res, tail)
 
 
-_GAMMA_CACHE: dict[tuple[int, str], Ball] = {}
-_GAMMA_LOCK = threading.Lock()
-
 _GAMMA_POLICIES = ("default", "alt")
 
 
@@ -329,11 +327,11 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
     """
     if policy not in _GAMMA_POLICIES:
         raise ValueError(f"unknown euler_gamma policy: {policy!r}")
-    p = bits_of(prec)
-    key = (p, policy)
-    got = _GAMMA_CACHE.get(key)
-    if got is not None:
-        return got
+    return _euler_gamma(bits_of(prec), policy)
+
+
+@lru_cache(maxsize=64)
+def _euler_gamma(p: int, policy: str) -> Ball:
     if policy == "default":
         k = min(-(-p // 8), 13)
     else:
@@ -363,10 +361,7 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
     acc = _tree_sum(lambda i: Fraction(1, i), 1, n) - Fraction(1, 2 * n) + series
     ln_n = mul(elementary.ln2_ball(w), Ball.from_int(k), w)
     res = sub(Ball.from_fraction(acc, w), ln_n, p)
-    res = add_rad_fraction(res, tail)
-    with _GAMMA_LOCK:
-        _GAMMA_CACHE[key] = res
-    return res
+    return add_rad_fraction(res, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +401,6 @@ def _shifted_arg(man: int, exp: int, w: int) -> tuple[int, int, int, int]:
     return m, xman, nman, nexp
 
 
-def _pos_fraction(m: int, e: int) -> Fraction:
-    if e >= 0:
-        return Fraction(m << e, 1)
-    return Fraction(m, 1 << -e)
-
-
 def _log2_lower(man: int, exp: int) -> float:
     """Float lower bound on log2(man * 2^exp) for man > 0."""
     bl = man.bit_length()
@@ -437,7 +426,7 @@ def _series_coeffs(kind: str, w: int, count: int) -> list[Ball]:
             else:  # "lgamma"
                 c = bernoulli_number(2 * k) / (2 * k * (2 * k - 1))
             coeffs.append(Ball.from_fraction(c, w))
-        return coeffs
+        return coeffs[:count]
 
 
 def _pick_terms(h: float, w: int, extra_log) -> int:
@@ -464,10 +453,11 @@ def _pick_terms(h: float, w: int, extra_log) -> int:
         k += 1
 
 
-def _horner(coeffs: list[Ball], count: int, u: Ball, w: int) -> Ball:
+def _horner(coeffs, u: Ball, w: int) -> Ball:
+    """c_0 + c_1 u + c_2 u^2 + ... for ball coefficients in ascending order."""
     s = Ball(0, 0)
-    for k in range(count, 0, -1):
-        s = mul(add(s, coeffs[k - 1], w), u, w)
+    for c in reversed(coeffs):
+        s = add(mul(s, u, w), c, w)
     return s
 
 
@@ -477,7 +467,7 @@ def _digamma_point(man: int, exp: int, w: int) -> Ball:
     kk = _pick_terms(h, w, lambda k: -(2 * k + 2) * h - (2 * k + 2).bit_length() + 1)
     nball = Ball(nman, nexp)
     u = recip(mul(nball, nball, w), w)
-    series = _horner(_series_coeffs("psi", w, kk), kk, u, w)
+    series = mul(_horner(_series_coeffs("psi", w, kk), u, w), u, w)
     res = sub(elementary.ln(nball, w), scale2(recip(nball, w), -1), w)
     res = sub(res, series, w)
     if m:
@@ -485,7 +475,7 @@ def _digamma_point(man: int, exp: int, w: int) -> Ball:
         f = -nexp
         r = _tree_sum(lambda i: Fraction(1 << f, xman + ((i - 1) << f)), 1, m)
         res = sub(res, Ball.from_fraction(r, w), w)
-    nfr = _pos_fraction(nman, nexp)
+    nfr = _dyadic_fraction(nman, nexp)
     tail = abs(bernoulli_number(2 * kk + 2)) / ((2 * kk + 2) * nfr ** (2 * kk + 2))
     return add_rad_fraction(res, tail)
 
@@ -497,7 +487,7 @@ def _trigamma_point(man: int, exp: int, w: int) -> Ball:
     nball = Ball(nman, nexp)
     inv_n = recip(nball, w)
     u = mul(inv_n, inv_n, w)
-    series = _horner(_series_coeffs("psi1", w, kk), kk, u, w)
+    series = mul(_horner(_series_coeffs("psi1", w, kk), u, w), u, w)
     res = add(inv_n, scale2(u, -1), w)
     res = add(res, mul(series, inv_n, w), w)
     if m:
@@ -507,7 +497,7 @@ def _trigamma_point(man: int, exp: int, w: int) -> Ball:
             lambda i: Fraction(1 << (2 * f), (xman + ((i - 1) << f)) ** 2), 1, m
         )
         res = add(res, Ball.from_fraction(r, w), w)
-    nfr = _pos_fraction(nman, nexp)
+    nfr = _dyadic_fraction(nman, nexp)
     tail = abs(bernoulli_number(2 * kk + 2)) / nfr ** (2 * kk + 3)
     return add_rad_fraction(res, tail)
 
@@ -521,12 +511,8 @@ def _lgamma_point(man: int, exp: int, w: int) -> Ball:
     nball = Ball(nman, nexp)
     inv_n = recip(nball, w)
     u = mul(inv_n, inv_n, w)
-    coeffs = _series_coeffs("lgamma", w, jj)
     # sum_{j=1}^{jj} c_j * N^(1-2j) = inv_n * (c_1 + c_2 u + ... )
-    s = Ball(0, 0)
-    for k in range(jj, 0, -1):
-        s = add(mul(s, u, w), coeffs[k - 1], w)
-    series = mul(s, inv_n, w)
+    series = mul(_horner(_series_coeffs("lgamma", w, jj), u, w), inv_n, w)
     ln_n = elementary.ln(nball, w)
     half = Ball(1, -1)
     res = mul(sub(nball, half, w), ln_n, w)
@@ -540,7 +526,7 @@ def _lgamma_point(man: int, exp: int, w: int) -> Ball:
         for i in range(m):
             prod *= xman + (i << f)
         res = sub(res, elementary.ln(Ball(prod, nexp * m), w), w)
-    nfr = _pos_fraction(nman, nexp)
+    nfr = _dyadic_fraction(nman, nexp)
     tail = abs(bernoulli_number(2 * jj + 2)) / (
         (2 * jj + 2) * (2 * jj + 1) * nfr ** (2 * jj + 1)
     )
@@ -665,10 +651,7 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
     s = add(s, _half_ln_2pi(w), w)
     inv_x = recip(xb, w)
     u = mul(inv_x, inv_x, w)
-    coeffs = _series_coeffs("lgamma", w, count)
-    acc = Ball(0, 0)
-    for k in range(count, 0, -1):
-        acc = add(mul(acc, u, w), coeffs[k - 1], w)
+    acc = _horner(_series_coeffs("lgamma", w, count), u, w)
     s = add(s, mul(acc, inv_x, w), w)
     res = sub(lg, s, p)
     return res if kind == "F" else neg(res)

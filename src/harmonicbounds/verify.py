@@ -11,9 +11,9 @@ under finite differencing, and that every declared equality case reduces
 to an exact algebraic identity.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
-the precision that decided it.  Comparisons that fail to resolve retry at
-doubled precision up to the library cap before reporting undecided; they
-report undecided at once when doubling the precision did not at least
+the precision that decided it.  Comparisons that fail to resolve climb the
+precision ladder (ball.climb): they retry at doubled precision, and report
+undecided at the cap or as soon as doubling the precision did not at least
 halve the deciding radius, since the input's own width then sets it.
 """
 
@@ -22,16 +22,18 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import elementary, specfun
 from .ball import (
     Ball,
     DEFAULT_PRECISION,
-    MAX_PRECISION,
     Order,
+    PrecisionExhausted,
     add,
     bits_of,
+    climb,
     compare,
     div,
     mul,
@@ -73,7 +75,6 @@ __all__ = [
 
 _LIMIT = Fraction(6, 5)
 _GUARD = 16
-_W_CAP = bits_of(MAX_PRECISION) + _GUARD
 
 DEFAULT_G_GRID: tuple[int, ...] = (3, 4, 5, 10, 50, 100)
 
@@ -103,49 +104,37 @@ class SharpnessProfile:
 # decision ladders
 # ---------------------------------------------------------------------------
 
-def _stalled(w: int, rad: Fraction, prev: Fraction | None) -> bool:
-    """No higher rung can help: w is at the cap, or the last doubling of w
-    did not at least halve the deciding radius."""
-    return w >= _W_CAP or (prev is not None and 2 * rad > prev)
-
-
 def _decide_less(make: Callable[[int], tuple[Ball, Ball]], w0: int) -> tuple[Verdict, Ball, int]:
-    """Certify a < b for (a, b) = make(w), doubling w until decided or stalled."""
-    w = w0
-    prev = None
-    while True:
+    """Certify a < b for (a, b) = make(w), climbing the precision ladder."""
+    def step(w: int) -> tuple[Verdict | None, Ball, Ball]:
         a, b = make(w)
         order = compare(a, b)
         margin = sub(b, a, w)
         if order is Order.CERTAINLY_LESS:
-            return Verdict.PASS, margin, w
+            return Verdict.PASS, margin, margin
         if order is Order.CERTAINLY_GREATER:
-            return Verdict.FAIL, margin, w
-        rad = margin.rad_fraction()
-        if _stalled(w, rad, prev):
-            return Verdict.UNDECIDED, margin, w
-        prev = rad
-        w = min(2 * w, _W_CAP)
+            return Verdict.FAIL, margin, margin
+        return None, margin, margin
+
+    verdict, margin, w = climb(step, w0)
+    return verdict or Verdict.UNDECIDED, margin, w
 
 
 def _decide_window(
     make: Callable[[int], Ball], lo: Fraction, hi: Fraction, w0: int
 ) -> tuple[Verdict, Ball, int]:
     """Certify that the value enclosed by make(w) lies inside (lo, hi)."""
-    w = w0
-    prev = None
-    while True:
+    def step(w: int) -> tuple[Verdict | None, Ball, Ball]:
         v = make(w)
         margin = Ball.from_fraction(min(v.lower() - lo, hi - v.upper()), 64)
         if v.lower() > lo and v.upper() < hi:
-            return Verdict.PASS, margin, w
+            return Verdict.PASS, margin, v
         if v.upper() <= lo or v.lower() >= hi:
-            return Verdict.FAIL, margin, w
-        rad = v.rad_fraction()
-        if _stalled(w, rad, prev):
-            return Verdict.UNDECIDED, margin, w
-        prev = rad
-        w = min(2 * w, _W_CAP)
+            return Verdict.FAIL, margin, v
+        return None, margin, v
+
+    verdict, margin, w = climb(step, w0)
+    return verdict or Verdict.UNDECIDED, margin, w
 
 
 def _overlap_verdict(a: Ball, b: Ball, w: int) -> tuple[Verdict, Ball]:
@@ -169,18 +158,23 @@ def _zero(w: int) -> Ball:
 # the sharpness function f
 # ---------------------------------------------------------------------------
 
+def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ball, int]:
+    """Climb the precision ladder until f's denominator den_at(w) is certainly positive."""
+    def step(w: int) -> tuple[bool | None, Ball, Ball]:
+        den = den_at(w)
+        return den.is_positive() or None, den, den
+
+    ok, den, w = climb(step, w0)
+    if ok is None:
+        raise PrecisionExhausted(f"{what} straddles zero even at {w} bits")
+    return den, w
+
+
+@lru_cache(maxsize=64)
 def _f_int(n: int, w: int) -> Ball:
     """f(n) = 1/(ln n + 1/(2n) - psi(n+1)) - 12 n^2 at integer n."""
-    ww = w
-    while True:
-        den = specfun.psi_gap(n, ww)
-        if den.is_positive():
-            return sub(recip(den, ww), Ball.from_int(12 * n * n), ww)
-        if ww >= _W_CAP:
-            raise specfun.PrecisionExhausted(
-                f"f denominator straddles zero at n={n} even at {ww} bits"
-            )
-        ww = min(2 * ww, _W_CAP)
+    den, ww = _positive_den(lambda ww: specfun.psi_gap(n, ww), w, f"f denominator at n={n}")
+    return sub(recip(den, ww), Ball.from_int(12 * n * n), ww)
 
 
 def _gap_ball(x: Ball, w: int) -> Ball:
@@ -201,32 +195,9 @@ def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
         return round_ball(_f_int(x, w), p)
     if not isinstance(x, Ball):
         raise TypeError("argument must be an int or a Ball")
-    ww = w
-    while True:
-        den = _gap_ball(x, ww)
-        if den.is_positive():
-            sq = mul(Ball.from_int(12), mul(x, x, ww), ww)
-            return round_ball(sub(recip(den, ww), sq, ww), p)
-        if ww >= _W_CAP:
-            raise specfun.PrecisionExhausted(
-                "f denominator straddles zero at maximum precision"
-            )
-        ww = min(2 * ww, _W_CAP)
-
-
-class _FCache:
-    """Per-sweep memo of f(n) enclosures keyed by (n, working bits)."""
-
-    def __init__(self) -> None:
-        self._memo: dict[tuple[int, int], Ball] = {}
-
-    def at(self, n: int, w: int) -> Ball:
-        key = (n, w)
-        v = self._memo.get(key)
-        if v is None:
-            v = _f_int(n, w)
-            self._memo[key] = v
-        return v
+    den, ww = _positive_den(lambda ww: _gap_ball(x, ww), w, "f denominator")
+    sq = mul(Ball.from_int(12), mul(x, x, ww), ww)
+    return round_ball(sub(recip(den, ww), sq, ww), p)
 
 
 def _limit_ball(w: int) -> Ball:
@@ -269,12 +240,11 @@ def sharpness_profile(n: int, prec=DEFAULT_PRECISION) -> SharpnessProfile:
         raise ValueError("n must be >= 1")
     p = bits_of(prec)
     w = p + _GUARD
-    cache = _FCache()
-    mono, _, _ = _decide_less(lambda ww: (cache.at(n, ww), cache.at(n + 1, ww)), w)
-    below, _, _ = _decide_less(lambda ww: (cache.at(n, ww), _limit_ball(ww)), w)
+    mono, _, _ = _decide_less(lambda ww: (_f_int(n, ww), _f_int(n + 1, ww)), w)
+    below, _, _ = _decide_less(lambda ww: (_f_int(n, ww), _limit_ball(ww)), w)
     return SharpnessProfile(
         n=n,
-        f_of_n=round_ball(cache.at(n, w), p),
+        f_of_n=round_ball(_f_int(n, w), p),
         monotone_ok=mono is Verdict.PASS,
         below_limit_ok=below is Verdict.PASS,
     )
@@ -286,17 +256,16 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
         raise ValueError("max_n must be >= 3")
     p = bits_of(prec)
     w0 = p + _GUARD
-    cache = _FCache()
     rep = VerificationReport()
 
     for n in (1, 2, 3):
-        verdict, margin = _overlap_verdict(cache.at(n, w0), _f_closed_form(n, w0), w0)
+        verdict, margin = _overlap_verdict(_f_int(n, w0), _f_closed_form(n, w0), w0)
         rep.append(CheckRecord(
             check="f_value", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w0,
         ))
         lo = _F_PRINTED[n]
-        verdict, margin, w = _decide_window(lambda ww, n=n: cache.at(n, ww), lo, lo + _F_DIGIT_STEP, w0)
+        verdict, margin, w = _decide_window(lambda ww, n=n: _f_int(n, ww), lo, lo + _F_DIGIT_STEP, w0)
         rep.append(CheckRecord(
             check="f_digits", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w,
@@ -304,7 +273,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 
     for n in range(1, max_n + 1):
         verdict, margin, w = _decide_less(
-            lambda ww, n=n: (cache.at(n, ww), _limit_ball(ww)), w0
+            lambda ww, n=n: (_f_int(n, ww), _limit_ball(ww)), w0
         )
         rep.append(CheckRecord(
             check="f_below_limit", params=(("n", n),),
@@ -312,7 +281,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
         ))
         if n < max_n:
             verdict, margin, w = _decide_less(
-                lambda ww, n=n: (cache.at(n, ww), cache.at(n + 1, ww)), w0
+                lambda ww, n=n: (_f_int(n, ww), _f_int(n + 1, ww)), w0
             )
             rep.append(CheckRecord(
                 check="f_monotone", params=(("n", n),),
@@ -323,8 +292,8 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     for a, b in zip(samples, samples[1:]):
         verdict, margin, w = _decide_less(
             lambda ww, a=a, b=b: (
-                sub(_limit_ball(ww), cache.at(b, ww), ww),
-                sub(_limit_ball(ww), cache.at(a, ww), ww),
+                sub(_limit_ball(ww), _f_int(b, ww), ww),
+                sub(_limit_ball(ww), _f_int(a, ww), ww),
             ),
             w0,
         )
@@ -336,7 +305,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     if max_n >= 1000:
         verdict, margin, w = _decide_less(
             lambda ww: (
-                sub(_limit_ball(ww), cache.at(1000, ww), ww),
+                sub(_limit_ball(ww), _f_int(1000, ww), ww),
                 Ball.from_fraction(Fraction(1, 10**6), ww),
             ),
             w0,
@@ -363,18 +332,11 @@ _G_POLY = Poly((-100, 0, -8400, 0, 1659))
 _G_SHIFTED = (58679, 128772, 81186, 19908, 1659)
 
 
-def _poly_ball(poly: Poly, x: Ball, w: int) -> Ball:
-    acc = Ball.from_int(0)
-    for c in reversed(poly.coeffs):
-        acc = add(mul(acc, x, w), Ball.from_fraction(c, w), w)
-    return acc
-
-
 def _ratio_ball(spec: tuple[Poly, int, int], x, w: int) -> Ball:
     """Evaluate numerator / (c x^k), exactly when x is rational."""
     poly, c, k = spec
     if isinstance(x, Ball):
-        num = _poly_ball(poly, x, w)
+        num = specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], x, w)
         den = mul(Ball.from_int(c), _pow_ball(x, k, w), w)
         return div(num, den, w)
     xf = Fraction(x)
@@ -515,6 +477,7 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
 # the fourth-order error window
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _epsilon(n: int, w: int) -> Ball:
     """120 n^4 (H(n) - ln n - g - 1/(2n) + 1/(12 n^2))."""
     inner = sub(Ball.from_fraction(Fraction(1, 12 * n * n), w), specfun.psi_gap(n, w), w)
@@ -529,20 +492,10 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     w0 = p + _GUARD
     rep = VerificationReport()
 
-    memo: dict[tuple[int, int], Ball] = {}
-
-    def eps_at(n: int, ww: int) -> Ball:
-        key = (n, ww)
-        v = memo.get(key)
-        if v is None:
-            v = _epsilon(n, ww)
-            memo[key] = v
-        return v
-
     exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), _gamma(w0), w0), w0)
-    verdict, margin = _overlap_verdict(eps_at(1, w0), exact1, w0)
+    verdict, margin = _overlap_verdict(_epsilon(1, w0), exact1, w0)
     vwin, mwin, ww = _decide_window(
-        lambda ww: eps_at(1, ww), Fraction("0.733"), Fraction("0.735"), w0
+        lambda ww: _epsilon(1, ww), Fraction("0.733"), Fraction("0.735"), w0
     )
     rep.append(CheckRecord(
         check="epsilon_anchor", params=(("n", 1),),
@@ -552,9 +505,9 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 
     one = Fraction(1)
     for n in range(1, max_n + 1):
-        v1, m1, b1 = _decide_less(lambda ww, n=n: (_zero(ww), eps_at(n, ww)), w0)
+        v1, m1, b1 = _decide_less(lambda ww, n=n: (_zero(ww), _epsilon(n, ww)), w0)
         v2, m2, b2 = _decide_less(
-            lambda ww, n=n: (eps_at(n, ww), Ball.from_fraction(one, ww)), w0
+            lambda ww, n=n: (_epsilon(n, ww), Ball.from_fraction(one, ww)), w0
         )
         rep.append(CheckRecord(
             check="epsilon", params=(("n", n),),
@@ -585,6 +538,7 @@ def _recenter(target: str, n: int, w: int) -> Ball:
     raise KeyError(f"unknown target: {target!r}")
 
 
+@lru_cache(maxsize=16)
 def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
     spec = catalog_map()[bound_id]
     r = _recenter(spec.target, n, w)
@@ -599,22 +553,18 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     w0 = p + _GUARD
     rep = VerificationReport()
     for n in range(2, max_n + 1):
-        memo: dict[tuple[str, int], tuple[Ball, Ball]] = {}
-
-        def iv(bid: str, ww: int, n=n, memo=memo) -> tuple[Ball, Ball]:
-            key = (bid, ww)
-            v = memo.get(key)
-            if v is None:
-                v = _implied_interval(bid, n, ww)
-                memo[key] = v
-            return v
-
         for other in _REFINED_IDS:
             v1, m1, b1 = _decide_less(
-                lambda ww, o=other: (iv(o, ww)[0], iv("main", ww)[0]), w0
+                lambda ww, n=n, o=other: (
+                    _implied_interval(o, n, ww)[0], _implied_interval("main", n, ww)[0]
+                ),
+                w0,
             )
             v2, m2, b2 = _decide_less(
-                lambda ww, o=other: (iv("main", ww)[1], iv(o, ww)[1]), w0
+                lambda ww, n=n, o=other: (
+                    _implied_interval("main", n, ww)[1], _implied_interval(o, n, ww)[1]
+                ),
+                w0,
             )
             rep.append(CheckRecord(
                 check="refinement", params=(("n", n), ("outer", other)),
@@ -628,6 +578,12 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 # alternating-tail constants
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _alt_x(n: int, w: int) -> Ball:
+    """x_n = 1/|tail| - 2n."""
+    return sub(recip(specfun.alternating_tail(n, w), w), Ball.from_int(2 * n), w)
+
+
 def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify x_n = 1/|tail| - 2n decreases from 1/(1 - ln 2) - 2 toward 1."""
     if max_n < 2:
@@ -636,20 +592,9 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
     w0 = p + _GUARD
     rep = VerificationReport()
 
-    memo: dict[tuple[int, int], Ball] = {}
-
-    def x_at(n: int, ww: int) -> Ball:
-        key = (n, ww)
-        v = memo.get(key)
-        if v is None:
-            t = specfun.alternating_tail(n, ww)
-            v = sub(recip(t, ww), Ball.from_int(2 * n), ww)
-            memo[key] = v
-        return v
-
-    verdict, margin = _overlap_verdict(x_at(1, w0), _alt_tail_shift(w0), w0)
+    verdict, margin = _overlap_verdict(_alt_x(1, w0), _alt_tail_shift(w0), w0)
     vwin, mwin, ww = _decide_window(
-        lambda ww: x_at(1, ww), Fraction("1.2588"), Fraction("1.2590"), w0
+        lambda ww: _alt_x(1, ww), Fraction("1.2588"), Fraction("1.2590"), w0
     )
     rep.append(CheckRecord(
         check="x_anchor", params=(("n", 1),),
@@ -659,16 +604,15 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
 
     for n in range(1, max_n):
         verdict, margin, w = _decide_less(
-            lambda ww, n=n: (x_at(n + 1, ww), x_at(n, ww)), w0
+            lambda ww, n=n: (_alt_x(n + 1, ww), _alt_x(n, ww)), w0
         )
         rep.append(CheckRecord(
             check="x_decreasing", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w,
         ))
-        memo.pop((n, w0), None)
 
     verdict, margin, w = _decide_less(
-        lambda ww: (Ball.from_int(1), x_at(max_n, ww)), w0
+        lambda ww: (Ball.from_int(1), _alt_x(max_n, ww)), w0
     )
     rep.append(CheckRecord(
         check="x_above_limit", params=(("n", max_n),),
@@ -708,14 +652,10 @@ def cm_spotcheck(
     w0 = p + _GUARD
     rep = VerificationReport()
 
-    memo: dict[int, list[Ball]] = {}
-
-    def values(ww: int) -> list[Ball]:
-        v = memo.get(ww)
-        if v is None:
-            v = [specfun.stirling_tail(kind, order, x, ww) for x in pts]
-            memo[ww] = v
-        return v
+    # local to the call: it reads specfun.stirling_tail as it is now
+    @lru_cache(maxsize=8)
+    def values(ww: int) -> tuple[Ball, ...]:
+        return tuple(specfun.stirling_tail(kind, order, x, ww) for x in pts)
 
     for j in range(depth + 1):
         def signed_min(ww: int, j=j) -> tuple[Ball, Ball]:

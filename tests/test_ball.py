@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicbounds.ball import (
+    CLIMB_CAP,
     DEFAULT_PRECISION,
     MAX_PRECISION,
     MIN_PRECISION,
@@ -26,6 +27,7 @@ from harmonicbounds.ball import (
     add_rad_fraction,
     abs_ball,
     bits_of,
+    climb,
     compare,
     div,
     dyadic_decimal,
@@ -342,3 +344,34 @@ def test_enclosure_str_format():
     s = enclosure_str(Ball.from_fraction(Fraction(1, 3), 64), 12)
     assert s.startswith("0.333333333333 +/- ")
     assert enclosure_str(Ball(0, 0)) == "0 +/- 0"
+
+
+@given(balls(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=300)
+def test_enclosure_str_interval_contains_the_ball(b, sig):
+    # the printed radius must also cover the rounding of the printed midpoint
+    mid, rad = (Fraction(part) for part in enclosure_str(b, sig).split(" +/- "))
+    assert mid - rad <= b.lower() and b.upper() <= mid + rad
+
+
+# ---------------------------------------------------------------------------
+# the precision ladder
+# ---------------------------------------------------------------------------
+
+def test_climb_doubles_until_decided():
+    rungs = []
+
+    def step(w):
+        rungs.append(w)
+        return ("yes" if w >= 512 else None), w, Ball(0, 0, 1, -w)
+
+    assert climb(step, 128) == ("yes", 512, 512)
+    assert rungs == [128, 256, 512]
+
+
+def test_climb_stops_when_doubling_does_not_halve_the_radius():
+    # a radius set by the input's width: one doubling shows it, then stop
+    assert climb(lambda w: (None, w, Ball(0, 0, 1, -10)), 128) == (None, 256, 256)
+    # a radius halved by every doubling is progress, up to the cap
+    halving = lambda w: (None, w, Ball(0, 0, 1, -(w // 128).bit_length()))
+    assert climb(halving, 128) == (None, CLIMB_CAP, CLIMB_CAP)

@@ -14,7 +14,8 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonicbounds.ball import Ball, Order, compare, neg, sub
+from harmonicbounds import bounds
+from harmonicbounds.ball import Ball, Order, add_rad_fraction, compare, neg, sub
 from harmonicbounds.bounds import (
     EQUALITY_RADIUS,
     TARGETS,
@@ -259,6 +260,19 @@ def test_precision_ladder_escalates_until_decided():
     assert chk.verdict is Verdict.PASS
     assert chk.precision_bits > 53
     assert chk.margin.is_positive()
+
+
+def test_precision_ladder_stops_when_doubling_cannot_help(monkeypatch):
+    # a target of radius 2^-12 hides the ~3e-6 margin at n = 5 at every
+    # precision; the ladder must notice and stop instead of climbing
+    exact = bounds._target_cached
+    monkeypatch.setattr(
+        bounds, "_target_cached",
+        lambda tid, n, w: add_rad_fraction(exact(tid, n, w), Fraction(1, 2**12)),
+    )
+    chk = check_bound("main", 5)
+    assert chk.verdict is Verdict.UNDECIDED
+    assert chk.precision_bits < 1024
 
 
 def test_check_bound_validation():

@@ -8,6 +8,7 @@ deterministic sweep.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -82,6 +83,15 @@ def test_f_argument_validation():
         f_eval(0, 128)
     with pytest.raises(TypeError):
         f_eval(2.5, 128)
+
+
+def test_f_eval_wide_ball_stops_climbing():
+    # on [4 - 1/32, 4 + 1/32] the denominator's enclosure straddles zero
+    # at every precision: the ladder must stop well below the cap
+    with pytest.raises(PrecisionExhausted) as exc:
+        f_eval(Ball(4, 0, 1, -5), 128)
+    bits = re.search(r"(\d+) bits", str(exc.value))
+    assert bits is not None and int(bits.group(1)) < 1024
 
 
 def test_f_asymptotic_gap_constant():
