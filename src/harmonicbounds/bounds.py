@@ -3,15 +3,19 @@
 Each catalog entry pins down, for a stated target quantity, a lower and an
 upper expression in n, the set of n where an endpoint is attained exactly,
 and any sharp constants together with the decimal window they are known
-to lie in.  Checking a bound at some n compares three enclosures — lower,
-target, upper — and only returns pass/fail when the balls decide the
-comparison.  While they overlap it climbs the precision ladder
-(ball.climb), which doubles the precision and stops, undecided, at the cap
-or once a doubling fails to at least halve the open side's radius.
+to lie in.  Checking a bound at some n encloses lower, target and upper,
+and every verdict is the sign of a certified difference ball: judge()
+decides the claim that target - lower and upper - target are both > 0,
+returning fail when one is certainly negative and pass when both are
+certainly positive.  While one straddles zero the check climbs the
+precision ladder (ball.climb), which doubles the precision and stops,
+undecided, at the cap or once a doubling fails to at least halve that
+difference's radius.
 
-At a declared equality point the check instead certifies that the margin
-ball straddles zero with radius below 10^-30; the closed-form reasons for
-those equalities are verified separately (see verify.equality_witnesses).
+At a declared equality point the difference may instead straddle zero
+with radius below 10^-30, which judge() reports as equality; the
+closed-form reasons for those equalities are verified separately (see
+verify.equality_witnesses).
 
 Targets, and how each is evaluated from gap(n) = ln n + 1/(2n) - psi(n+1)
 (specfun.psi_gap, a cancellation-free series whose cost does not grow with
@@ -33,17 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Collection, Sequence
 
 from . import elementary, specfun
 from .ball import (
     Ball,
     DEFAULT_PRECISION,
-    Order,
     add,
     bits_of,
     climb,
-    compare,
     mul,
     neg,
     recip,
@@ -51,7 +53,7 @@ from .ball import (
     sub,
     _dyadic_cmp,
 )
-from .report import Verdict
+from .report import CheckRecord, Verdict
 
 __all__ = [
     "BoundSpec",
@@ -60,6 +62,7 @@ __all__ = [
     "BoundCheck",
     "TARGETS",
     "EQUALITY_RADIUS",
+    "judge",
     "catalog",
     "catalog_map",
     "bound_ids",
@@ -70,6 +73,39 @@ __all__ = [
 
 # radius threshold for certifying a declared equality endpoint
 EQUALITY_RADIUS = Fraction(1, 10**30)
+
+
+def judge(
+    diffs: Sequence[Ball], may_equal: Collection[int] = ()
+) -> tuple[Verdict | None, Ball, Ball]:
+    """Decide the claim that every certified difference in diffs is > 0.
+
+    Returns (verdict, margin, deciding) in the form ball.climb expects.
+    The verdict is fail when some difference is certainly negative, None
+    (open) when some difference straddles zero, equality when the only
+    ones straddling zero are declared equalities (indices in may_equal)
+    of radius below EQUALITY_RADIUS, and pass otherwise.  On pass or
+    equality the margin is the difference with the smallest midpoint;
+    otherwise it is the first failing, else the first open, difference,
+    which is also the deciding ball whose radius keeps the claim open.
+    """
+    lowest = diffs[0]
+    open_ = None
+    equal = False
+    for i, d in enumerate(diffs):
+        if d.is_negative():
+            return Verdict.FAIL, d, d
+        if _dyadic_cmp(d.man, d.exp, lowest.man, lowest.exp) < 0:
+            lowest = d
+        if d.is_positive():
+            continue
+        if i in may_equal and d.rad_fraction() < EQUALITY_RADIUS:
+            equal = True
+        elif open_ is None:
+            open_ = d
+    if open_ is not None:
+        return None, open_, open_
+    return Verdict.EQUALITY if equal else Verdict.PASS, lowest, lowest
 
 
 @dataclass(frozen=True)
@@ -137,6 +173,13 @@ class BoundCheck:
         if self.verdict is Verdict.EQUALITY and self.equality_side:
             return f"equality({self.equality_side})"
         return self.verdict.value
+
+    def record(self) -> CheckRecord:
+        """The report record of this check."""
+        return CheckRecord(
+            check="bound", params=(("id", self.bound_id), ("n", self.n)),
+            verdict=self.verdict, margin=self.margin, precision_bits=self.precision_bits,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -560,69 +603,33 @@ def evaluate_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> tuple[Ball,
 # checking
 # ---------------------------------------------------------------------------
 
-_SIDE_OK = "ok"
-_SIDE_EQ = "eq"
-_SIDE_FAIL = "fail"
-_SIDE_OPEN = "open"
+_SIDES = ("lower", "upper")
 
 
-def _side_state(low: Ball, high: Ball, d: Ball, expect_equality: bool) -> str:
-    """Classify the claim low <= high, d = high - low (strict unless equality declared)."""
-    if expect_equality:
-        if d.is_negative():
-            return _SIDE_FAIL
-        if d.is_positive():
-            # the declared equality point turned out strict; the inequality
-            # itself still holds, so treat as a plain pass
-            return _SIDE_OK
-        if d.rad_fraction() < EQUALITY_RADIUS:
-            return _SIDE_EQ
-        return _SIDE_OPEN
-    c = compare(low, high)
-    if c is Order.CERTAINLY_LESS:
-        return _SIDE_OK
-    if c is Order.CERTAINLY_GREATER:
-        return _SIDE_FAIL
-    return _SIDE_OPEN
-
-
-def _min_by_mid(a: Ball, b: Ball) -> Ball:
-    return a if _dyadic_cmp(a.man, a.exp, b.man, b.exp) <= 0 else b
-
-
-def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundCheck, Ball | None]:
-    """One rung of check_bound's ladder: (verdict, or None while a side is
-    open; the check at p bits; the open side's difference)."""
+def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundCheck, Ball]:
+    """One rung of check_bound's ladder: judge() of target - lower and
+    upper - target, as (verdict or None, the check at p bits, deciding)."""
     t = _target_cached(spec.target, n, p)
     lo = spec.lower(n, p)
     hi = spec.upper(n, p)
-    d_lo = sub(t, lo, p)
-    d_hi = sub(hi, t, p)
-    s_lo = _side_state(lo, t, d_lo, n in spec.lower_equalities)
-    s_hi = _side_state(t, hi, d_hi, n in spec.upper_equalities)
-    if _SIDE_FAIL in (s_lo, s_hi):
-        verdict = Verdict.FAIL
-    elif _SIDE_OPEN in (s_lo, s_hi):
-        verdict = Verdict.UNDECIDED
-    elif _SIDE_EQ in (s_lo, s_hi):
-        verdict = Verdict.EQUALITY
-    else:
-        verdict = Verdict.PASS
-    sides = [name for name, s in (("lower", s_lo), ("upper", s_hi)) if s == _SIDE_EQ]
+    diffs = (sub(t, lo, p), sub(hi, t, p))
+    declared = [i for i, eq in enumerate((spec.lower_equalities, spec.upper_equalities)) if n in eq]
+    verdict, margin, deciding = judge(diffs, declared)
+    equal = ""
+    if verdict is Verdict.EQUALITY:
+        equal = ",".join(_SIDES[i] for i in declared if not diffs[i].is_positive())
     chk = BoundCheck(
         bound_id=spec.bound_id,
         n=n,
-        verdict=verdict,
+        verdict=verdict or Verdict.UNDECIDED,
         lower=lo,
         target=t,
         upper=hi,
-        margin=_min_by_mid(d_lo, d_hi),
+        margin=margin,
         precision_bits=p,
-        equality_side=",".join(sides) if verdict is Verdict.EQUALITY else "",
+        equality_side=equal,
     )
-    if verdict is Verdict.UNDECIDED:
-        return None, chk, d_lo if s_lo == _SIDE_OPEN else d_hi
-    return verdict, chk, None
+    return verdict, chk, deciding
 
 
 def check_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> BoundCheck:

@@ -24,7 +24,6 @@ from . import specfun
 from .ball import Ball, MAX_PRECISION, MIN_PRECISION, bits_of, enclosure_str
 from .bounds import bound_ids, check_bound, target_value
 from .report import (
-    CheckRecord,
     VerificationReport,
     ball_mid_str,
     ball_rad_str,
@@ -170,17 +169,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_exit(verdicts: Sequence[str]) -> int:
-    if "fail" in verdicts:
-        return 1
-    if "undecided" in verdicts:
-        return 3
-    return 0
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
     ids = bound_ids() if args.bound == "all" else (args.bound,)
     checks = [check_bound(bid, args.n, args.precision) for bid in ids]
+    rep = VerificationReport([chk.record() for chk in checks])
 
     if args.fmt == "table":
         rows = [["bound", "lower", "target", "upper", "margin", "verdict"]]
@@ -214,19 +206,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 ]
             )
     else:
-        rep = VerificationReport()
-        for chk in checks:
-            rep.append(
-                CheckRecord(
-                    check="bound",
-                    params=(("id", chk.bound_id), ("n", chk.n)),
-                    verdict=chk.verdict,
-                    margin=chk.margin,
-                    precision_bits=chk.precision_bits,
-                )
-            )
         print(rep.to_json())
-    return _bounds_exit([chk.verdict.value for chk in checks])
+    return rep.exit_code()
 
 
 def _emit_report(rep: VerificationReport, fmt: str) -> int:

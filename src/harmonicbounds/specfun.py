@@ -267,14 +267,19 @@ def _half_ln_2pi(w: int) -> Ball:
 
 def _bernoulli_sum(n: int, count: int) -> tuple[Fraction, Fraction]:
     """sum_{i=1}^{count} B_2i / (2i n^2i), and the magnitude of the first
-    omitted term, |B_(2 count + 2)| / ((2 count + 2) n^(2 count + 2))."""
-    acc = Fraction(0)
+    omitted term, |B_(2 count + 2)| / ((2 count + 2) n^(2 count + 2)).
+
+    The sum is one Horner polynomial in n^2 with integer coefficients over
+    the lcm of the denominators 2i den(B_2i), so a single gcd reduces it.
+    """
+    coeffs = [bernoulli_number(2 * i) / (2 * i) for i in range(1, count + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
     n2 = n * n
-    pw = n2
-    for i in range(1, count + 1):
-        acc += bernoulli_number(2 * i) / (2 * i * pw)
-        pw *= n2
-    return acc, abs(bernoulli_number(2 * count + 2)) / ((2 * count + 2) * pw)
+    acc = 0
+    for c in coeffs:
+        acc = acc * n2 + c.numerator * (den // c.denominator)
+    pw = n2**count
+    return Fraction(acc, den * pw), abs(bernoulli_number(2 * count + 2)) / ((2 * count + 2) * pw * n2)
 
 
 @dataclass(frozen=True)

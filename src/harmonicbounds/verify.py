@@ -11,10 +11,15 @@ under finite differencing, and that every declared equality case reduces
 to an exact algebraic identity.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
-the precision that decided it.  Comparisons that fail to resolve climb the
-precision ladder (ball.climb): they retry at doubled precision, and report
-undecided at the cap or as soon as doubling the precision did not at least
-halve the deciding radius, since the input's own width then sets it.
+the precision that decided it.  Each inequality is stated as certified
+difference balls that must all be > 0, and its verdict is their sign as
+read by bounds.judge, on the one precision ladder (ball.climb): while a
+difference straddles zero the check retries at doubled precision, and
+reports undecided at the cap or as soon as doubling the precision did not
+at least halve that difference's radius, since the input's own width then
+sets it.  A window lo < v < hi is the two differences v - lo and hi - v.
+The one check that is not an inequality, that two enclosures of the same
+real intersect, compares the balls as sets (_overlap_verdict).
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .ball import (
     compare,
     div,
     mul,
+    neg,
     recip,
     round_ball,
     scale2,
@@ -48,11 +54,11 @@ from .bounds import (
     _ln_half_int,
     _ln_int,
     _main_shift,
-    _min_by_mid,
     bound_ids,
     catalog,
     catalog_map,
     check_bound,
+    judge,
 )
 from .report import CheckRecord, Verdict, VerificationReport
 from .symbolic import Poly, PolyFraction
@@ -104,37 +110,15 @@ class SharpnessProfile:
 # decision ladders
 # ---------------------------------------------------------------------------
 
-def _decide_less(make: Callable[[int], tuple[Ball, Ball]], w0: int) -> tuple[Verdict, Ball, int]:
-    """Certify a < b for (a, b) = make(w), climbing the precision ladder."""
-    def step(w: int) -> tuple[Verdict | None, Ball, Ball]:
-        a, b = make(w)
-        order = compare(a, b)
-        margin = sub(b, a, w)
-        if order is Order.CERTAINLY_LESS:
-            return Verdict.PASS, margin, margin
-        if order is Order.CERTAINLY_GREATER:
-            return Verdict.FAIL, margin, margin
-        return None, margin, margin
-
-    verdict, margin, w = climb(step, w0)
+def _decide(make: Callable[[int], Sequence[Ball]], w0: int) -> tuple[Verdict, Ball, int]:
+    """Certify that every difference in make(w) is > 0, climbing the precision ladder."""
+    verdict, margin, w = climb(lambda w: judge(make(w)), w0)
     return verdict or Verdict.UNDECIDED, margin, w
 
 
-def _decide_window(
-    make: Callable[[int], Ball], lo: Fraction, hi: Fraction, w0: int
-) -> tuple[Verdict, Ball, int]:
-    """Certify that the value enclosed by make(w) lies inside (lo, hi)."""
-    def step(w: int) -> tuple[Verdict | None, Ball, Ball]:
-        v = make(w)
-        margin = Ball.from_fraction(min(v.lower() - lo, hi - v.upper()), 64)
-        if v.lower() > lo and v.upper() < hi:
-            return Verdict.PASS, margin, v
-        if v.upper() <= lo or v.lower() >= hi:
-            return Verdict.FAIL, margin, v
-        return None, margin, v
-
-    verdict, margin, w = climb(step, w0)
-    return verdict or Verdict.UNDECIDED, margin, w
+def _inside(v: Ball, lo: Fraction, hi: Fraction, w: int) -> tuple[Ball, Ball]:
+    """The window lo < v < hi as the differences v - lo and hi - v."""
+    return sub(v, Ball.from_fraction(lo, w), w), sub(Ball.from_fraction(hi, w), v, w)
 
 
 def _overlap_verdict(a: Ball, b: Ball, w: int) -> tuple[Verdict, Ball]:
@@ -143,15 +127,18 @@ def _overlap_verdict(a: Ball, b: Ball, w: int) -> tuple[Verdict, Ball]:
     return verdict, sub(a, b, w)
 
 
-def _worst(*verdicts: Verdict) -> Verdict:
-    for v in (Verdict.FAIL, Verdict.UNDECIDED):
-        if v in verdicts:
-            return v
-    return Verdict.PASS
-
-
-def _zero(w: int) -> Ball:
-    return Ball.from_int(0)
+def _anchor(
+    check: str, value_at: Callable[[int], Ball], exact: Ball, lo: str, hi: str, w0: int
+) -> CheckRecord:
+    """value_at(w) at n = 1 meets its closed form `exact` and lies in (lo, hi)."""
+    agree, diff = _overlap_verdict(value_at(w0), exact, w0)
+    window = Fraction(lo), Fraction(hi)
+    verdict, margin, w = _decide(lambda ww: _inside(value_at(ww), *window, ww), w0)
+    return CheckRecord(
+        check=check, params=(("n", 1),),
+        verdict=verdict if agree is Verdict.PASS else Verdict.FAIL,
+        margin=min((diff, margin), key=Ball.mid_fraction), precision_bits=w,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +147,10 @@ def _zero(w: int) -> Ball:
 
 def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ball, int]:
     """Climb the precision ladder until f's denominator den_at(w) is certainly positive."""
-    def step(w: int) -> tuple[bool | None, Ball, Ball]:
-        den = den_at(w)
-        return den.is_positive() or None, den, den
-
-    ok, den, w = climb(step, w0)
-    if ok is None:
+    verdict, den, w = _decide(lambda w: (den_at(w),), w0)
+    if verdict is Verdict.FAIL:
+        raise PrecisionExhausted(f"{what} is negative at {w} bits")
+    if verdict is not Verdict.PASS:
         raise PrecisionExhausted(f"{what} straddles zero even at {w} bits")
     return den, w
 
@@ -240,8 +225,8 @@ def sharpness_profile(n: int, prec=DEFAULT_PRECISION) -> SharpnessProfile:
         raise ValueError("n must be >= 1")
     p = bits_of(prec)
     w = p + _GUARD
-    mono, _, _ = _decide_less(lambda ww: (_f_int(n, ww), _f_int(n + 1, ww)), w)
-    below, _, _ = _decide_less(lambda ww: (_f_int(n, ww), _limit_ball(ww)), w)
+    mono, _, _ = _decide(lambda ww: (sub(_f_int(n + 1, ww), _f_int(n, ww), ww),), w)
+    below, _, _ = _decide(lambda ww: (sub(_limit_ball(ww), _f_int(n, ww), ww),), w)
     return SharpnessProfile(
         n=n,
         f_of_n=round_ball(_f_int(n, w), p),
@@ -265,23 +250,25 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
             verdict=verdict, margin=margin, precision_bits=w0,
         ))
         lo = _F_PRINTED[n]
-        verdict, margin, w = _decide_window(lambda ww, n=n: _f_int(n, ww), lo, lo + _F_DIGIT_STEP, w0)
+        verdict, margin, w = _decide(
+            lambda ww, n=n, lo=lo: _inside(_f_int(n, ww), lo, lo + _F_DIGIT_STEP, ww), w0
+        )
         rep.append(CheckRecord(
             check="f_digits", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w,
         ))
 
     for n in range(1, max_n + 1):
-        verdict, margin, w = _decide_less(
-            lambda ww, n=n: (_f_int(n, ww), _limit_ball(ww)), w0
+        verdict, margin, w = _decide(
+            lambda ww, n=n: (sub(_limit_ball(ww), _f_int(n, ww), ww),), w0
         )
         rep.append(CheckRecord(
             check="f_below_limit", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w,
         ))
         if n < max_n:
-            verdict, margin, w = _decide_less(
-                lambda ww, n=n: (_f_int(n, ww), _f_int(n + 1, ww)), w0
+            verdict, margin, w = _decide(
+                lambda ww, n=n: (sub(_f_int(n + 1, ww), _f_int(n, ww), ww),), w0
             )
             rep.append(CheckRecord(
                 check="f_monotone", params=(("n", n),),
@@ -290,11 +277,13 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 
     samples = [n for n in _GAP_SAMPLES if n <= max_n]
     for a, b in zip(samples, samples[1:]):
-        verdict, margin, w = _decide_less(
-            lambda ww, a=a, b=b: (
-                sub(_limit_ball(ww), _f_int(b, ww), ww),
+        # 6/5 - f(b) < 6/5 - f(a)
+        verdict, margin, w = _decide(
+            lambda ww, a=a, b=b: (sub(
                 sub(_limit_ball(ww), _f_int(a, ww), ww),
-            ),
+                sub(_limit_ball(ww), _f_int(b, ww), ww),
+                ww,
+            ),),
             w0,
         )
         rep.append(CheckRecord(
@@ -303,11 +292,13 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
         ))
 
     if max_n >= 1000:
-        verdict, margin, w = _decide_less(
-            lambda ww: (
-                sub(_limit_ball(ww), _f_int(1000, ww), ww),
+        # 6/5 - f(1000) < 10^-6
+        verdict, margin, w = _decide(
+            lambda ww: (sub(
                 Ball.from_fraction(Fraction(1, 10**6), ww),
-            ),
+                sub(_limit_ball(ww), _f_int(1000, ww), ww),
+                ww,
+            ),),
             w0,
         )
         rep.append(CheckRecord(
@@ -415,46 +406,40 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         ))
 
         arg = xball if xball is not None else base
-        verdict, margin, w = _decide_less(
-            lambda ww, arg=arg: (_zero(ww), _g_direct(arg, ww)), w0
-        )
+        verdict, margin, w = _decide(lambda ww, arg=arg: (_g_direct(arg, ww),), w0)
         rep.append(CheckRecord(
             check="g_direct", params=(("x", label),),
             verdict=verdict, margin=margin, precision_bits=w,
         ))
 
-        def psi_of(ww: int, arg=arg) -> Ball:
-            return specfun.digamma(arg, ww)
-
-        def ln_of(ww: int, arg=arg) -> Ball:
+        def psi_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
+            # ln x - low(x) < psi(x) < ln x - high(x)
             a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
-            return elementary.ln(a, ww)
+            lnx = elementary.ln(a, ww)
+            psi = specfun.digamma(arg, ww)
+            return (
+                sub(psi, sub(lnx, _ratio_ball(_PSI_LOW, arg, ww), ww), ww),
+                sub(sub(lnx, _ratio_ball(_PSI_HIGH, arg, ww), ww), psi, ww),
+            )
 
-        v1, m1, b1 = _decide_less(
-            lambda ww: (sub(ln_of(ww), _ratio_ball(_PSI_LOW, arg, ww), ww), psi_of(ww)), w0
-        )
-        v2, m2, b2 = _decide_less(
-            lambda ww: (psi_of(ww), sub(ln_of(ww), _ratio_ball(_PSI_HIGH, arg, ww), ww)), w0
-        )
+        verdict, margin, w = _decide(psi_sides, w0)
         rep.append(CheckRecord(
             check="psi_envelope", params=(("x", label),),
-            verdict=_worst(v1, v2), margin=_min_by_mid(m1, m2),
-            precision_bits=max(b1, b2),
+            verdict=verdict, margin=margin, precision_bits=w,
         ))
 
-        def psi1_of(ww: int, arg=arg) -> Ball:
-            return specfun.trigamma(arg, ww)
+        def psi1_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
+            # low(x) < psi'(x) < high(x)
+            psi1 = specfun.trigamma(arg, ww)
+            return (
+                sub(psi1, _ratio_ball(_PSI1_LOW, arg, ww), ww),
+                sub(_ratio_ball(_PSI1_HIGH, arg, ww), psi1, ww),
+            )
 
-        v1, m1, b1 = _decide_less(
-            lambda ww: (_ratio_ball(_PSI1_LOW, arg, ww), psi1_of(ww)), w0
-        )
-        v2, m2, b2 = _decide_less(
-            lambda ww: (psi1_of(ww), _ratio_ball(_PSI1_HIGH, arg, ww)), w0
-        )
+        verdict, margin, w = _decide(psi1_sides, w0)
         rep.append(CheckRecord(
             check="psi1_envelope", params=(("x", label),),
-            verdict=_worst(v1, v2), margin=_min_by_mid(m1, m2),
-            precision_bits=max(b1, b2),
+            verdict=verdict, margin=margin, precision_bits=w,
         ))
 
         def gap_of(ww: int, arg=arg) -> Ball:
@@ -463,8 +448,8 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
             a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
             return _gap_ball(a, ww)
 
-        verdict, margin, w = _decide_less(
-            lambda ww: (gap_of(ww), _ratio_ball(_GAP_HIGH, arg, ww)), w0
+        verdict, margin, w = _decide(
+            lambda ww: (sub(_ratio_ball(_GAP_HIGH, arg, ww), gap_of(ww), ww),), w0
         )
         rep.append(CheckRecord(
             check="gap_envelope", params=(("x", label),),
@@ -493,26 +478,13 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     rep = VerificationReport()
 
     exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), _gamma(w0), w0), w0)
-    verdict, margin = _overlap_verdict(_epsilon(1, w0), exact1, w0)
-    vwin, mwin, ww = _decide_window(
-        lambda ww: _epsilon(1, ww), Fraction("0.733"), Fraction("0.735"), w0
-    )
-    rep.append(CheckRecord(
-        check="epsilon_anchor", params=(("n", 1),),
-        verdict=_worst(verdict, vwin), margin=_min_by_mid(margin, mwin),
-        precision_bits=max(w0, ww),
-    ))
+    rep.append(_anchor("epsilon_anchor", lambda ww: _epsilon(1, ww), exact1, "0.733", "0.735", w0))
 
-    one = Fraction(1)
     for n in range(1, max_n + 1):
-        v1, m1, b1 = _decide_less(lambda ww, n=n: (_zero(ww), _epsilon(n, ww)), w0)
-        v2, m2, b2 = _decide_less(
-            lambda ww, n=n: (_epsilon(n, ww), Ball.from_fraction(one, ww)), w0
-        )
+        verdict, margin, w = _decide(lambda ww, n=n: _inside(_epsilon(n, ww), 0, 1, ww), w0)
         rep.append(CheckRecord(
             check="epsilon", params=(("n", n),),
-            verdict=_worst(v1, v2), margin=_min_by_mid(m1, m2),
-            precision_bits=max(b1, b2),
+            verdict=verdict, margin=margin, precision_bits=w,
         ))
     return rep
 
@@ -554,22 +526,16 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     rep = VerificationReport()
     for n in range(2, max_n + 1):
         for other in _REFINED_IDS:
-            v1, m1, b1 = _decide_less(
-                lambda ww, n=n, o=other: (
-                    _implied_interval(o, n, ww)[0], _implied_interval("main", n, ww)[0]
-                ),
-                w0,
-            )
-            v2, m2, b2 = _decide_less(
-                lambda ww, n=n, o=other: (
-                    _implied_interval("main", n, ww)[1], _implied_interval(o, n, ww)[1]
-                ),
-                w0,
-            )
+            def sides(ww: int, n=n, o=other) -> tuple[Ball, Ball]:
+                # the main interval nests strictly inside the outer one
+                o_lo, o_hi = _implied_interval(o, n, ww)
+                m_lo, m_hi = _implied_interval("main", n, ww)
+                return sub(m_lo, o_lo, ww), sub(o_hi, m_hi, ww)
+
+            verdict, margin, w = _decide(sides, w0)
             rep.append(CheckRecord(
                 check="refinement", params=(("n", n), ("outer", other)),
-                verdict=_worst(v1, v2), margin=_min_by_mid(m1, m2),
-                precision_bits=max(b1, b2),
+                verdict=verdict, margin=margin, precision_bits=w,
             ))
     return rep
 
@@ -592,27 +558,21 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
     w0 = p + _GUARD
     rep = VerificationReport()
 
-    verdict, margin = _overlap_verdict(_alt_x(1, w0), _alt_tail_shift(w0), w0)
-    vwin, mwin, ww = _decide_window(
-        lambda ww: _alt_x(1, ww), Fraction("1.2588"), Fraction("1.2590"), w0
-    )
-    rep.append(CheckRecord(
-        check="x_anchor", params=(("n", 1),),
-        verdict=_worst(verdict, vwin), margin=_min_by_mid(margin, mwin),
-        precision_bits=max(w0, ww),
+    rep.append(_anchor(
+        "x_anchor", lambda ww: _alt_x(1, ww), _alt_tail_shift(w0), "1.2588", "1.2590", w0
     ))
 
     for n in range(1, max_n):
-        verdict, margin, w = _decide_less(
-            lambda ww, n=n: (_alt_x(n + 1, ww), _alt_x(n, ww)), w0
+        verdict, margin, w = _decide(
+            lambda ww, n=n: (sub(_alt_x(n, ww), _alt_x(n + 1, ww), ww),), w0
         )
         rep.append(CheckRecord(
             check="x_decreasing", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=w,
         ))
 
-    verdict, margin, w = _decide_less(
-        lambda ww: (Ball.from_int(1), _alt_x(max_n, ww)), w0
+    verdict, margin, w = _decide(
+        lambda ww: (sub(_alt_x(max_n, ww), Ball.from_int(1), ww),), w0
     )
     rep.append(CheckRecord(
         check="x_above_limit", params=(("n", max_n),),
@@ -658,19 +618,14 @@ def cm_spotcheck(
         return tuple(specfun.stirling_tail(kind, order, x, ww) for x in pts)
 
     for j in range(depth + 1):
-        def signed_min(ww: int, j=j) -> tuple[Ball, Ball]:
+        def signed(ww: int, j=j) -> Sequence[Ball]:
+            # every element of (-1)^j times the j-th difference must be > 0
             seq = values(ww)
             for _ in range(j):
                 seq = [sub(b, a, ww) for a, b in zip(seq, seq[1:])]
-            if j % 2 == 1:
-                seq = [sub(Ball.from_int(0), v, ww) for v in seq]
-            # every element must be certifiably positive: a certainly
-            # negative one fails the signature, otherwise the one with the
-            # lowest certified lower endpoint decides
-            worst = min(seq, key=lambda v: (not v.is_negative(), v.lower()))
-            return Ball.from_int(0), worst
+            return [neg(v) for v in seq] if j % 2 == 1 else seq
 
-        verdict, margin, w = _decide_less(signed_min, w0)
+        verdict, margin, w = _decide(signed, w0)
         rep.append(CheckRecord(
             check="cm_sign", params=(("kind", kind), ("order", order), ("depth", j)),
             verdict=verdict, margin=margin, precision_bits=w,
@@ -746,21 +701,13 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
 # the full sweep
 # ---------------------------------------------------------------------------
 
-def _bound_record(bound_id: str, n: int, prec) -> CheckRecord:
-    chk = check_bound(bound_id, n, prec)
-    return CheckRecord(
-        check="bound", params=(("id", bound_id), ("n", n)),
-        verdict=chk.verdict, margin=chk.margin, precision_bits=chk.precision_bits,
-    )
-
-
 def _bounds_chunk(args: tuple[int, int, int]) -> list[CheckRecord]:
     n_lo, n_hi, p = args
     ids = bound_ids()
     out = []
     for n in range(n_lo, n_hi):
         for bid in ids:
-            out.append(_bound_record(bid, n, p))
+            out.append(check_bound(bid, n, p).record())
     return out
 
 

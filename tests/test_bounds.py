@@ -24,6 +24,7 @@ from harmonicbounds.bounds import (
     catalog_map,
     check_bound,
     evaluate_bound,
+    judge,
     target_value,
 )
 from harmonicbounds.elementary import ln, ln2_ball
@@ -225,6 +226,45 @@ def test_declared_equalities_come_back_as_equality_verdicts():
             assert chk.verdict is Verdict.EQUALITY, f"{bound_id}@{n}"
             assert chk.equality_side == side
             assert chk.verdict_label() == f"equality({side})"
+
+
+def _diff(mid, rad=0) -> Ball:
+    return add_rad_fraction(Ball.from_fraction(Fraction(mid), 64), Fraction(rad))
+
+
+_TINY = EQUALITY_RADIUS / 2
+
+
+@pytest.mark.parametrize(
+    "diffs, may_equal, verdict, pick",
+    [
+        # pass: the smallest midpoint, not the smallest lower endpoint
+        ((_diff(2), _diff(1), _diff(3)), (), Verdict.PASS, 1),
+        ((_diff(1, "1/2"), _diff(2, "7/4")), (), Verdict.PASS, 0),
+        # fail beats open; the failing difference is the margin
+        ((_diff(0, 1), _diff(-1)), (), Verdict.FAIL, 1),
+        ((_diff("1/4"), _diff(-1, "1/2")), (), Verdict.FAIL, 1),
+        # open: the open difference, though a passing one has a smaller midpoint
+        ((_diff("1/4"), _diff("1/2", 1)), (), None, 1),
+        # open beats equality
+        ((_diff(0, _TINY), _diff(0, 1)), (0,), None, 1),
+        # a tiny straddle is open unless declared
+        ((_diff(0, _TINY), _diff(1)), (), None, 0),
+        ((_diff(0, _TINY), _diff(1)), (0,), Verdict.EQUALITY, 0),
+        ((_diff(1), _diff(0, _TINY)), (1,), Verdict.EQUALITY, 1),
+        # the radius must lie below EQUALITY_RADIUS
+        ((_diff(0, 2 * EQUALITY_RADIUS), _diff(1)), (0,), None, 0),
+        # a declared equality that is certainly positive or negative is judged by its sign
+        ((_diff(1), _diff(2)), (0,), Verdict.PASS, 0),
+        ((_diff(2), _diff(-1, _TINY)), (1,), Verdict.FAIL, 1),
+    ],
+)
+def test_judge_verdict_order_and_margin(diffs, may_equal, verdict, pick):
+    got, margin, deciding = judge(diffs, may_equal)
+    assert got is verdict
+    assert margin is diffs[pick]
+    if verdict is None:
+        assert deciding is margin
 
 
 def test_equality_difference_is_zero_to_thirty_digits():

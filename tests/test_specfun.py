@@ -360,6 +360,23 @@ def test_psi_gap_radius_is_cancellation_free():
     assert g.rad_fraction() < g.mid_fraction() * Fraction(1, 2**100)
 
 
+@pytest.mark.parametrize("n", ["threshold", 150, 10**3, 10**6])
+def test_bernoulli_sum_matches_the_per_term_sum(n):
+    # psi_gap at 1024 bits works at 1040 bits; below the shift threshold it
+    # sums the series at the threshold itself
+    from harmonicbounds.specfun import _bernoulli_sum, _gap_terms, _shift_threshold
+
+    w = 1040
+    if n == "threshold":
+        n = _shift_threshold(w)
+    count = _gap_terms(n, w)
+    acc = Fraction(0)
+    for i in range(1, count + 1):
+        acc += bernoulli_number(2 * i) / (2 * i * Fraction(n) ** (2 * i))
+    tail = abs(bernoulli_number(2 * count + 2)) / ((2 * count + 2) * Fraction(n) ** (2 * count + 2))
+    assert _bernoulli_sum(n, count) == (acc, tail)
+
+
 # ---------------------------------------------------------------------------
 # Stirling remainders
 # ---------------------------------------------------------------------------

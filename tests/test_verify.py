@@ -94,6 +94,16 @@ def test_f_eval_wide_ball_stops_climbing():
     assert bits is not None and int(bits.group(1)) < 1024
 
 
+def test_f_eval_negative_denominator_raises_at_once(monkeypatch):
+    # a certainly negative denominator is judged at the first rung, and
+    # the message says it is negative rather than undecided
+    from harmonicbounds import verify
+
+    monkeypatch.setattr(verify, "_gap_ball", lambda x, w: Ball.from_int(-1))
+    with pytest.raises(PrecisionExhausted, match="negative at 144 bits"):
+        f_eval(Ball(4, 0), 128)
+
+
 def test_f_asymptotic_gap_constant():
     # 6/5 - f(n) behaves like (79/175) / n^2; check the constant to 1%
     d = sub(Ball.from_fraction(Fraction(6, 5), 160), f_eval(1000, 160), 160)
