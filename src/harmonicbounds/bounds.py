@@ -44,6 +44,7 @@ from .ball import (
     Ball,
     DEFAULT_PRECISION,
     add,
+    add_rad_fraction,
     bits_of,
     climb,
     mul,
@@ -201,9 +202,14 @@ def _ln_half_int(n: int, w: int) -> Ball:
 
 @lru_cache(maxsize=512)
 def _ln_expm1_recip(np1: int, w: int) -> Ball:
-    """ln(e^(1/np1) - 1), shared by both exponential-form bound sides."""
-    e = elementary.exp(Ball.from_fraction(Fraction(1, np1), w), w)
-    return elementary.ln(sub(e, Ball.from_int(1), w), w)
+    """ln(e^(1/np1) - 1), shared by both exponential-form bound sides.
+
+    Summed as 1/(2 np1) - ln np1 plus specfun's convergent expm1 series, so
+    it keeps its accuracy at every np1, where e^(1/np1) - 1 would cancel.
+    """
+    acc, tail = specfun._SERIES["expm1"].at(np1, w)
+    s = add_rad_fraction(Ball.from_fraction(acc + Fraction(1, 2 * np1), w), tail)
+    return sub(s, _ln_int(np1, w), w)
 
 
 @lru_cache(maxsize=64)

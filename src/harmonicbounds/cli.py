@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from decimal import Decimal
 from typing import Sequence
 
 from . import specfun
@@ -35,6 +36,8 @@ __all__ = ["build_parser", "main"]
 
 _DEFAULT_BITS = 128
 _TABLE_DIGITS = 24
+# H(n)'s denominator has about 1.44 n bits; at this n it prints in about a second
+EXACT_MAX_N = 10**5
 
 BOUNDS_CSV_HEADER = [
     "bound_id",
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact",
         action="store_true",
         help="print the exact fraction instead of a decimal enclosure "
-        "(its denominator has about 1.44 n bits)",
+        f"(its denominator has about 1.44 n bits; n at most {EXACT_MAX_N})",
     )
     add_precision(p)
     p.set_defaults(func=cmd_eval)
@@ -163,7 +166,13 @@ def _enc(b: Ball) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     if args.exact:
-        print(specfun.harmonic_exact(args.n))
+        if args.n > EXACT_MAX_N:
+            print(f"error: eval --exact needs n <= {EXACT_MAX_N}", file=sys.stderr)
+            return 2
+        h = specfun.harmonic_exact(args.n)
+        # Decimal prints an int without the interpreter's int-to-str digit limit
+        parts = [h.numerator] + ([h.denominator] if h.denominator > 1 else [])
+        print("/".join(str(Decimal(v)) for v in parts))
     else:
         print(enclosure_str(target_value("H", args.n, args.precision)))
     return 0

@@ -181,6 +181,32 @@ def test_check_bound_at_huge_n_builds_no_exact_sum(monkeypatch):
             assert check_bound(bound_id, n).verdict is Verdict.PASS, (bound_id, n)
 
 
+def test_every_bound_passes_past_two_to_the_128():
+    # batir's e^(1/(n+1)) - 1 once straddled zero at 128 bits from n = 2^128 on
+    for n in (10**39, 10**100):
+        for bound_id in bound_ids():
+            assert check_bound(bound_id, n).verdict is Verdict.PASS, (bound_id, n)
+
+
+def test_every_bound_returns_a_verdict_at_ten_to_the_400():
+    for bound_id in bound_ids():
+        assert isinstance(check_bound(bound_id, 10**400).verdict, Verdict), bound_id
+
+
+@pytest.mark.parametrize(
+    "x",
+    [1, 2, 3, 10, 121, 10**3, 10**6, 10**39, 10**400],
+    ids=lambda x: str(x) if x < 10**7 else f"1e{len(str(x)) - 1}",
+)
+def test_ln_expm1_recip_contains_the_mpmath_value(x):
+    # 910 digits is about 3000 bits
+    want = oracle(lambda t: mp.log(mp.expm1(1 / t)), x, dps=910)
+    for w in (128, 1024):
+        got = bounds._ln_expm1_recip(x, w)
+        assert_contains(got, want, fuzz=Fraction(1, 2**2990) * abs(want), label=f"x={x}, w={w}")
+        assert got.rad_fraction() < abs(want) / 2 ** (w - 8)
+
+
 def test_quartic_target_is_negated_psi_gap():
     for n in (1, 7, 100):
         t = target_value("H_minus_ln_half_n_gamma", n, 128)

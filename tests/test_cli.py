@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import harmonicbounds
-from harmonicbounds.cli import BOUNDS_CSV_HEADER, main
+from harmonicbounds.cli import BOUNDS_CSV_HEADER, EXACT_MAX_N, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -43,6 +43,33 @@ def test_eval_exact_whole_number(capsys):
     code, out, _ = run_cli(capsys, "eval", "1", "--exact")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_eval_exact_past_the_int_to_str_digit_limit(capsys):
+    # from n = 9871 on, H(n) has more digits than CPython's default
+    # int-to-str limit of 4300
+    from decimal import Decimal
+
+    from harmonicbounds.specfun import harmonic_exact
+
+    code, out, _ = run_cli(capsys, "eval", "9871", "--exact")
+    assert code == 0
+    num, den = (int(Decimal(part)) for part in out.strip().split("/"))
+    h = harmonic_exact(9871)
+    assert (num, den) == (h.numerator, h.denominator)
+
+
+def test_eval_exact_refuses_n_above_its_limit(capsys):
+    code, out, err = run_cli(capsys, "eval", str(EXACT_MAX_N + 1), "--exact")
+    assert code == 2
+    assert out == ""
+    assert f"n <= {EXACT_MAX_N}" in err
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    assert f"n at most {EXACT_MAX_N}" in capsys.readouterr().out
+    # the decimal enclosure has no such limit
+    code, out, _ = run_cli(capsys, "eval", str(EXACT_MAX_N + 1))
+    assert code == 0 and "+/-" in out
 
 
 def test_eval_decimal_enclosure(capsys):

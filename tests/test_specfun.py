@@ -362,19 +362,30 @@ def test_psi_gap_radius_is_cancellation_free():
 
 @pytest.mark.parametrize("n", ["threshold", 150, 10**3, 10**6])
 def test_bernoulli_sum_matches_the_per_term_sum(n):
-    # psi_gap at 1024 bits works at 1040 bits; below the shift threshold it
-    # sums the series at the threshold itself
-    from harmonicbounds.specfun import _bernoulli_sum, _gap_terms, _shift_threshold
+    # psi_gap at 128 and 1024 bits works at 144 and 1040 bits; below the
+    # shift threshold it sums the series at the threshold itself.  Every
+    # kind is checked against its coefficient written out here.
+    from harmonicbounds.specfun import _SERIES, _log2_lower, _shift_threshold
 
-    w = 1040
-    if n == "threshold":
-        n = _shift_threshold(w)
-    count = _gap_terms(n, w)
-    acc = Fraction(0)
-    for i in range(1, count + 1):
-        acc += bernoulli_number(2 * i) / (2 * i * Fraction(n) ** (2 * i))
-    tail = abs(bernoulli_number(2 * count + 2)) / ((2 * count + 2) * Fraction(n) ** (2 * count + 2))
-    assert _bernoulli_sum(n, count) == (acc, tail)
+    kinds = {
+        "psi": (0, lambda k: bernoulli_number(2 * k) / (2 * k)),
+        "psi1": (1, lambda k: bernoulli_number(2 * k)),
+        "lgamma": (-1, lambda k: bernoulli_number(2 * k) / (2 * k * (2 * k - 1))),
+        "expm1": (0, lambda k: bernoulli_number(2 * k) / (2 * k * math.factorial(2 * k))),
+    }
+    for w in (144, 1040):
+        x = _shift_threshold(w) if n == "threshold" else n
+        for kind, (s, coeff) in kinds.items():
+            series = _SERIES[kind]
+            count = series.terms(_log2_lower(x, 0), w + 6)
+            acc = Fraction(0)
+            for k in range(1, count + 1):
+                acc += coeff(k) / Fraction(x) ** (2 * k + s)
+            tail = abs(coeff(count + 1)) / Fraction(x) ** (2 * count + 2 + s)
+            assert series.sum(x, count) == (acc, tail), (kind, w)
+            # a shorter count reads a prefix of the grown table
+            first = coeff(1) / Fraction(x) ** (2 + s)
+            assert series.sum(x, 1) == (first, abs(coeff(2)) / Fraction(x) ** (4 + s))
 
 
 # ---------------------------------------------------------------------------
