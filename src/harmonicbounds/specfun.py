@@ -157,23 +157,22 @@ class _Series:
     to B_2k over the product of divisors(k).
 
     It grows on demand under one lock and keeps, per k: a bit-length bound
-    on log2 |c_k| for the term-count rule, the exact c_k over one common
-    denominator for sums at an integer x (each built once per process), and
-    c_k as a ball at each working precision asked.  The first omitted term
-    is one Fraction per x, built straight from B_2k.
+    on log2 |c_k| for the term-count rule, the exact c_k as a numerator
+    over the lcm L_k of the denominators of c_1..c_k (each built once per
+    process), and c_k as a ball at each working precision asked, rounded
+    from that table.  The first omitted term is one Fraction per x, built
+    straight from B_2k.
     """
 
     def __init__(self, s: int, divisors) -> None:
         self.s = s
         self._divisors = divisors
         self._log2 = [0]  # indexed by k; k = 0 is unused
-        self._den = 1
-        self._nums: list[int] = []  # c_k * den at index k - 1
+        self._nums: list[int] = []  # c_k * L_k at index k - 1
+        self._steps: list[int] = []  # L_k / L_(k-1) at index k - 1
+        self._lcm = 1  # L_k for the longest k built
         self._balls: dict[int, list[Ball]] = {}
         self._lock = threading.Lock()
-
-    def _coeff(self, k: int) -> Fraction:
-        return bernoulli_number(2 * k) / math.prod(self._divisors(k))
 
     def _grow_log2(self, k: int) -> None:
         with self._lock:
@@ -181,6 +180,17 @@ class _Series:
                 b = bernoulli_number(2 * j)
                 bound = b.numerator.bit_length() - b.denominator.bit_length() + 1
                 self._log2.append(bound - sum(d.bit_length() - 1 for d in self._divisors(j)))
+
+    def _table(self, count: int) -> tuple[list[int], list[int]]:
+        """The numerators c_k L_k and the steps L_k / L_(k-1), k <= count."""
+        with self._lock:
+            for k in range(len(self._nums) + 1, count + 1):
+                c = bernoulli_number(2 * k) / math.prod(self._divisors(k))
+                lcm = math.lcm(self._lcm, c.denominator)
+                self._nums.append(c.numerator * (lcm // c.denominator))
+                self._steps.append(lcm // self._lcm)
+                self._lcm = lcm
+            return self._nums[:count], self._steps[:count]
 
     def terms(self, h, target: int) -> int:
         """Smallest count >= 1 whose first omitted term is certifiably below
@@ -216,24 +226,18 @@ class _Series:
     def sum(self, x: int, count: int) -> tuple[Fraction, Fraction]:
         """sum_{k=1}^{count} c_k x^-(2k+s) at an integer x, and its tail.
 
-        The sum is one Horner polynomial in x^2 over the common
-        denominator, so a single gcd reduces it; a count shorter than the
-        table reads a prefix.
+        The sum is one Horner polynomial in x^2 over L_count, so a single
+        gcd reduces it.  Each step also scales by L_k / L_(k-1), a small
+        integer, so the numbers stay as small as count needs, whatever
+        longer sums ran before.
         """
-        with self._lock:
-            if len(self._nums) < count:
-                new = [self._coeff(k) for k in range(len(self._nums) + 1, count + 1)]
-                den = math.lcm(self._den, *(c.denominator for c in new))
-                self._nums = [a * (den // self._den) for a in self._nums]
-                self._nums += [c.numerator * (den // c.denominator) for c in new]
-                self._den = den
-            den, nums = self._den, self._nums
-        x2 = x * x
-        acc = 0
-        for a in nums[:count]:
-            acc = acc * x2 + a
+        nums, steps = self._table(count)
+        acc, x2 = 0, x * x
+        for a, r in zip(nums, steps):
+            acc = acc * (x2 * r) + a
         # the exponent is negative only for an empty lgamma sum, where acc = 0
-        return Fraction(acc, den * x ** max(2 * count + self.s, 0)), self.tail(count, x)
+        den = math.prod(steps) * x ** max(2 * count + self.s, 0)
+        return Fraction(acc, den), self.tail(count, x)
 
     def at(self, x: int, w: int) -> tuple[Fraction, Fraction]:
         """The series at an integer x >= 1 summed to 2^-(w+6), and its tail."""
@@ -241,10 +245,14 @@ class _Series:
 
     def balls(self, w: int, count: int) -> list[Ball]:
         """Ball coefficients c_1..c_count at working bits w."""
+        nums, steps = self._table(count)
         with self._lock:
             coeffs = self._balls.setdefault(w, [])
-            while len(coeffs) < count:
-                coeffs.append(Ball.from_fraction(self._coeff(len(coeffs) + 1), w))
+            if len(coeffs) < count:
+                den = math.prod(steps[: len(coeffs)])
+                for k in range(len(coeffs), count):
+                    den *= steps[k]
+                    coeffs.append(Ball.from_fraction(Fraction(nums[k], den), w))
             return coeffs[:count]
 
 

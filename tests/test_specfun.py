@@ -383,9 +383,12 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
                 acc += coeff(k) / Fraction(x) ** (2 * k + s)
             tail = abs(coeff(count + 1)) / Fraction(x) ** (2 * count + 2 + s)
             assert series.sum(x, count) == (acc, tail), (kind, w)
-            # a shorter count reads a prefix of the grown table
+            # a shorter count after a longer one reads the same table
             first = coeff(1) / Fraction(x) ** (2 + s)
             assert series.sum(x, 1) == (first, abs(coeff(2)) / Fraction(x) ** (4 + s))
+            # the ball coefficients are rounded from that table
+            expected = [Ball.from_fraction(coeff(k), w) for k in range(1, count + 1)]
+            assert series.balls(w, count) == expected, (kind, w)
 
 
 # ---------------------------------------------------------------------------

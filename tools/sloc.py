@@ -1,17 +1,17 @@
 """Count code lines: lines that hold code, not docstrings, comments or blanks.
 
-Usage: python3 tools/sloc.py [PATH ...]   (default: src)
+Usage: python3 tools/sloc.py
 
-Each PATH is a .py file or a directory searched for them.  Prints one
-count per file and the total.  Standard library only: ast finds the
-docstrings, tokenize finds the comments and blank lines.
+Counts every .py file under the repository's src/, wherever it is run
+from, and prints one count per file and the total.  Standard library
+only: ast finds the docstrings, tokenize finds the comments and blank
+lines.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -51,17 +51,17 @@ def code_lines(source: str) -> int:
     return len(lines - docs)
 
 
-def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv] or [Path("src")]
-    files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def main() -> None:
     total = 0
-    for f in files:
+    for f in sorted(SRC.rglob("*.py")):
         n = code_lines(f.read_text(encoding="utf-8"))
         total += n
-        print(f"{n:7d}  {f}")
+        print(f"{n:7d}  {f.relative_to(SRC.parent)}")
     print(f"{total:7d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
