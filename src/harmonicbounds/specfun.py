@@ -1,16 +1,22 @@
 """Special functions with certified enclosures.
 
 Exact layer: Bernoulli numbers/polynomials and partial sums (harmonic,
-odd-denominator harmonic, alternating) as Fractions.  These grow with n
-(H(n) has a denominator of about 1.44 n bits), so no certified evaluation
-uses them: they are public API and the test-suite's independent reference.
+odd-denominator harmonic, alternating) as Fractions.  The Bernoulli numbers
+come from the integer tangent numbers, built once per process.  The partial
+sums grow with n (H(n) has a denominator of about 1.44 n bits), so no
+certified evaluation uses them: they are public API and the test-suite's
+independent reference.
 
 Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
 remainder functions and ln(e^(1/x) - 1).  All of them read one kind of
 Bernoulli series (`_Series`): term k is c_k x^-(2k+s) with c_k = B_2k over
 the kind's divisors, with one exact coefficient table, one term-count rule
-and one error radius, the magnitude of the first omitted term.
+and one error radius, the magnitude of the first omitted term.  Every
+argument at which a series is summed to the working precision is an
+integer or a dyadic rational, so each such sum is exact, in integers, and
+rounded to a ball once; only `stirling_tail`'s few-term prefix runs in
+ball arithmetic, at its ball argument.
 
 That radius holds at every truncation length, for two reasons:
 - psi, psi' and ln Gamma: the series are asymptotic and diverge, but the
@@ -80,11 +86,29 @@ __all__ = [
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
+def _tangent_numbers(n: int) -> list[int]:
+    """The tangent numbers T_1..T_n (1, 2, 16, 272, ...), tan x = sum T_k
+    x^(2k-1) / (2k-1)!, by Brent and Harvey's in-place integer recurrence
+    ("Fast computation of Bernoulli, Tangent and Secant numbers", 2011):
+    O(n^2) small-by-big products and no gcd.
+    """
+    t = [1] * n
+    for k in range(1, n):
+        t[k] = k * t[k - 1]
+    for k in range(1, n):
+        for j in range(k, n):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 class BernoulliCache:
     """Grow-on-demand table of Bernoulli numbers, B_1 = -1/2 convention.
 
-    Uses the defining recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0; odd
-    indices above 1 are stored as exact zeros.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
+    one gcd per value; odd indices above 1 are stored as exact zeros.  The
+    tangent recurrence cannot be extended in place, so each growth rebuilds
+    it, to at least 1.25 times the current length: a run of requests one
+    index apart rebuilds it a logarithmic number of times.
     """
 
     def __init__(self) -> None:
@@ -104,18 +128,16 @@ class BernoulliCache:
 
     def _grow(self, m: int) -> None:
         vals = self._values
-        while len(vals) <= m:
-            j = len(vals)
-            if j % 2 == 1:
+        if m < len(vals):
+            return
+        top = max(m, len(vals) * 5 // 4)
+        tangent = _tangent_numbers(top // 2)
+        for j in range(len(vals), top + 1):
+            k, q = j // 2, 1 << j  # q = 4^k for even j
+            if j % 2:
                 vals.append(Fraction(0))
-                continue
-            acc = Fraction(0)
-            c = 1  # running binomial C(j+1, k)
-            for k in range(j):
-                if vals[k]:
-                    acc += c * vals[k]
-                c = c * (j + 1 - k) // (k + 1)
-            vals.append(-acc / (j + 1))
+            else:
+                vals.append(Fraction((-1) ** (k - 1) * j * tangent[k - 1], q * (q - 1)))
 
 
 _BERNOULLI = BernoulliCache()
@@ -152,16 +174,18 @@ def _log2_lower(man: int, exp: int) -> float:
     return math.log2(man >> drop) + exp + drop - 1e-9
 
 
+_LN2, _LOG2_2PI = math.log(2), math.log2(2 * math.pi)
+
+
 class _Series:
     """A Bernoulli series whose term k >= 1 is c_k x^-(2k+s), with c_k equal
     to B_2k over the product of divisors(k).
 
     It grows on demand under one lock and keeps, per k: a bit-length bound
-    on log2 |c_k| for the term-count rule, the exact c_k as a numerator
+    on log2 |c_k| for the term-count rule, and the exact c_k as a numerator
     over the lcm L_k of the denominators of c_1..c_k (each built once per
-    process), and c_k as a ball at each working precision asked, rounded
-    from that table.  The first omitted term is one Fraction per x, built
-    straight from B_2k.
+    process).  The first omitted term is one Fraction per x, built straight
+    from B_2k.
     """
 
     def __init__(self, s: int, divisors) -> None:
@@ -171,10 +195,14 @@ class _Series:
         self._nums: list[int] = []  # c_k * L_k at index k - 1
         self._steps: list[int] = []  # L_k / L_(k-1) at index k - 1
         self._lcm = 1  # L_k for the longest k built
-        self._balls: dict[int, list[Ball]] = {}
         self._lock = threading.Lock()
 
+    def coeff(self, k: int) -> Fraction:
+        """The exact coefficient c_k."""
+        return bernoulli_number(2 * k) / math.prod(self._divisors(k))
+
     def _grow_log2(self, k: int) -> None:
+        bernoulli_number(2 * k)  # one growth of the table for the whole range
         with self._lock:
             for j in range(len(self._log2), k + 1):
                 b = bernoulli_number(2 * j)
@@ -185,16 +213,53 @@ class _Series:
         """The numerators c_k L_k and the steps L_k / L_(k-1), k <= count."""
         with self._lock:
             for k in range(len(self._nums) + 1, count + 1):
-                c = bernoulli_number(2 * k) / math.prod(self._divisors(k))
+                c = self.coeff(k)
                 lcm = math.lcm(self._lcm, c.denominator)
                 self._nums.append(c.numerator * (lcm // c.denominator))
                 self._steps.append(lcm // self._lcm)
                 self._lcm = lcm
             return self._nums[:count], self._steps[:count]
 
+    def _lower(self, k: int, h) -> float:
+        """A lower bound on log2 of term k at log2 x >= h, without B_2k.
+
+        |B_2k| > 2 (2k)! / (2 pi)^2k; the factor 2 is given up to cover
+        the float error.
+        """
+        logc = math.lgamma(2 * k + 1) / _LN2 - 2 * k * _LOG2_2PI
+        for d in self._divisors(k):
+            logc -= math.log2(d)
+        return logc - (2 * k + self.s) * h
+
+    def _reach(self, h, target: int, k: int) -> int | None:
+        """Smallest j >= k whose term's lower bound is <= 2^-target, or None
+        if there is none up to pi 2^h - 1.
+
+        Up to there the lower bound decreases with j for every kind, so a
+        galloping search followed by bisection finds it.
+        """
+        top = math.floor(math.pi * 2.0 ** min(h, 64.0)) - 1
+        lo = k
+        while self._lower(k, h) > -target:
+            if k >= top:
+                return None
+            lo, k = k + 1, min(2 * k, top)
+        while lo < k:
+            mid = (lo + k) // 2
+            if self._lower(mid, h) <= -target:
+                k = mid
+            else:
+                lo = mid + 1
+        return k
+
     def terms(self, h, target: int) -> int:
         """Smallest count >= 1 whose first omitted term is certifiably below
         2^-target, h being a lower bound on log2 x.
+
+        A scan that gets past k = 32 starts where `_reach` says a term can
+        first get there.  The bit-length bound lies less than 6 bits above
+        `_lower`, so the scan ends by the term whose lower bound is below
+        2^-(target+6): the table grows once for the range left to scan.
 
         The asymptotic kinds diverge: their terms shrink only until k is of
         order pi*x, so if the bound stops improving before reaching the
@@ -202,10 +267,13 @@ class _Series:
         error, not a runtime condition, hence the assertion.
         """
         count, best = 1, None
+        if len(self._log2) > 32 and self._log2[32] - (2 * 32 + self.s) * h > -target:
+            # None: no term gets there, and the scan from 2 fails its assertion
+            count = (self._reach(h, target, 2) or 2) - 1
         while True:
             k = count + 1
             if k >= len(self._log2):
-                self._grow_log2(k)
+                self._grow_log2(self._reach(h, target + 6, k) or k)
             lg = self._log2[k] - (2 * k + self.s) * h
             if lg <= -target:
                 return count
@@ -218,42 +286,33 @@ class _Series:
     def tail(self, count: int, x) -> Fraction:
         """|c_(count+1)| x^-(2 count + 2 + s), the first omitted term."""
         k = count + 1
-        b, xf = bernoulli_number(2 * k), Fraction(x)
-        e = 2 * k + self.s
-        num = abs(b.numerator) * xf.denominator**e
-        return Fraction(num, b.denominator * math.prod(self._divisors(k)) * xf.numerator**e)
+        b, e = bernoulli_number(2 * k), 2 * k + self.s
+        num = abs(b.numerator) * x.denominator**e
+        return Fraction(num, b.denominator * math.prod(self._divisors(k)) * x.numerator**e)
 
-    def sum(self, x: int, count: int) -> tuple[Fraction, Fraction]:
-        """sum_{k=1}^{count} c_k x^-(2k+s) at an integer x, and its tail.
+    def sum(self, x, count: int) -> tuple[Fraction, Fraction]:
+        """sum_{k=1}^{count} c_k x^-(2k+s) at a rational x = a/d, and its tail.
 
-        The sum is one Horner polynomial in x^2 over L_count, so a single
-        gcd reduces it.  Each step also scales by L_k / L_(k-1), a small
-        integer, so the numbers stay as small as count needs, whatever
-        longer sums ran before.
+        The sum is one Horner polynomial in a^2, term k weighted by d^2k,
+        over L_count, so a single gcd reduces it.  Each step also scales by
+        L_k / L_(k-1), a small integer, so the numbers stay as small as
+        count needs, whatever longer sums ran before.
         """
+        a, d = x.numerator, x.denominator
         nums, steps = self._table(count)
-        acc, x2 = 0, x * x
-        for a, r in zip(nums, steps):
-            acc = acc * (x2 * r) + a
-        # the exponent is negative only for an empty lgamma sum, where acc = 0
-        den = math.prod(steps) * x ** max(2 * count + self.s, 0)
-        return Fraction(acc, den), self.tail(count, x)
+        acc, a2, d2, dk = 0, a * a, d * d, 1
+        for c, r in zip(nums, steps):
+            dk *= d2
+            acc = acc * (a2 * r) + c * dk
+        # sum = acc d^s / (L a^(2 count + s)); the exponent of a is negative
+        # only for an empty lgamma sum, where acc = 0
+        num = acc * d ** max(self.s, 0)
+        den = math.prod(steps) * a ** max(2 * count + self.s, 0) * d ** max(-self.s, 0)
+        return Fraction(num, den), self.tail(count, x)
 
     def at(self, x: int, w: int) -> tuple[Fraction, Fraction]:
         """The series at an integer x >= 1 summed to 2^-(w+6), and its tail."""
         return self.sum(x, self.terms(_log2_lower(x, 0), w + 6))
-
-    def balls(self, w: int, count: int) -> list[Ball]:
-        """Ball coefficients c_1..c_count at working bits w."""
-        nums, steps = self._table(count)
-        with self._lock:
-            coeffs = self._balls.setdefault(w, [])
-            if len(coeffs) < count:
-                den = math.prod(steps[: len(coeffs)])
-                for k in range(len(coeffs), count):
-                    den *= steps[k]
-                    coeffs.append(Ball.from_fraction(Fraction(nums[k], den), w))
-            return coeffs[:count]
 
 
 # kind -> its series, each with what it completes:
@@ -446,6 +505,25 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
     return _euler_gamma(bits_of(prec), policy)
 
 
+@lru_cache(maxsize=16)
+def _harmonic_pow2(k: int) -> Fraction:
+    """Exact H(2^k), shared by every precision of gamma that uses this k.
+
+    Summed by binary splitting on integers with no gcd until the one that
+    reduces the result; kept apart from the shared harmonic stream, which
+    this one-off sum would only reposition.
+    """
+    def split(a: int, b: int) -> tuple[int, int]:  # 1/a + ... + 1/(b-1)
+        if b - a == 1:
+            return 1, a
+        mid = (a + b) // 2
+        p1, q1 = split(a, mid)
+        p2, q2 = split(mid, b)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return Fraction(*split(1, (1 << k) + 1))
+
+
 @lru_cache(maxsize=64)
 def _euler_gamma(p: int, policy: str) -> Ball:
     if policy == "default":
@@ -456,9 +534,7 @@ def _euler_gamma(p: int, policy: str) -> Ball:
     w = p + 16
     psi = _SERIES["psi"]
     series, tail = psi.sum(n, psi.terms(k, p + 10))
-    # H(2^k) summed here rather than read from the shared harmonic stream,
-    # which this one-off sum would only reposition
-    acc = _tree_sum(lambda i: Fraction(1, i), 1, n) - Fraction(1, 2 * n) + series
+    acc = _harmonic_pow2(k) - Fraction(1, 2 * n) + series
     ln_n = mul(elementary.ln2_ball(w), Ball.from_int(k), w)
     res = sub(Ball.from_fraction(acc, w), ln_n, p)
     return add_rad_fraction(res, tail)
@@ -509,12 +585,18 @@ def _horner(coeffs, u: Ball, w: int) -> Ball:
     return s
 
 
+def _series_at(kind: str, nman: int, nexp: int, w: int) -> tuple[Ball, Fraction]:
+    """The series of `kind` at N = nman 2^nexp as a ball, and its tail."""
+    series = _SERIES[kind]
+    count = series.terms(_log2_lower(nman, nexp), w + 6)
+    acc, tail = series.sum(_dyadic_fraction(nman, nexp), count)
+    return Ball.from_fraction(acc, w), tail
+
+
 def _digamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    kk = _SERIES["psi"].terms(_log2_lower(nman, nexp), w + 6)
+    series, tail = _series_at("psi", nman, nexp, w)
     nball = Ball(nman, nexp)
-    u = recip(mul(nball, nball, w), w)
-    series = mul(_horner(_SERIES["psi"].balls(w, kk), u, w), u, w)
     res = sub(elementary.ln(nball, w), scale2(recip(nball, w), -1), w)
     res = sub(res, series, w)
     if m:
@@ -522,18 +604,15 @@ def _digamma_point(man: int, exp: int, w: int) -> Ball:
         f = -nexp
         r = _tree_sum(lambda i: Fraction(1 << f, xman + ((i - 1) << f)), 1, m)
         res = sub(res, Ball.from_fraction(r, w), w)
-    return add_rad_fraction(res, _SERIES["psi"].tail(kk, _dyadic_fraction(nman, nexp)))
+    return add_rad_fraction(res, tail)
 
 
 def _trigamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    kk = _SERIES["psi1"].terms(_log2_lower(nman, nexp), w + 6)
-    nball = Ball(nman, nexp)
-    inv_n = recip(nball, w)
-    u = mul(inv_n, inv_n, w)
-    series = mul(_horner(_SERIES["psi1"].balls(w, kk), u, w), u, w)
-    res = add(inv_n, scale2(u, -1), w)
-    res = add(res, mul(series, inv_n, w), w)
+    series, tail = _series_at("psi1", nman, nexp, w)
+    inv_n = recip(Ball(nman, nexp), w)
+    res = add(inv_n, scale2(mul(inv_n, inv_n, w), -1), w)
+    res = add(res, series, w)
     if m:
         # psi'(x) = psi'(x+m) + sum_{j=0}^{m-1} 1/(x+j)^2
         f = -nexp
@@ -541,17 +620,13 @@ def _trigamma_point(man: int, exp: int, w: int) -> Ball:
             lambda i: Fraction(1 << (2 * f), (xman + ((i - 1) << f)) ** 2), 1, m
         )
         res = add(res, Ball.from_fraction(r, w), w)
-    return add_rad_fraction(res, _SERIES["psi1"].tail(kk, _dyadic_fraction(nman, nexp)))
+    return add_rad_fraction(res, tail)
 
 
 def _lgamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    jj = _SERIES["lgamma"].terms(_log2_lower(nman, nexp), w + 6)
+    series, tail = _series_at("lgamma", nman, nexp, w)
     nball = Ball(nman, nexp)
-    inv_n = recip(nball, w)
-    u = mul(inv_n, inv_n, w)
-    # sum_{j=1}^{jj} c_j * N^(1-2j) = inv_n * (c_1 + c_2 u + ... )
-    series = mul(_horner(_SERIES["lgamma"].balls(w, jj), u, w), inv_n, w)
     ln_n = elementary.ln(nball, w)
     half = Ball(1, -1)
     res = mul(sub(nball, half, w), ln_n, w)
@@ -565,7 +640,7 @@ def _lgamma_point(man: int, exp: int, w: int) -> Ball:
         for i in range(m):
             prod *= xman + (i << f)
         res = sub(res, elementary.ln(Ball(prod, nexp * m), w), w)
-    return add_rad_fraction(res, _SERIES["lgamma"].tail(jj, _dyadic_fraction(nman, nexp)))
+    return add_rad_fraction(res, tail)
 
 
 def _eval_on_ball(point_fn, x: Ball, w: int, p: int, monotone: bool) -> Ball:
@@ -615,8 +690,9 @@ def _threshold_series(w: int) -> tuple[Ball, Fraction]:
     """The gap series at the shift threshold N, less 1/(2N), and its tail.
 
     Every n below N shares it, so it is summed once per working precision.
-    At 1040 bits it takes about 0.5 ms, as long as all the rest of a
-    psi_gap at n < N (0.07 to 0.6 ms; 2-core VM, CPython 3.11).
+    At 1040 bits it takes about 0.26 ms once the coefficient table is
+    built, about as long as all the rest of a psi_gap at n < N (0.06 to
+    0.36 ms; best of 30, 2-core VM, CPython 3.11).
     """
     big = _shift_threshold(w)
     acc, tail = _SERIES["psi"].at(big, w)
@@ -682,7 +758,8 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
     s = add(s, _half_ln_2pi(w), w)
     inv_x = recip(xb, w)
     u = mul(inv_x, inv_x, w)
-    acc = _horner(_SERIES["lgamma"].balls(w, count), u, w)
+    coeffs = [Ball.from_fraction(_SERIES["lgamma"].coeff(k), w) for k in range(1, count + 1)]
+    acc = _horner(coeffs, u, w)
     s = add(s, mul(acc, inv_x, w), w)
     res = sub(lg, s, p)
     return res if kind == "F" else neg(res)

@@ -76,6 +76,71 @@ def test_bernoulli_cache_is_independent_per_instance():
     assert len(cache) == 9
 
 
+def _bernoulli_by_recurrence(top: int) -> list[Fraction]:
+    """B_0..B_top from the defining recurrence sum_{k<=m} C(m+1, k) B_k = 0."""
+    vals = [Fraction(1)]
+    for m in range(1, top + 1):
+        acc, c = Fraction(0), 1  # c = C(m+1, k)
+        for k in range(m):
+            if vals[k]:
+                acc += c * vals[k]
+            c = c * (m + 1 - k) // (k + 1)
+        vals.append(-acc / (m + 1))
+    return vals
+
+
+def test_bernoulli_numbers_match_the_defining_recurrence():
+    want = _bernoulli_by_recurrence(600)
+    assert [bernoulli_number(m) for m in range(601)] == want
+
+
+def _ladder_top() -> int:
+    """Largest k whose B_2k psi_gap reads at the 4112-bit cap: the first
+    omitted term at the shift threshold of the 4128-bit working precision."""
+    from harmonicbounds.specfun import _SERIES, _log2_lower, _shift_threshold
+
+    w = 4128
+    return _SERIES["psi"].terms(_log2_lower(_shift_threshold(w), 0), w + 6) + 1
+
+
+def test_bernoulli_denominators_follow_von_staudt_clausen():
+    # the denominator of B_2k is the product of the primes p with (p-1) | 2k
+    top = _ladder_top()
+    assert top > 1000
+    sieve = bytearray([1]) * (2 * top + 2)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(len(sieve) ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+    for k in range(1, top + 1):
+        want = math.prod(d + 1 for d in range(1, 2 * k + 1) if 2 * k % d == 0 and sieve[d + 1])
+        assert bernoulli_number(2 * k).denominator == want, k
+
+
+def test_bernoulli_table_rebuilds_a_logarithmic_number_of_times(monkeypatch):
+    from harmonicbounds import specfun
+
+    calls = []
+    tangent = specfun._tangent_numbers
+    monkeypatch.setattr(specfun, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
+    cache = BernoulliCache()
+    got = [cache.get(m) for m in range(2, 1201, 2)]
+    assert 1 <= len(calls) <= 30
+    assert got == [bernoulli_number(m) for m in range(2, 1201, 2)]
+
+
+def test_a_cold_term_count_builds_the_tangent_table_once(monkeypatch):
+    from harmonicbounds import specfun
+
+    want = specfun._SERIES["psi"].terms(_log2_lower_of(121), 1046)
+    calls = []
+    tangent = specfun._tangent_numbers
+    monkeypatch.setattr(specfun, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
+    monkeypatch.setattr(specfun, "_BERNOULLI", BernoulliCache())
+    assert specfun._Series(0, lambda k: (2 * k,)).terms(_log2_lower_of(121), 1046) == want
+    assert len(calls) == 1
+
+
 def test_bernoulli_polynomial_low_degrees():
     x = Fraction(3, 7)
     assert bernoulli_polynomial(0, x) == 1
@@ -191,6 +256,24 @@ def test_euler_gamma_policies_agree_and_differ_in_derivation():
 
 def test_euler_gamma_gamma_digit_window_at_double_precision():
     assert_in_window(euler_gamma(53), "0.57721566", "0.57721567", "gamma@53")
+
+
+def test_cached_harmonic_at_powers_of_two_is_exact():
+    from harmonicbounds.specfun import _harmonic_pow2
+
+    for k in range(11):
+        assert _harmonic_pow2(k) == harmonic_exact(2**k), k
+
+
+def test_two_precisions_of_gamma_build_one_harmonic_sum():
+    from harmonicbounds.specfun import _euler_gamma, _harmonic_pow2
+
+    _euler_gamma.cache_clear()
+    _harmonic_pow2.cache_clear()
+    for p in (200, 1024):  # both sum to n = 2^13
+        assert_contains(euler_gamma(p), GAMMA_110, fuzz=Fraction(1, 10**100), label=f"gamma@{p}")
+    info = _harmonic_pow2.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +398,22 @@ def test_digamma_family_against_mpmath(x):
     assert_contains(lgamma(x, 128), oracle(mp.loggamma, x), label=f"lgamma({x})")
 
 
+@pytest.mark.parametrize(
+    "x", [Fraction(1, 2), Fraction(3), Fraction(7, 2), Fraction(50), Fraction(12345, 64)]
+)
+def test_digamma_family_at_1024_bits_against_mpmath(x):
+    # 1/2 .. 50 are shifted up to the threshold, 12345/64 is summed where it is
+    for name, fn, ref in (
+        ("psi", digamma, mp.digamma),
+        ("psi1", trigamma, lambda v: mp.polygamma(1, v)),
+        ("lgamma", lgamma, mp.loggamma),
+    ):
+        b = fn(x, 1024)
+        want = oracle(ref, x, dps=400)
+        assert_contains(b, want, fuzz=abs(want) / 10**390, label=f"{name}({x})")
+        assert b.rad_fraction() < abs(want) / 2**1000, name
+
+
 def test_digamma_accepts_ball_arguments():
     wide = Ball(3, 0, 1, -8)  # 3 +/- 1/256
     d = digamma(wide, 128)
@@ -360,35 +459,96 @@ def test_psi_gap_radius_is_cancellation_free():
     assert g.rad_fraction() < g.mid_fraction() * Fraction(1, 2**100)
 
 
-@pytest.mark.parametrize("n", ["threshold", 150, 10**3, 10**6])
+# kind -> (s, the divisors of B_2k in c_k)
+_KINDS = {
+    "psi": (0, lambda k: (2 * k,)),
+    "psi1": (1, lambda k: ()),
+    "lgamma": (-1, lambda k: (2 * k, 2 * k - 1)),
+    "expm1": (0, lambda k: (2 * k, math.factorial(2 * k))),
+}
+
+
+def _coeff(kind: str, k: int) -> Fraction:
+    return bernoulli_number(2 * k) / math.prod(_KINDS[kind][1](k))
+
+
+def _log2_lower_of(x) -> float:
+    """The lower bound on log2 x that the series are handed, for x = a/2^f."""
+    from harmonicbounds.specfun import _log2_lower
+
+    x = Fraction(x)
+    return _log2_lower(x.numerator, 1 - x.denominator.bit_length())
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        "threshold",
+        150,
+        10**3,
+        10**6,
+        pytest.param(Fraction(245, 2), id="245_over_2"),
+        pytest.param(Fraction(12345, 64), id="12345_over_64"),
+    ],
+)
 def test_bernoulli_sum_matches_the_per_term_sum(n):
     # psi_gap at 128 and 1024 bits works at 144 and 1040 bits; below the
-    # shift threshold it sums the series at the threshold itself.  Every
-    # kind is checked against its coefficient written out here.
-    from harmonicbounds.specfun import _SERIES, _log2_lower, _shift_threshold
+    # shift threshold it sums the series at the threshold itself; digamma,
+    # trigamma and log-gamma sum them at dyadic points.  Every kind is
+    # checked against its coefficient written out here.
+    from harmonicbounds.specfun import _SERIES, _shift_threshold
 
-    kinds = {
-        "psi": (0, lambda k: bernoulli_number(2 * k) / (2 * k)),
-        "psi1": (1, lambda k: bernoulli_number(2 * k)),
-        "lgamma": (-1, lambda k: bernoulli_number(2 * k) / (2 * k * (2 * k - 1))),
-        "expm1": (0, lambda k: bernoulli_number(2 * k) / (2 * k * math.factorial(2 * k))),
-    }
     for w in (144, 1040):
         x = _shift_threshold(w) if n == "threshold" else n
-        for kind, (s, coeff) in kinds.items():
+        for kind, (s, _) in _KINDS.items():
             series = _SERIES[kind]
-            count = series.terms(_log2_lower(x, 0), w + 6)
+            count = series.terms(_log2_lower_of(x), w + 6)
+            c = [_coeff(kind, k) for k in range(1, count + 2)]
             acc = Fraction(0)
             for k in range(1, count + 1):
-                acc += coeff(k) / Fraction(x) ** (2 * k + s)
-            tail = abs(coeff(count + 1)) / Fraction(x) ** (2 * count + 2 + s)
+                acc += c[k - 1] / Fraction(x) ** (2 * k + s)
+            tail = abs(c[count]) / Fraction(x) ** (2 * count + 2 + s)
             assert series.sum(x, count) == (acc, tail), (kind, w)
             # a shorter count after a longer one reads the same table
-            first = coeff(1) / Fraction(x) ** (2 + s)
-            assert series.sum(x, 1) == (first, abs(coeff(2)) / Fraction(x) ** (4 + s))
-            # the ball coefficients are rounded from that table
-            expected = [Ball.from_fraction(coeff(k), w) for k in range(1, count + 1)]
-            assert series.balls(w, count) == expected, (kind, w)
+            first = c[0] / Fraction(x) ** (2 + s)
+            assert series.sum(x, 1) == (first, abs(c[1]) / Fraction(x) ** (4 + s))
+            assert [series.coeff(k) for k in range(1, count + 1)] == c[:count], (kind, w)
+
+
+def _plain_scan(kind: str, h: float, target: int) -> int:
+    """The term count by scanning k = 2, 3, ... for the first term whose
+    bit-length bound is below 2^-target, with the divergence assertion."""
+    s, divisors = _KINDS[kind]
+    count, best = 1, None
+    while True:
+        k = count + 1
+        b = bernoulli_number(2 * k)
+        bound = b.numerator.bit_length() - b.denominator.bit_length() + 1
+        bound -= sum(d.bit_length() - 1 for d in divisors(k))
+        lg = bound - (2 * k + s) * h
+        if lg <= -target:
+            return count
+        if best is not None and lg > best + 2 and count > 8:
+            raise AssertionError("asymptotic series cannot reach target precision")
+        if best is None or lg < best:
+            best = lg
+        count += 1
+
+
+@pytest.mark.parametrize("w", [144, 1040, 4128])
+def test_terms_matches_a_plain_scan(w):
+    from harmonicbounds.specfun import _SERIES, _shift_threshold
+
+    for x in (_shift_threshold(w), 150, 10**3, 10**6, Fraction(245, 2)):
+        h = _log2_lower_of(x)
+        for kind in _KINDS:
+            try:
+                want = _plain_scan(kind, h, w + 6)
+            except AssertionError:
+                with pytest.raises(AssertionError):
+                    _SERIES[kind].terms(h, w + 6)
+                continue
+            assert _SERIES[kind].terms(h, w + 6) == want, (kind, x, w)
 
 
 # ---------------------------------------------------------------------------
