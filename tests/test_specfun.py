@@ -129,15 +129,19 @@ def test_bernoulli_table_rebuilds_a_logarithmic_number_of_times(monkeypatch):
     assert got == [bernoulli_number(m) for m in range(2, 1201, 2)]
 
 
-def test_a_cold_term_count_builds_the_tangent_table_once(monkeypatch):
+def test_cold_term_counts_of_every_kind_build_the_tangent_table_once(monkeypatch):
+    # psi asks first; psi1, whose count is a few terms longer, must not
+    # rebuild the table a few entries further on
     from harmonicbounds import specfun
 
-    want = specfun._SERIES["psi"].terms(_log2_lower_of(121), 1046)
+    h = _log2_lower_of(121)
+    want = {kind: specfun._SERIES[kind].terms(h, 1046) for kind in _KINDS}
     calls = []
     tangent = specfun._tangent_numbers
     monkeypatch.setattr(specfun, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
     monkeypatch.setattr(specfun, "_BERNOULLI", BernoulliCache())
-    assert specfun._Series(0, lambda k: (2 * k,)).terms(_log2_lower_of(121), 1046) == want
+    for kind, (s, divisors) in _KINDS.items():
+        assert specfun._Series(s, divisors).terms(h, 1046) == want[kind], kind
     assert len(calls) == 1
 
 
@@ -399,10 +403,22 @@ def test_digamma_family_against_mpmath(x):
 
 
 @pytest.mark.parametrize(
-    "x", [Fraction(1, 2), Fraction(3), Fraction(7, 2), Fraction(50), Fraction(12345, 64)]
+    "x",
+    [
+        Fraction(1, 2),
+        Fraction(3),
+        Fraction(7, 2),
+        Fraction(50),
+        Fraction(12345, 64),
+        Fraction(1, 3),
+        Fraction(2**20 + 1, 2**12),
+    ],
 )
 def test_digamma_family_at_1024_bits_against_mpmath(x):
-    # 1/2 .. 50 are shifted up to the threshold, 12345/64 is summed where it is
+    # 1/2 .. 50 and 1/3 are shifted up to the threshold, 12345/64 and
+    # 2^8 + 2^-12 are summed where they are; 1/3 is a ball rounded to the
+    # working precision, and it and 2^8 + 2^-12 have too many fraction
+    # bits for the exact sum
     for name, fn, ref in (
         ("psi", digamma, mp.digamma),
         ("psi1", trigamma, lambda v: mp.polygamma(1, v)),
@@ -412,6 +428,30 @@ def test_digamma_family_at_1024_bits_against_mpmath(x):
         want = oracle(ref, x, dps=400)
         assert_contains(b, want, fuzz=abs(want) / 10**390, label=f"{name}({x})")
         assert b.rad_fraction() < abs(want) / 2**1000, name
+
+
+def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
+    from harmonicbounds import specfun
+
+    seen = []
+
+    def record(name):
+        method = getattr(specfun._Series, name)
+        return lambda self, *args: seen.append(name) or method(self, *args)
+
+    for name in ("sum", "balls"):
+        monkeypatch.setattr(specfun._Series, name, record(name))
+    for x, want in (
+        (Fraction(121), "sum"),
+        (Fraction(12345, 64), "sum"),
+        (Fraction(2**16 + 1, 2**8), "sum"),
+        (Fraction(2**17 + 1, 2**9), "balls"),
+        (Fraction(1, 3), "balls"),
+    ):
+        for fn in (digamma, trigamma, lgamma):
+            seen.clear()
+            fn(x, 1024)
+            assert seen and set(seen) == {want}, (fn.__name__, x)
 
 
 def test_digamma_accepts_ball_arguments():
@@ -513,6 +553,24 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
             first = c[0] / Fraction(x) ** (2 + s)
             assert series.sum(x, 1) == (first, abs(c[1]) / Fraction(x) ** (4 + s))
             assert [series.coeff(k) for k in range(1, count + 1)] == c[:count], (kind, w)
+            # the ball coefficients, for endpoints with long fractions, are
+            # rounded from that table
+            expected = [Ball.from_fraction(c[k], w) for k in range(count)]
+            assert series.balls(w, count) == expected, (kind, w)
+
+
+def test_tail_at_a_long_dyadic_bounds_the_first_omitted_term():
+    # 121 + 1/3 rounded to 1040 fraction bits, as a ball endpoint would be
+    from harmonicbounds.specfun import _SERIES
+
+    x = Fraction((364 << 1040) // 3, 1 << 1040)
+    for kind, (s, _) in _KINDS.items():
+        for count in (1, 5, 260):
+            e = 2 * count + 2 + s
+            exact = abs(_coeff(kind, count + 1)) / x**e
+            got = _SERIES[kind].tail(count, x)
+            assert exact <= got <= exact * (1 + Fraction(e, 2**62)), (kind, count)
+            assert got.denominator.bit_length() < exact.denominator.bit_length() // 8
 
 
 def _plain_scan(kind: str, h: float, target: int) -> int:

@@ -20,17 +20,20 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _psi_count(w: int) -> str:
-    # the term count of the psi series at the shift threshold of working
-    # precision w: its first call builds the Bernoulli table that far
-    return f"s._SERIES['psi'].terms(s._log2_lower(s._shift_threshold({w}), 0), {w + 6})"
+def _counts(w: int) -> str:
+    # the term count of every series kind at the shift threshold of working
+    # precision w: the first builds the Bernoulli table far enough for all
+    return (
+        f"[k.terms(s._log2_lower(s._shift_threshold({w}), 0), {w + 6})"
+        " for k in s._SERIES.values()]"
+    )
 
 
 # (label, statement run once with `s` bound to harmonicbounds.specfun)
 ITEMS = (
-    ("Bernoulli table, psi count at the 144-bit threshold", _psi_count(144)),
-    ("Bernoulli table, psi count at the 1040-bit threshold", _psi_count(1040)),
-    ("Bernoulli table, psi count at the 4128-bit threshold", _psi_count(4128)),
+    ("Bernoulli table, every kind's count at the 144-bit threshold", _counts(144)),
+    ("Bernoulli table, every kind's count at the 1040-bit threshold", _counts(1040)),
+    ("Bernoulli table, every kind's count at the 4128-bit threshold", _counts(4128)),
     ("euler_gamma(128)", "s.euler_gamma(128)"),
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
     ("_threshold_series(144)", "s._threshold_series(144)"),
