@@ -265,6 +265,21 @@ def _ln1p_half_recip(n: int, w: int) -> Ball:
     return elementary.ln(Ball.from_fraction(Fraction(2 * n + 1, 2 * n), w + 64), w)
 
 
+def _frame_offset(target_id: str, n: int, w: int) -> Ball:
+    """What a target adds to become H(n) - ln n - g, the frame its bounds compare in.
+
+    Defined for the targets that differ from that frame by a term free of
+    ln n and g, so bounds on different targets compare without cancelling.
+    """
+    if target_id == "H_minus_ln_gamma":
+        return Ball.from_int(0)
+    if target_id == "H_minus_lnhalf_gamma":
+        return _ln1p_half_recip(n, w)
+    if target_id == "H_minus_ln_half_n_gamma":
+        return _half_recip(n, w)
+    raise KeyError(f"no frame offset for target: {target_id!r}")
+
+
 @lru_cache(maxsize=256)
 def _target_cached(target_id: str, n: int, w: int) -> Ball:
     if target_id == "alternating_tail":

@@ -18,14 +18,22 @@ difference straddles zero the check retries at doubled precision, and
 reports undecided at the cap or as soon as doubling the precision did not
 at least halve that difference's radius, since the input's own width then
 sets it.  A window lo < v < hi is the two differences v - lo and hi - v.
-The one check that is not an inequality, that two enclosures of the same
-real intersect, compares the balls as sets (_overlap_verdict).
+_certify is the one path from such a claim to its record.  The one check
+that is not an inequality, that two enclosures of the same real
+intersect, compares the balls as sets (_overlap_verdict).
+
+Every stage decides at the caller's precision p, the precision
+bounds.check_bound starts at, so the stages read the psi_gap, g and ln
+values the bound sweep has already cached; only f_eval, which hands a
+ball rounded to p back to its caller, works with guard bits.  Refinement
+compares the bounds' intervals for H(n) - ln n - g, the frame in which
+their targets differ by terms free of ln n and g (bounds._frame_offset).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -50,9 +58,8 @@ from .ball import (
 )
 from .bounds import (
     _alt_tail_shift,
+    _frame_offset,
     _gamma,
-    _ln_half_int,
-    _ln_int,
     _main_shift,
     bound_ids,
     catalog,
@@ -66,9 +73,7 @@ from .symbolic import Poly, PolyFraction
 __all__ = [
     "CHECK_NAMES",
     "DEFAULT_G_GRID",
-    "SharpnessProfile",
     "f_eval",
-    "sharpness_profile",
     "sharpness_main",
     "g_positivity",
     "epsilon_window",
@@ -96,24 +101,20 @@ CHECK_NAMES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SharpnessProfile:
-    """Snapshot of the sharpness evidence at a single index."""
-
-    n: int
-    f_of_n: Ball
-    monotone_ok: bool
-    below_limit_ok: bool
-
-
 # ---------------------------------------------------------------------------
-# decision ladders
+# the one record path
 # ---------------------------------------------------------------------------
 
-def _decide(make: Callable[[int], Sequence[Ball]], w0: int) -> tuple[Verdict, Ball, int]:
-    """Certify that every difference in make(w) is > 0, climbing the precision ladder."""
+def _certify(
+    check: str, params: tuple[tuple[str, object], ...],
+    make: Callable[[int], Sequence[Ball]], w0: int,
+) -> CheckRecord:
+    """The record of the claim that every difference in make(w) is > 0, judged on the ladder."""
     verdict, margin, w = climb(lambda w: judge(make(w)), w0)
-    return verdict or Verdict.UNDECIDED, margin, w
+    return CheckRecord(
+        check=check, params=params, verdict=verdict or Verdict.UNDECIDED,
+        margin=margin, precision_bits=w,
+    )
 
 
 def _inside(v: Ball, lo: Fraction, hi: Fraction, w: int) -> tuple[Ball, Ball]:
@@ -133,11 +134,10 @@ def _anchor(
     """value_at(w) at n = 1 meets its closed form `exact` and lies in (lo, hi)."""
     agree, diff = _overlap_verdict(value_at(w0), exact, w0)
     window = Fraction(lo), Fraction(hi)
-    verdict, margin, w = _decide(lambda ww: _inside(value_at(ww), *window, ww), w0)
-    return CheckRecord(
-        check=check, params=(("n", 1),),
-        verdict=verdict if agree is Verdict.PASS else Verdict.FAIL,
-        margin=min((diff, margin), key=Ball.mid_fraction), precision_bits=w,
+    rec = _certify(check, (("n", 1),), lambda w: _inside(value_at(w), *window, w), w0)
+    return replace(
+        rec, verdict=rec.verdict if agree is Verdict.PASS else Verdict.FAIL,
+        margin=min((diff, rec.margin), key=Ball.mid_fraction),
     )
 
 
@@ -147,7 +147,7 @@ def _anchor(
 
 def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ball, int]:
     """Climb the precision ladder until f's denominator den_at(w) is certainly positive."""
-    verdict, den, w = _decide(lambda w: (den_at(w),), w0)
+    verdict, den, w = climb(lambda w: judge((den_at(w),)), w0)
     if verdict is Verdict.FAIL:
         raise PrecisionExhausted(f"{what} is negative at {w} bits")
     if verdict is not Verdict.PASS:
@@ -219,91 +219,59 @@ _F_DIGIT_STEP = Fraction(1, 10**4)
 _GAP_SAMPLES = (1, 2, 3, 10, 100, 1000)
 
 
-def sharpness_profile(n: int, prec=DEFAULT_PRECISION) -> SharpnessProfile:
-    """Evidence that f(n) < f(n+1) and f(n) < 6/5 at one index."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = bits_of(prec)
-    w = p + _GUARD
-    mono, _, _ = _decide(lambda ww: (sub(_f_int(n + 1, ww), _f_int(n, ww), ww),), w)
-    below, _, _ = _decide(lambda ww: (sub(_limit_ball(ww), _f_int(n, ww), ww),), w)
-    return SharpnessProfile(
-        n=n,
-        f_of_n=round_ball(_f_int(n, w), p),
-        monotone_ok=mono is Verdict.PASS,
-        below_limit_ok=below is Verdict.PASS,
-    )
-
-
 def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify that f is increasing, capped by 6/5, and anchored at 1, 2, 3."""
     if max_n < 3:
         raise ValueError("max_n must be >= 3")
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
 
     for n in (1, 2, 3):
-        verdict, margin = _overlap_verdict(_f_int(n, w0), _f_closed_form(n, w0), w0)
+        verdict, margin = _overlap_verdict(_f_int(n, p), _f_closed_form(n, p), p)
         rep.append(CheckRecord(
             check="f_value", params=(("n", n),),
-            verdict=verdict, margin=margin, precision_bits=w0,
+            verdict=verdict, margin=margin, precision_bits=p,
         ))
         lo = _F_PRINTED[n]
-        verdict, margin, w = _decide(
-            lambda ww, n=n, lo=lo: _inside(_f_int(n, ww), lo, lo + _F_DIGIT_STEP, ww), w0
-        )
-        rep.append(CheckRecord(
-            check="f_digits", params=(("n", n),),
-            verdict=verdict, margin=margin, precision_bits=w,
+        rep.append(_certify(
+            "f_digits", (("n", n),),
+            lambda w, n=n, lo=lo: _inside(_f_int(n, w), lo, lo + _F_DIGIT_STEP, w), p,
         ))
 
     for n in range(1, max_n + 1):
-        verdict, margin, w = _decide(
-            lambda ww, n=n: (sub(_limit_ball(ww), _f_int(n, ww), ww),), w0
-        )
-        rep.append(CheckRecord(
-            check="f_below_limit", params=(("n", n),),
-            verdict=verdict, margin=margin, precision_bits=w,
+        rep.append(_certify(
+            "f_below_limit", (("n", n),),
+            lambda w, n=n: (sub(_limit_ball(w), _f_int(n, w), w),), p,
         ))
         if n < max_n:
-            verdict, margin, w = _decide(
-                lambda ww, n=n: (sub(_f_int(n + 1, ww), _f_int(n, ww), ww),), w0
-            )
-            rep.append(CheckRecord(
-                check="f_monotone", params=(("n", n),),
-                verdict=verdict, margin=margin, precision_bits=w,
+            rep.append(_certify(
+                "f_monotone", (("n", n),),
+                lambda w, n=n: (sub(_f_int(n + 1, w), _f_int(n, w), w),), p,
             ))
 
     samples = [n for n in _GAP_SAMPLES if n <= max_n]
     for a, b in zip(samples, samples[1:]):
         # 6/5 - f(b) < 6/5 - f(a)
-        verdict, margin, w = _decide(
-            lambda ww, a=a, b=b: (sub(
-                sub(_limit_ball(ww), _f_int(a, ww), ww),
-                sub(_limit_ball(ww), _f_int(b, ww), ww),
-                ww,
+        rep.append(_certify(
+            "f_gap_decreasing", (("n", a), ("next", b)),
+            lambda w, a=a, b=b: (sub(
+                sub(_limit_ball(w), _f_int(a, w), w),
+                sub(_limit_ball(w), _f_int(b, w), w),
+                w,
             ),),
-            w0,
-        )
-        rep.append(CheckRecord(
-            check="f_gap_decreasing", params=(("n", a), ("next", b)),
-            verdict=verdict, margin=margin, precision_bits=w,
+            p,
         ))
 
     if max_n >= 1000:
         # 6/5 - f(1000) < 10^-6
-        verdict, margin, w = _decide(
-            lambda ww: (sub(
-                Ball.from_fraction(Fraction(1, 10**6), ww),
-                sub(_limit_ball(ww), _f_int(1000, ww), ww),
-                ww,
+        rep.append(_certify(
+            "f_limit_close", (("n", 1000),),
+            lambda w: (sub(
+                Ball.from_fraction(Fraction(1, 10**6), w),
+                sub(_limit_ball(w), _f_int(1000, w), w),
+                w,
             ),),
-            w0,
-        )
-        rep.append(CheckRecord(
-            check="f_limit_close", params=(("n", 1000),),
-            verdict=verdict, margin=margin, precision_bits=w,
+            p,
         ))
     return rep
 
@@ -375,7 +343,6 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
     if not points:
         raise ValueError("grid must be non-empty")
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
 
     # the shifted expansion must reproduce the quartic exactly
@@ -406,11 +373,8 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         ))
 
         arg = xball if xball is not None else base
-        verdict, margin, w = _decide(lambda ww, arg=arg: (_g_direct(arg, ww),), w0)
-        rep.append(CheckRecord(
-            check="g_direct", params=(("x", label),),
-            verdict=verdict, margin=margin, precision_bits=w,
-        ))
+        at = (("x", label),)
+        rep.append(_certify("g_direct", at, lambda w, arg=arg: (_g_direct(arg, w),), p))
 
         def psi_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
             # ln x - low(x) < psi(x) < ln x - high(x)
@@ -422,11 +386,7 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
                 sub(sub(lnx, _ratio_ball(_PSI_HIGH, arg, ww), ww), psi, ww),
             )
 
-        verdict, margin, w = _decide(psi_sides, w0)
-        rep.append(CheckRecord(
-            check="psi_envelope", params=(("x", label),),
-            verdict=verdict, margin=margin, precision_bits=w,
-        ))
+        rep.append(_certify("psi_envelope", at, psi_sides, p))
 
         def psi1_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
             # low(x) < psi'(x) < high(x)
@@ -436,11 +396,7 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
                 sub(_ratio_ball(_PSI1_HIGH, arg, ww), psi1, ww),
             )
 
-        verdict, margin, w = _decide(psi1_sides, w0)
-        rep.append(CheckRecord(
-            check="psi1_envelope", params=(("x", label),),
-            verdict=verdict, margin=margin, precision_bits=w,
-        ))
+        rep.append(_certify("psi1_envelope", at, psi1_sides, p))
 
         def gap_of(ww: int, arg=arg) -> Ball:
             if isinstance(arg, Fraction) and arg.denominator == 1:
@@ -448,12 +404,8 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
             a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
             return _gap_ball(a, ww)
 
-        verdict, margin, w = _decide(
-            lambda ww: (sub(_ratio_ball(_GAP_HIGH, arg, ww), gap_of(ww), ww),), w0
-        )
-        rep.append(CheckRecord(
-            check="gap_envelope", params=(("x", label),),
-            verdict=verdict, margin=margin, precision_bits=w,
+        rep.append(_certify(
+            "gap_envelope", at, lambda w: (sub(_ratio_ball(_GAP_HIGH, arg, w), gap_of(w), w),), p
         ))
     return rep
 
@@ -474,17 +426,14 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
 
-    exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), _gamma(w0), w0), w0)
-    rep.append(_anchor("epsilon_anchor", lambda ww: _epsilon(1, ww), exact1, "0.733", "0.735", w0))
+    exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), _gamma(p), p), p)
+    rep.append(_anchor("epsilon_anchor", lambda w: _epsilon(1, w), exact1, "0.733", "0.735", p))
 
     for n in range(1, max_n + 1):
-        verdict, margin, w = _decide(lambda ww, n=n: _inside(_epsilon(n, ww), 0, 1, ww), w0)
-        rep.append(CheckRecord(
-            check="epsilon", params=(("n", n),),
-            verdict=verdict, margin=margin, precision_bits=w,
+        rep.append(_certify(
+            "epsilon", (("n", n),), lambda w, n=n: _inside(_epsilon(n, w), 0, 1, w), p
         ))
     return rep
 
@@ -496,24 +445,11 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 _REFINED_IDS = ("chen", "toth_sharp", "detemple", "franel", "young")
 
 
-def _recenter(target: str, n: int, w: int) -> Ball:
-    """The exact-plus-ball quantity that maps a target back to H(n)."""
-    if target == "H":
-        return Ball.from_int(0)
-    if target == "H_minus_ln_gamma":
-        return add(_ln_int(n, w), _gamma(w), w)
-    if target == "H_minus_lnhalf_gamma":
-        return add(_ln_half_int(n, w), _gamma(w), w)
-    if target == "H_minus_ln_half_n_gamma":
-        r = add(_ln_int(n, w), _gamma(w), w)
-        return add(r, Ball.from_fraction(Fraction(1, 2 * n), w), w)
-    raise KeyError(f"unknown target: {target!r}")
-
-
 @lru_cache(maxsize=16)
 def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
+    """A bound's interval for H(n) - ln n - g."""
     spec = catalog_map()[bound_id]
-    r = _recenter(spec.target, n, w)
+    r = _frame_offset(spec.target, n, w)
     return add(spec.lower(n, w), r, w), add(spec.upper(n, w), r, w)
 
 
@@ -522,7 +458,6 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
     for n in range(2, max_n + 1):
         for other in _REFINED_IDS:
@@ -532,11 +467,7 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
                 m_lo, m_hi = _implied_interval("main", n, ww)
                 return sub(m_lo, o_lo, ww), sub(o_hi, m_hi, ww)
 
-            verdict, margin, w = _decide(sides, w0)
-            rep.append(CheckRecord(
-                check="refinement", params=(("n", n), ("outer", other)),
-                verdict=verdict, margin=margin, precision_bits=w,
-            ))
+            rep.append(_certify("refinement", (("n", n), ("outer", other)), sides, p))
     return rep
 
 
@@ -555,28 +486,21 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
 
     rep.append(_anchor(
-        "x_anchor", lambda ww: _alt_x(1, ww), _alt_tail_shift(w0), "1.2588", "1.2590", w0
+        "x_anchor", lambda w: _alt_x(1, w), _alt_tail_shift(p), "1.2588", "1.2590", p
     ))
 
     for n in range(1, max_n):
-        verdict, margin, w = _decide(
-            lambda ww, n=n: (sub(_alt_x(n, ww), _alt_x(n + 1, ww), ww),), w0
-        )
-        rep.append(CheckRecord(
-            check="x_decreasing", params=(("n", n),),
-            verdict=verdict, margin=margin, precision_bits=w,
+        rep.append(_certify(
+            "x_decreasing", (("n", n),),
+            lambda w, n=n: (sub(_alt_x(n, w), _alt_x(n + 1, w), w),), p,
         ))
 
-    verdict, margin, w = _decide(
-        lambda ww: (sub(_alt_x(max_n, ww), Ball.from_int(1), ww),), w0
-    )
-    rep.append(CheckRecord(
-        check="x_above_limit", params=(("n", max_n),),
-        verdict=verdict, margin=margin, precision_bits=w,
+    rep.append(_certify(
+        "x_above_limit", (("n", max_n),),
+        lambda w: (sub(_alt_x(max_n, w), Ball.from_int(1), w),), p,
     ))
     return rep
 
@@ -609,7 +533,6 @@ def cm_spotcheck(
         raise ValueError("grid too short for the requested depth")
 
     p = bits_of(prec)
-    w0 = p + _GUARD
     rep = VerificationReport()
 
     # local to the call: it reads specfun.stirling_tail as it is now
@@ -625,11 +548,8 @@ def cm_spotcheck(
                 seq = [sub(b, a, ww) for a, b in zip(seq, seq[1:])]
             return [neg(v) for v in seq] if j % 2 == 1 else seq
 
-        verdict, margin, w = _decide(signed, w0)
-        rep.append(CheckRecord(
-            check="cm_sign", params=(("kind", kind), ("order", order), ("depth", j)),
-            verdict=verdict, margin=margin, precision_bits=w,
-        ))
+        params = (("kind", kind), ("order", order), ("depth", j))
+        rep.append(_certify("cm_sign", params, signed, p))
     return rep
 
 

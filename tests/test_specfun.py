@@ -295,23 +295,19 @@ def test_em_config_validation():
 
 
 def test_harmonic_em_contains_exact_value():
+    # H(10^6) from a 70-digit oracle: the ball must hold the whole interval
+    # h +/- 10^-60, far inside its radius of at least 5e-40 at 128 bits
+    with mp.workdps(70):
+        h_big = Fraction(mp.nstr(mp.harmonic(10**6), 70))
+    slack = Fraction(1, 10**60)
     for q in (1, 2, 3, 5, 8):
         cfg = EmConfig(q=q, precision=128)
-        for n in (1, 2, 3, 10, 97, 1000, 10**6):
-            assert harmonic_em(n, cfg).contains(harmonic_exact(n) if n <= 1000 else _h_big(n)), (
-                f"H({n}) escaped q={q}"
-            )
+        for n in (1, 2, 3, 10, 97, 1000):
+            assert harmonic_em(n, cfg).contains(harmonic_exact(n)), f"H({n}) escaped q={q}"
+        b = harmonic_em(10**6, cfg)
+        assert b.contains(h_big - slack) and b.contains(h_big + slack), f"H(10^6) escaped q={q}"
     with pytest.raises(ValueError):
         harmonic_em(0)
-
-
-_H_BIG_CACHE: dict[int, Fraction] = {}
-
-
-def _h_big(n: int) -> Fraction:
-    if n not in _H_BIG_CACHE:
-        _H_BIG_CACHE[n] = harmonic_exact(n)
-    return _H_BIG_CACHE[n]
 
 
 def test_harmonic_em_radius_tracks_first_omitted_term():

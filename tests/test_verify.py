@@ -29,10 +29,9 @@ from harmonicbounds.verify import (
     g_positivity,
     refinement_check,
     sharpness_main,
-    sharpness_profile,
     verify_all,
 )
-from helpers import assert_contains, assert_in_window
+from helpers import assert_contains, assert_in_window, exact_fraction
 
 # 40-digit closed-form values of f at 1, 2, 3 (independent derivation)
 F1_DIGITS = Fraction("0.9507399991338845653085511242778686100007")
@@ -112,15 +111,6 @@ def test_f_asymptotic_gap_constant():
     assert abs(scaled - 1) < Fraction(1, 100)
     assert d.upper() < Fraction(1, 10**6)
     assert d.lower() > Fraction(4, 10**7)
-
-
-def test_sharpness_profile_single_index():
-    prof = sharpness_profile(5, 128)
-    assert prof.n == 5
-    assert prof.monotone_ok and prof.below_limit_ok
-    assert prof.f_of_n.is_positive()
-    with pytest.raises(ValueError):
-        sharpness_profile(0, 128)
 
 
 def test_sharpness_report_structure_and_verdicts():
@@ -237,6 +227,48 @@ def test_refinement_all_pass_with_expected_shape():
     assert c["refinement"] == 29 * 5  # n = 2..30, five outer bounds
     outers = {r.params_dict()["outer"] for r in rep.records}
     assert outers == {"chen", "toth_sharp", "detemple", "franel", "young"}
+
+
+def _refinement_gaps(n: int, outer: str) -> tuple[Fraction, Fraction]:
+    """main's lower side minus outer's, and outer's upper side minus main's.
+
+    Both intervals are taken for H(n) - ln n - g from the closed-form
+    sides, at 60 digits with mpmath's g, independently of the package.
+    """
+    with mp.workdps(60):
+        g, m = mp.euler, mp.mpf(n)
+        half = 1 / (2 * m)
+        big_a = 2 * (7 - 12 * g) / (2 * g - 1)
+        main = (half - 1 / (12 * m**2 + big_a), half - 1 / (12 * m**2 + mp.mpf(6) / 5))
+        ln1p = mp.log1p(half)
+        a = 1 / (1 - g) - 2
+        c = 1 / (2 * mp.sqrt(6 * (1 - g - mp.log(mp.mpf(3) / 2)))) - 1
+        lo, hi = {
+            "franel": (half - 1 / (8 * m**2), half),
+            "young": (1 / (2 * (m + 1)), half),
+            "toth_sharp": (1 / (2 * m + a), 1 / (2 * m + mp.mpf(1) / 3)),
+            "detemple": (1 / (24 * (m + 1) ** 2) + ln1p, 1 / (24 * m**2) + ln1p),
+            "chen": (1 / (24 * (m + c) ** 2) + ln1p, 1 / (24 * (m + mp.mpf(1) / 2) ** 2) + ln1p),
+        }[outer]
+        return exact_fraction(main[0] - lo), exact_fraction(hi - main[1])
+
+
+def test_refinement_margin_encloses_the_smaller_nesting_gap():
+    # the margin is the gap with the smaller midpoint; when the two gaps
+    # are closer than the margin's width either one may be reported
+    slack = Fraction(1, 10**50)
+    checked = 0
+    for rec in refinement_check(100, 128).records:
+        n, outer = rec.params_dict()["n"], rec.params_dict()["outer"]
+        if n not in (2, 3, 10, 100):
+            continue
+        first, other = sorted(_refinement_gaps(n, outer))
+        lo, hi = rec.margin.lower() - slack, rec.margin.upper() + slack
+        assert lo <= first <= hi or (other - first <= hi - lo and lo <= other <= hi), (
+            f"margin of {outer} at n={n} misses the nesting gap {float(first):.6e}"
+        )
+        checked += 1
+    assert checked == 4 * 5
 
 
 def test_refinement_validation():
@@ -393,6 +425,11 @@ def test_verify_all_is_deterministic_across_job_counts():
     a = verify_all(20, 128, jobs=1).to_json()
     b = verify_all(20, 128, jobs=2).to_json()
     assert a == b
+
+
+def test_verify_all_decides_every_claim_at_the_callers_precision():
+    rep = verify_all(30, 1024)
+    assert {r.precision_bits for r in rep.records if r.precision_bits > 0} == {1024}
 
 
 def test_verify_all_validation():

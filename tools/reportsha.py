@@ -1,0 +1,68 @@
+"""Fingerprints of verify_all reports, for comparing two versions of the code.
+
+Usage: python3 tools/reportsha.py [MAX_N BITS ...]
+
+For each (MAX_N, BITS) pair (default: 500 128, 25 1024 and 10000 128) it
+runs verify_all(MAX_N, BITS) with one job and prints:
+
+  - the record count and the verdict summary
+  - keys: the SHA-256 of the sorted (check, params, verdict) triples, which
+    moves only when a verdict or the set of records moves
+  - json: the SHA-256 of the report's to_json() bytes
+  - one SHA-256 per check family (the records sharing a `check` name),
+    which shows where the bytes moved
+
+It imports the package from the src/ next to it and needs nothing beyond
+the standard library.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from harmonicbounds.verify import verify_all  # noqa: E402
+
+DEFAULT_PAIRS = ((500, 128), (25, 1024), (10000, 128))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fingerprint(max_n: int, bits: int) -> list[str]:
+    """The printed lines for verify_all(max_n, bits)."""
+    rep = verify_all(max_n, bits)
+    keys = sorted(
+        json.dumps([r.check, r.params_dict(), r.verdict.value], separators=(",", ":"))
+        for r in rep.records
+    )
+    families: dict[str, list[dict]] = {}
+    for r in rep.records:
+        families.setdefault(r.check, []).append(r.to_json_obj())
+    lines = [
+        f"verify_all({max_n}, {bits}): {len(rep.records)} records "
+        + json.dumps(rep.summary(), separators=(",", ":")),
+        f"  keys  {_sha(chr(10).join(keys))}",
+        f"  json  {_sha(rep.to_json())}",
+    ]
+    for check in sorted(families):
+        lines.append(f"  {check:<20s} {_sha(json.dumps(families[check]))}")
+    return lines
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) % 2:
+        raise SystemExit("usage: reportsha.py [MAX_N BITS ...]")
+    nums = [int(a) for a in argv]
+    pairs = list(zip(nums[::2], nums[1::2])) or DEFAULT_PAIRS
+    for max_n, bits in pairs:
+        print("\n".join(fingerprint(max_n, bits)), flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
