@@ -609,13 +609,21 @@ def bound_ids() -> tuple[str, ...]:
     return tuple(s.bound_id for s in _CATALOG)
 
 
-def evaluate_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> tuple[Ball, Ball]:
-    """Enclosures of the lower and upper expressions of a bound at n."""
+def _spec_at(bound_id: str, n: int) -> BoundSpec:
+    """The bound's spec, once n is an int in its domain."""
     spec = _CATALOG_MAP.get(bound_id)
     if spec is None:
         raise KeyError(f"unknown bound: {bound_id!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < spec.domain_min:
         raise ValueError(f"bound {bound_id!r} needs n >= {spec.domain_min}")
+    return spec
+
+
+def evaluate_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> tuple[Ball, Ball]:
+    """Enclosures of the lower and upper expressions of a bound at n."""
+    spec = _spec_at(bound_id, n)
     p = bits_of(prec)
     return spec.lower(n, p), spec.upper(n, p)
 
@@ -655,10 +663,6 @@ def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundC
 
 def check_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> BoundCheck:
     """Check one bound at one n, climbing the precision ladder until decided."""
-    spec = _CATALOG_MAP.get(bound_id)
-    if spec is None:
-        raise KeyError(f"unknown bound: {bound_id!r}")
-    if n < spec.domain_min:
-        raise ValueError(f"bound {bound_id!r} needs n >= {spec.domain_min}")
+    spec = _spec_at(bound_id, n)
     _, chk, _ = climb(lambda w: _check_rung(spec, n, w), bits_of(prec))
     return chk

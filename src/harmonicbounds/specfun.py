@@ -5,7 +5,8 @@ odd-denominator harmonic, alternating) as Fractions.  The Bernoulli numbers
 come from the integer tangent numbers, built once per process.  The partial
 sums grow with n (H(n) has a denominator of about 1.44 n bits), so no
 certified evaluation uses them: they are public API and the test-suite's
-independent reference.
+independent reference.  Each call sums from 1 by balanced splitting and
+keeps no state; only H(2^k), which gamma is built from, is memoised.
 
 Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
@@ -36,7 +37,10 @@ That radius holds at every truncation length, for two reasons:
 Arguments below the shift threshold are pushed up by the recurrences
 psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
 applied, so the series is only ever used where its terms decay far below
-the working precision.
+the working precision.  The sum those recurrences carry, 1/x + ... +
+1/(x+m-1) or its squares, is one exact helper (`_shift_sum`) for digamma,
+trigamma and psi_gap; ln Gamma carries an exact product instead, and its
+Stirling formula is one helper (`_stirling`) for lgamma and stirling_tail.
 """
 
 from __future__ import annotations
@@ -376,44 +380,25 @@ def _tree_sum(term, a: int, b: int) -> Fraction:
     return _tree_sum(term, a, m) + _tree_sum(term, m + 1, b)
 
 
-class _PartialSumStream:
-    """Exact prefix sums of term(1) + ... + term(n) with O(1) sequential step."""
-
-    def __init__(self, term) -> None:
-        self._term = term
-        self._n = 0
-        self._value = Fraction(0)
-        self._lock = threading.Lock()
-
-    def value_at(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError("partial sum index must be nonnegative")
-        with self._lock:
-            if n == self._n:
-                return self._value
-            if self._n < n <= self._n + 64:
-                v = self._value
-                for i in range(self._n + 1, n + 1):
-                    v += self._term(i)
-            else:
-                v = _tree_sum(self._term, 1, n)
-            self._n = n
-            self._value = v
-            return v
-
-
-_HARMONIC = _PartialSumStream(lambda i: Fraction(1, i))
-_ODD_HARMONIC = _PartialSumStream(lambda i: Fraction(1, 2 * i - 1))
-
-
 def harmonic_exact(n: int) -> Fraction:
     """Exact harmonic number H(n) = 1 + 1/2 + ... + 1/n."""
-    return _HARMONIC.value_at(n)
+    if n < 0:
+        raise ValueError("partial sum index must be nonnegative")
+    return _tree_sum(lambda i: Fraction(1, i), 1, n)
 
 
 def odd_harmonic_exact(n: int) -> Fraction:
     """Exact sum of reciprocals of the first n odd numbers."""
-    return _ODD_HARMONIC.value_at(n)
+    if n < 0:
+        raise ValueError("partial sum index must be nonnegative")
+    return _tree_sum(lambda i: Fraction(1, 2 * i - 1), 1, n)
+
+
+def _shift_sum(x: Fraction, m: int, s: int) -> Fraction:
+    """sum_{j=0}^{m-1} (x+j)^-s exactly for a rational x > 0: what the
+    recurrences of psi (s = 1) and psi' (s = 2) carry from x to x + m."""
+    a, d = x.numerator, x.denominator
+    return _tree_sum(lambda j: Fraction(d**s, (a + j * d) ** s), 0, m - 1)
 
 
 def alternating_partial(n: int) -> Fraction:
@@ -538,12 +523,8 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
 
 @lru_cache(maxsize=16)
 def _harmonic_pow2(k: int) -> Fraction:
-    """Exact H(2^k), shared by every precision of gamma that uses this k.
-
-    Summed apart from the shared harmonic stream, which this one-off sum
-    would only reposition.
-    """
-    return _tree_sum(lambda i: Fraction(1, i), 1, 1 << k)
+    """Exact H(2^k), shared by every precision of gamma that uses this k."""
+    return harmonic_exact(1 << k)
 
 
 @lru_cache(maxsize=64)
@@ -642,8 +623,7 @@ def _digamma_point(man: int, exp: int, w: int) -> Ball:
     res = sub(res, series, w)
     if m:
         # psi(x) = psi(x+m) - sum_{j=0}^{m-1} 1/(x+j)
-        f = -nexp
-        r = _tree_sum(lambda i: Fraction(1 << f, xman + ((i - 1) << f)), 1, m)
+        r = _shift_sum(_dyadic_fraction(xman, nexp), m, 1)
         res = sub(res, Ball.from_fraction(r, w), w)
     return add_rad_fraction(res, tail)
 
@@ -656,24 +636,24 @@ def _trigamma_point(man: int, exp: int, w: int) -> Ball:
     res = add(res, series, w)
     if m:
         # psi'(x) = psi'(x+m) + sum_{j=0}^{m-1} 1/(x+j)^2
-        f = -nexp
-        r = _tree_sum(
-            lambda i: Fraction(1 << (2 * f), (xman + ((i - 1) << f)) ** 2), 1, m
-        )
+        r = _shift_sum(_dyadic_fraction(xman, nexp), m, 2)
         res = add(res, Ball.from_fraction(r, w), w)
     return add_rad_fraction(res, tail)
+
+
+def _stirling(x: Ball, series: Ball, w: int) -> Ball:
+    """(x - 1/2) ln x - x + ln(2 pi)/2 + series, Stirling's formula for
+    ln Gamma(x) with its Bernoulli series given."""
+    res = mul(sub(x, Ball(1, -1), w), elementary.ln(x, w), w)
+    res = sub(res, x, w)
+    res = add(res, _half_ln_2pi(w), w)
+    return add(res, series, w)
 
 
 def _lgamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
     series, tail = _series_at("lgamma", nman, nexp, w)
-    nball = Ball(nman, nexp)
-    ln_n = elementary.ln(nball, w)
-    half = Ball(1, -1)
-    res = mul(sub(nball, half, w), ln_n, w)
-    res = sub(res, nball, w)
-    res = add(res, _half_ln_2pi(w), w)
-    res = add(res, series, w)
+    res = _stirling(Ball(nman, nexp), series, w)
     if m:
         # ln Gamma(x) = ln Gamma(N) - ln(x (x+1) ... (x+m-1)), exact product
         f = -nexp
@@ -690,14 +670,12 @@ def _eval_on_ball(point_fn, x: Ball, w: int, p: int, monotone: bool) -> Ball:
         raise DomainError("argument enclosure must be strictly positive")
     if x.rman == 0:
         return round_ball(point_fn(x.man, x.exp, w), p)
+    a = point_fn(lo, e, w)
+    b = point_fn(hi, e, w)
     if monotone:
-        a = point_fn(lo, e, w)
-        b = point_fn(hi, e, w)
         return hull(a, b, p)
     # non-monotone (log-gamma dips below its endpoints near 1.46): pad the
     # endpoint hull by width * sup |psi|, psi being monotone on (0, inf)
-    a = point_fn(lo, e, w)
-    b = point_fn(hi, e, w)
     res = hull(a, b, w)
     pa = _digamma_point(lo, e, w)
     pb = _digamma_point(hi, e, w)
@@ -765,7 +743,7 @@ def _psi_gap(n: int, p: int) -> Ball:
         return add_rad_fraction(Ball.from_fraction(acc, p), tail)
     series, tail = _threshold_series(w)
     # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
-    rest = Fraction(1, 2 * n) + _tree_sum(lambda i: Fraction(1, n + i), 1, big - n)
+    rest = Fraction(1, 2 * n) + _shift_sum(Fraction(n + 1), big - n, 1)
     res = add(Ball.from_fraction(rest, w), series, w)
     res = add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
     return add_rad_fraction(res, tail)
@@ -792,14 +770,7 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
         raise DomainError("argument enclosure must be strictly positive")
     count = 2 * order if kind == "F" else 2 * order + 1
     lg = lgamma(xb, w)
-    ln_x = elementary.ln(xb, w)
-    half = Ball(1, -1)
-    s = mul(sub(xb, half, w), ln_x, w)
-    s = sub(s, xb, w)
-    s = add(s, _half_ln_2pi(w), w)
     inv_x = recip(xb, w)
-    u = mul(inv_x, inv_x, w)
-    acc = _horner(_SERIES["lgamma"].balls(w, count), u, w)
-    s = add(s, mul(acc, inv_x, w), w)
-    res = sub(lg, s, p)
+    acc = _horner(_SERIES["lgamma"].balls(w, count), mul(inv_x, inv_x, w), w)
+    res = sub(lg, _stirling(xb, mul(acc, inv_x, w), w), p)
     return res if kind == "F" else neg(res)

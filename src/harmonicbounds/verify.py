@@ -162,8 +162,14 @@ def _f_int(n: int, w: int) -> Ball:
     return sub(recip(den, ww), Ball.from_int(12 * n * n), ww)
 
 
-def _gap_ball(x: Ball, w: int) -> Ball:
-    """ln x + 1/(2x) - psi(x+1) for a positive ball argument."""
+def _gap(x, w: int) -> Ball:
+    """ln x + 1/(2x) - psi(x+1) at a positive ball or rational x; psi_gap
+    at a positive integer."""
+    if not isinstance(x, Ball):
+        x = Fraction(x)
+        if x.denominator == 1 and x >= 1:
+            return specfun.psi_gap(int(x), w)
+        x = Ball.from_fraction(x, w)
     lnx = elementary.ln(x, w)
     half = recip(scale2(x, 1), w)
     psi = specfun.digamma(add(x, Ball.from_int(1), w), w)
@@ -180,7 +186,7 @@ def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
         return round_ball(_f_int(x, w), p)
     if not isinstance(x, Ball):
         raise TypeError("argument must be an int or a Ball")
-    den, ww = _positive_den(lambda ww: _gap_ball(x, ww), w, "f denominator")
+    den, ww = _positive_den(lambda ww: _gap(x, ww), w, "f denominator")
     sq = mul(Ball.from_int(12), mul(x, x, ww), ww)
     return round_ball(sub(recip(den, ww), sq, ww), p)
 
@@ -323,16 +329,13 @@ def _g_direct(x, w: int) -> Ball:
         t = specfun.trigamma(add(x, Ball.from_int(1), w), w)
         invx = recip(x, w)
         corr = sub(scale2(mul(invx, invx, w), -1), invx, w)
-        gap = _gap_ball(x, w)
+        gap = _gap(x, w)
         tail = mul(mul(Ball.from_int(24), x, w), mul(gap, gap, w), w)
         return sub(add(t, corr, w), tail, w)
     xf = Fraction(x)
     t = specfun.trigamma(xf + 1, w)
     corr = Ball.from_fraction(Fraction(1, 2) / xf**2 - 1 / xf, w)
-    if xf.denominator == 1 and xf >= 1:
-        gap = specfun.psi_gap(int(xf), w)
-    else:
-        gap = _gap_ball(Ball.from_fraction(xf, w), w)
+    gap = _gap(xf, w)
     tail = mul(Ball.from_fraction(24 * xf, w), mul(gap, gap, w), w)
     return sub(add(t, corr, w), tail, w)
 
@@ -398,14 +401,9 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
 
         rep.append(_certify("psi1_envelope", at, psi1_sides, p))
 
-        def gap_of(ww: int, arg=arg) -> Ball:
-            if isinstance(arg, Fraction) and arg.denominator == 1:
-                return specfun.psi_gap(int(arg), ww)
-            a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
-            return _gap_ball(a, ww)
-
         rep.append(_certify(
-            "gap_envelope", at, lambda w: (sub(_ratio_ball(_GAP_HIGH, arg, w), gap_of(w), w),), p
+            "gap_envelope", at,
+            lambda w, arg=arg: (sub(_ratio_ball(_GAP_HIGH, arg, w), _gap(arg, w), w),), p,
         ))
     return rep
 
@@ -672,6 +670,8 @@ def verify_all(
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     selected = tuple(checks) if checks is not None else CHECK_NAMES
+    if not selected:
+        raise ValueError("checks must name at least one check")
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")

@@ -348,6 +348,14 @@ def test_check_bound_validation():
         check_bound("main", 0)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.5, 3.0, Fraction(3), "3"])
+def test_bound_index_must_be_an_int(n):
+    # a bool would be checked as 0 or 1 and printed as true or false
+    for call in (check_bound, evaluate_bound):
+        with pytest.raises(TypeError, match="n must be an int"):
+            call("main", n)
+
+
 def test_check_bound_is_deterministic():
     a = check_bound("detemple", 77)
     b = check_bound("detemple", 77)

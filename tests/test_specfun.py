@@ -450,6 +450,16 @@ def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
             assert seen and set(seen) == {want}, (fn.__name__, x)
 
 
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("x", [Fraction(121), Fraction(12345, 64), Fraction(1, 3)])
+def test_shift_sum_matches_the_per_term_sum(x, s):
+    from harmonicbounds.specfun import _shift_sum
+
+    for m in (0, 1, 2, 9, 10, 57):
+        want = sum((1 / (x + j) ** s for j in range(m)), Fraction(0))
+        assert _shift_sum(x, m, s) == want, (x, s, m)
+
+
 def test_digamma_accepts_ball_arguments():
     wide = Ball(3, 0, 1, -8)  # 3 +/- 1/256
     d = digamma(wide, 128)

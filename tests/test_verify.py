@@ -98,7 +98,7 @@ def test_f_eval_negative_denominator_raises_at_once(monkeypatch):
     # the message says it is negative rather than undecided
     from harmonicbounds import verify
 
-    monkeypatch.setattr(verify, "_gap_ball", lambda x, w: Ball.from_int(-1))
+    monkeypatch.setattr(verify, "_gap", lambda x, w: Ball.from_int(-1))
     with pytest.raises(PrecisionExhausted, match="negative at 144 bits"):
         f_eval(Ball(4, 0), 128)
 
@@ -439,6 +439,12 @@ def test_verify_all_validation():
         verify_all(10, 128, checks=("bounds", "bogus"))
     with pytest.raises(ValueError):
         verify_all(10, 128, jobs=0)
+
+
+def test_verify_all_refuses_an_empty_check_selection():
+    # an empty selection certifies nothing, so it must not report success
+    with pytest.raises(ValueError, match="at least one check"):
+        verify_all(5, 128, checks=())
 
 
 def test_verify_all_exit_code_zero_when_green():
