@@ -71,8 +71,9 @@ MIN_PRECISION = 53
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
 
-# The precision ladder's top rung: decisions evaluate a few guard bits above
-# the caller's precision, so the ladder may climb that far past the cap.
+# The precision ladder's top rung.  Every ladder starts at the caller's
+# precision except verify.f_eval's, which starts 16 guard bits above it, so
+# the ladder may climb that far past the cap.
 CLIMB_CAP = MAX_PRECISION + 16
 
 # Internal evaluations stack guard bits on top of a caller's precision, so

@@ -1,9 +1,23 @@
 """Catalog of two-sided harmonic-number bounds with certified checking.
 
-Each catalog entry pins down, for a stated target quantity, a lower and an
-upper expression in n, the set of n where an endpoint is attained exactly,
-and any sharp constants together with the decimal window they are known
-to lie in.  Checking a bound at some n encloses lower, target and upper,
+Each catalog entry pins down, for a stated target quantity and every
+n >= 1, a lower and an upper side and the set of n where a side is
+attained exactly.  A side is a family of expressions in n taken at one
+constant (Side), and where the catalog declares that constant best
+possible, the decimal window it lies in; BoundSpec.sharp_constants lists
+those.  The families, with the entries that take them:
+  1/(2n + a)               franel and young (upper), young (lower),
+                             toth, toth_sharp, alt_tail
+  1/(24 (n + a)^2)         detemple, chen
+  -1/(12 n^2 + A)          main
+  c - ln(e^(1/(n+1)) - 1)  batir
+  c - g                    klamkin
+  ln(n + c) + g            qi_guo_family
+A rational constant p/q is evaluated as one fraction of integers, rounded
+once; any other is a ball-valued function of the precision.  odd's sides
+and franel's lower side declare no constant and are plain functions.
+
+Checking a bound at some n encloses lower, target and upper,
 and every verdict is the sign of a certified difference ball: judge()
 decides the claim that target - lower and upper - target are both > 0,
 returning fail when one is certainly negative and pass when both are
@@ -37,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Sequence, Union
 
 from . import elementary, specfun
 from .ball import (
@@ -58,6 +72,7 @@ from .report import CheckRecord, Verdict
 
 __all__ = [
     "BoundSpec",
+    "Side",
     "SharpConstant",
     "TargetValue",
     "BoundCheck",
@@ -140,20 +155,38 @@ class SharpConstant:
     value: Callable[[int], Ball]
 
 
+# A side's constant: a rational, or the function from a precision to its ball.
+Const = Union[Fraction, Callable[[int], Ball]]
+
+
 @dataclass(frozen=True)
 class BoundSpec:
-    """One two-sided bound: target, evaluators, equality sets, constants."""
+    """One two-sided bound at every n >= 1: target, sides, equality sets.
+
+    Each side is a Side, except for the three with no constant to declare
+    (odd's two, franel's lower), which are plain functions of (n, p).
+    """
 
     bound_id: str
     description: str
     target: str
-    domain_min: int
     lower: Callable[[int, int], Ball]
     upper: Callable[[int, int], Ball]
     lower_equalities: frozenset[int] = frozenset()
     upper_equalities: frozenset[int] = frozenset()
-    sharp_constants: tuple[SharpConstant, ...] = ()
     notes: str = ""
+
+    @property
+    def sharp_constants(self) -> tuple[SharpConstant, ...]:
+        """The sides' constants that the catalog declares best possible."""
+        return tuple(
+            SharpConstant(
+                f"{slot}_{_CONST_NAMES[side.family]}",
+                Fraction(side.window[0]), Fraction(side.window[1]), side.const_ball,
+            )
+            for slot, side in (("lower", self.lower), ("upper", self.upper))
+            if isinstance(side, Side) and side.window
+        )
 
 
 @dataclass(frozen=True)
@@ -187,17 +220,8 @@ class BoundCheck:
 # shared sub-expressions, cached per working precision
 # ---------------------------------------------------------------------------
 
-def _gamma(w: int) -> Ball:
-    return specfun.euler_gamma(w)
-
-
 def _ln_int(n: int, w: int) -> Ball:
     return elementary.ln(Ball.from_int(n), w)
-
-
-def _ln_half_int(n: int, w: int) -> Ball:
-    # ln(n + 1/2), the argument is exactly dyadic
-    return elementary.ln(Ball(2 * n + 1, -1), w)
 
 
 @lru_cache(maxsize=512)
@@ -213,14 +237,16 @@ def _ln_expm1_recip(np1: int, w: int) -> Ball:
 
 
 @lru_cache(maxsize=64)
-def _exp_one_minus_gamma(w: int) -> Ball:
-    return elementary.exp(sub(Ball.from_int(1), _gamma(w), w), w)
+def _qi_guo_offset(w: int) -> Ball:
+    # e^(1 - g) - 1
+    e = elementary.exp(sub(Ball.from_int(1), specfun.euler_gamma(w), w), w)
+    return sub(e, Ball.from_int(1), w)
 
 
 @lru_cache(maxsize=64)
 def _toth_sharp_shift(w: int) -> Ball:
     # 1/(1 - g) - 2
-    inv = recip(sub(Ball.from_int(1), _gamma(w), w), w)
+    inv = recip(sub(Ball.from_int(1), specfun.euler_gamma(w), w), w)
     return sub(inv, Ball.from_int(2), w)
 
 
@@ -234,7 +260,7 @@ def _alt_tail_shift(w: int) -> Ball:
 @lru_cache(maxsize=64)
 def _chen_shift(w: int) -> Ball:
     # 1/(2 sqrt(6 c)) - 1 with c = 1 - g - ln(3/2)
-    c = sub(sub(Ball.from_int(1), _gamma(w), w), elementary.ln(Ball(3, -1), w), w)
+    c = sub(sub(Ball.from_int(1), specfun.euler_gamma(w), w), elementary.ln(Ball(3, -1), w), w)
     root = elementary.sqrt(mul(Ball.from_int(6), c, w), w)
     return sub(recip(scale2(root, 1), w), Ball.from_int(1), w)
 
@@ -242,7 +268,7 @@ def _chen_shift(w: int) -> Ball:
 @lru_cache(maxsize=64)
 def _main_shift(w: int) -> Ball:
     # 2 (7 - 12 g) / (2 g - 1)
-    g = _gamma(w)
+    g = specfun.euler_gamma(w)
     num = sub(Ball.from_int(7), mul(Ball.from_int(12), g, w), w)
     den = sub(scale2(g, 1), Ball.from_int(1), w)
     return mul(scale2(num, 1), recip(den, w), w)
@@ -263,6 +289,10 @@ def _ln1p_half_recip(n: int, w: int) -> Ball:
     # ln(1 + 1/(2n)) is of size 1/(2n); the argument is rounded far below
     # the ln kernel's absolute error so the result keeps relative accuracy
     return elementary.ln(Ball.from_fraction(Fraction(2 * n + 1, 2 * n), w + 64), w)
+
+
+def _half_recip(n: int, w: int) -> Ball:
+    return Ball.from_fraction(Fraction(1, 2 * n), w)
 
 
 def _frame_offset(target_id: str, n: int, w: int) -> Ball:
@@ -289,7 +319,7 @@ def _target_cached(target_id: str, n: int, w: int) -> Ball:
         return neg(gap)
     if target_id == "odd_harmonic":
         # H(2n) - H(n)/2: the 1/(4n) terms cancel
-        s = add(elementary.ln2_ball(w), scale2(add(_ln_int(n, w), _gamma(w), w), -1), w)
+        s = add(elementary.ln2_ball(w), scale2(add(_ln_int(n, w), specfun.euler_gamma(w), w), -1), w)
         return add(sub(s, specfun.psi_gap(2 * n, w), w), scale2(gap, -1), w)
     d = sub(_half_recip(n, w), gap, w)  # H(n) - ln n - g
     if target_id == "H_minus_ln_gamma":
@@ -297,7 +327,7 @@ def _target_cached(target_id: str, n: int, w: int) -> Ball:
     if target_id == "H_minus_lnhalf_gamma":
         return sub(d, _ln1p_half_recip(n, w), w)
     if target_id == "H":
-        return add(d, add(_ln_int(n, w), _gamma(w), w), w)
+        return add(d, add(_ln_int(n, w), specfun.euler_gamma(w), w), w)
     raise KeyError(f"unknown target: {target_id!r}")
 
 
@@ -305,33 +335,91 @@ def target_value(target_id: str, n: int, prec=DEFAULT_PRECISION) -> Ball:
     """Certified enclosure of a catalog target at integer n >= 1."""
     if target_id not in TARGETS:
         raise KeyError(f"unknown target: {target_id!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _target_cached(target_id, n, bits_of(prec))
+    return _target_cached(target_id, specfun.check_index(n), bits_of(prec))
 
 
 # ---------------------------------------------------------------------------
-# the twelve bounds
+# the twelve bounds: sides as families evaluated at their constants
 # ---------------------------------------------------------------------------
 
-def _rat(fr: Fraction, p: int) -> Ball:
-    return Ball.from_fraction(fr, p)
+def _const_ball(c: Const, p: int) -> Ball:
+    return Ball.from_fraction(c, p) if isinstance(c, Fraction) else c(p)
+
+
+def _recip_2n(n: int, a: Const, p: int) -> Ball:
+    """1/(2n + a): Franel, Young, Toth and the alternating tail."""
+    if isinstance(a, Fraction):
+        q = a.denominator
+        return Ball.from_fraction(Fraction(q, 2 * n * q + a.numerator), p)
+    return recip(add(Ball.from_int(2 * n), a(p), p), p)
+
+
+def _recip_24_square(n: int, a: Const, p: int) -> Ball:
+    """1/(24 (n + a)^2): DeTemple and Chen."""
+    if isinstance(a, Fraction):
+        q = a.denominator
+        return Ball.from_fraction(Fraction(q * q, 24 * (n * q + a.numerator) ** 2), p)
+    s = add(Ball.from_int(n), a(p), p)
+    return recip(mul(Ball.from_int(24), mul(s, s, p), p), p)
+
+
+def _neg_recip_12_square(n: int, a: Const, p: int) -> Ball:
+    """-1/(12 n^2 + A): the quadratic window of the main theorem."""
+    if isinstance(a, Fraction):
+        q = a.denominator
+        return Ball.from_fraction(Fraction(-q, 12 * n * n * q + a.numerator), p)
+    return neg(recip(add(Ball.from_int(12 * n * n), a(p), p), p))
+
+
+def _minus_ln_expm1(n: int, c: Const, p: int) -> Ball:
+    """c - ln(e^(1/(n+1)) - 1): Batir."""
+    return sub(_const_ball(c, p), _ln_expm1_recip(n + 1, p), p)
+
+
+def _minus_gamma(n: int, c: Const, p: int) -> Ball:
+    """c - g, the same at every n: Klamkin."""
+    return sub(_const_ball(c, p), specfun.euler_gamma(p), p)
+
+
+def _ln_plus_gamma(n: int, c: Const, p: int) -> Ball:
+    """ln(n + c) + g: Qi and Guo.  A rational c must be dyadic, so that
+    n + c is an exact ball at every n."""
+    if isinstance(c, Fraction):
+        arg = Ball(n * c.denominator + c.numerator, 1 - c.denominator.bit_length())
+    else:
+        arg = add(Ball.from_int(n), c(p), p)
+    return add(elementary.ln(arg, p), specfun.euler_gamma(p), p)
+
+
+# what the catalog calls the constant of each family
+_CONST_NAMES = {
+    _recip_2n: "shift",
+    _recip_24_square: "shift",
+    _neg_recip_12_square: "shift",
+    _minus_ln_expm1: "const",
+    _ln_plus_gamma: "offset",
+}
+
+
+@dataclass(frozen=True)
+class Side:
+    """One side of a bound: a family of expressions in n taken at a constant,
+    and the decimal window in which the catalog declares that constant best
+    possible (None where it is not)."""
+
+    family: Callable[[int, Const, int], Ball]
+    const: Const
+    window: tuple[str, str] | None = None
+
+    def __call__(self, n: int, p: int) -> Ball:
+        return self.family(n, self.const, p)
+
+    def const_ball(self, p: int) -> Ball:
+        return _const_ball(self.const, p)
 
 
 def _franel_lower(n: int, p: int) -> Ball:
-    return _rat(Fraction(4 * n - 1, 8 * n * n), p)
-
-
-def _half_recip(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 2 * n), p)
-
-
-def _klamkin_lower(n: int, p: int) -> Ball:
-    return sub(Ball(1, -1), _gamma(p), p)
-
-
-def _klamkin_upper(n: int, p: int) -> Ball:
-    return sub(Ball.from_int(1), _gamma(p), p)
+    return Ball.from_fraction(Fraction(4 * n - 1, 8 * n * n), p)
 
 
 def _odd_lower(n: int, p: int) -> Ball:
@@ -342,95 +430,22 @@ def _odd_upper(n: int, p: int) -> Ball:
     return add(Ball.from_int(1), scale2(_ln_int(2 * n - 1, p), -1), p)
 
 
-def _young_lower(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 2 * (n + 1)), p)
-
-
-def _detemple_lower(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 24 * (n + 1) ** 2), p)
-
-
-def _detemple_upper(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 24 * n * n), p)
-
-
-def _toth_lower(n: int, p: int) -> Ball:
-    return _rat(Fraction(5, 10 * n + 2), p)
-
-
-def _toth_upper(n: int, p: int) -> Ball:
-    return _rat(Fraction(3, 6 * n + 1), p)
-
-
-def _toth_sharp_lower(n: int, p: int) -> Ball:
-    return recip(add(Ball.from_int(2 * n), _toth_sharp_shift(p), p), p)
-
-
-def _alt_tail_lower(n: int, p: int) -> Ball:
-    return recip(add(Ball.from_int(2 * n), _alt_tail_shift(p), p), p)
-
-
-def _alt_tail_upper(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 2 * n + 1), p)
-
-
-def _batir_lower(n: int, p: int) -> Ball:
-    return sub(_batir_const(p), _ln_expm1_recip(n + 1, p), p)
-
-
-def _batir_upper(n: int, p: int) -> Ball:
-    return sub(_gamma(p), _ln_expm1_recip(n + 1, p), p)
-
-
-def _qi_guo_lower(n: int, p: int) -> Ball:
-    return add(_ln_half_int(n, p), _gamma(p), p)
-
-
-def _qi_guo_upper(n: int, p: int) -> Ball:
-    arg = add(Ball.from_int(n - 1), _exp_one_minus_gamma(p), p)
-    return add(elementary.ln(arg, p), _gamma(p), p)
-
-
-def _chen_lower(n: int, p: int) -> Ball:
-    s = add(Ball.from_int(n), _chen_shift(p), p)
-    return recip(mul(Ball.from_int(24), mul(s, s, p), p), p)
-
-
-def _chen_upper(n: int, p: int) -> Ball:
-    return _rat(Fraction(1, 6 * (2 * n + 1) ** 2), p)
-
-
-def _main_lower(n: int, p: int) -> Ball:
-    den = add(Ball.from_int(12 * n * n), _main_shift(p), p)
-    return neg(recip(den, p))
-
-
-def _main_upper(n: int, p: int) -> Ball:
-    return _rat(Fraction(-5, 60 * n * n + 6), p)
-
-
-def _window(lo: str, hi: str) -> tuple[Fraction, Fraction]:
-    return Fraction(lo), Fraction(hi)
-
-
 def _build_catalog() -> tuple[BoundSpec, ...]:
-    g_win = _window("0.5772", "0.5773")
+    third = Side(_recip_2n, Fraction(1, 3), ("0.3333", "0.3334"))
     specs = (
         BoundSpec(
             bound_id="franel",
             description="1/(2n) - 1/(8n^2) < H(n) - ln n - g < 1/(2n)",
             target="H_minus_ln_gamma",
-            domain_min=1,
             lower=_franel_lower,
-            upper=_half_recip,
+            upper=Side(_recip_2n, Fraction(0)),
         ),
         BoundSpec(
             bound_id="klamkin",
             description="1/2 < H(n) - ln n < 1, recentred by g",
             target="H_minus_ln_gamma",
-            domain_min=1,
-            lower=_klamkin_lower,
-            upper=_klamkin_upper,
+            lower=Side(_minus_gamma, Fraction(1, 2)),
+            upper=Side(_minus_gamma, Fraction(1)),
             upper_equalities=frozenset({1}),
             notes=(
                 "The classical statement is strict on both sides; the upper "
@@ -442,7 +457,6 @@ def _build_catalog() -> tuple[BoundSpec, ...]:
             bound_id="odd",
             description="(1/2) ln(2n+1) < sum 1/(2k-1) <= 1 + (1/2) ln(2n-1)",
             target="odd_harmonic",
-            domain_min=1,
             lower=_odd_lower,
             upper=_odd_upper,
             upper_equalities=frozenset({1}),
@@ -452,136 +466,76 @@ def _build_catalog() -> tuple[BoundSpec, ...]:
             bound_id="young",
             description="1/(2(n+1)) < H(n) - ln n - g < 1/(2n)",
             target="H_minus_ln_gamma",
-            domain_min=1,
-            lower=_young_lower,
-            upper=_half_recip,
+            lower=Side(_recip_2n, Fraction(2)),
+            upper=Side(_recip_2n, Fraction(0)),
         ),
         BoundSpec(
             bound_id="detemple",
             description="1/(24(n+1)^2) < H(n) - ln(n+1/2) - g < 1/(24 n^2)",
             target="H_minus_lnhalf_gamma",
-            domain_min=1,
-            lower=_detemple_lower,
-            upper=_detemple_upper,
+            lower=Side(_recip_24_square, Fraction(1)),
+            upper=Side(_recip_24_square, Fraction(0)),
         ),
         BoundSpec(
             bound_id="toth",
             description="1/(2n + 2/5) < H(n) - ln n - g < 1/(2n + 1/3)",
             target="H_minus_ln_gamma",
-            domain_min=1,
-            lower=_toth_lower,
-            upper=_toth_upper,
-            sharp_constants=(
-                SharpConstant(
-                    "upper_shift",
-                    *_window("0.3333", "0.3334"),
-                    value=lambda p: Ball.from_fraction(Fraction(1, 3), p),
-                ),
-            ),
+            lower=Side(_recip_2n, Fraction(2, 5)),
+            upper=third,
             notes="The upper shift 1/3 is best possible; 2/5 is not.",
         ),
         BoundSpec(
             bound_id="toth_sharp",
             description="1/(2n + a) <= H(n) - ln n - g < 1/(2n + 1/3), a = 1/(1-g) - 2",
             target="H_minus_ln_gamma",
-            domain_min=1,
-            lower=_toth_sharp_lower,
-            upper=_toth_upper,
+            lower=Side(_recip_2n, _toth_sharp_shift, ("0.3652", "0.3653")),
+            upper=third,
             lower_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_shift", *_window("0.3652", "0.3653"), value=_toth_sharp_shift),
-                SharpConstant(
-                    "upper_shift",
-                    *_window("0.3333", "0.3334"),
-                    value=lambda p: Ball.from_fraction(Fraction(1, 3), p),
-                ),
-            ),
             notes="Lower shift tuned so the bound is exact at n = 1.",
         ),
         BoundSpec(
             bound_id="alt_tail",
             description="1/(2n + a) <= |ln 2 - S_n| < 1/(2n + 1), a = 1/(1-ln 2) - 2",
             target="alternating_tail",
-            domain_min=1,
-            lower=_alt_tail_lower,
-            upper=_alt_tail_upper,
+            lower=Side(_recip_2n, _alt_tail_shift, ("1.2588", "1.2590")),
+            upper=Side(_recip_2n, Fraction(1), ("1", "1")),
             lower_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_shift", *_window("1.2588", "1.2590"), value=_alt_tail_shift),
-                SharpConstant(
-                    "upper_shift",
-                    *_window("1", "1"),
-                    value=lambda p: Ball.from_int(1),
-                ),
-            ),
             notes="Both shifts best possible; the lower one is exact at n = 1.",
         ),
         BoundSpec(
             bound_id="batir",
             description="1 + ln(sqrt(e) - 1) - ln(e^(1/(n+1)) - 1) <= H(n) < g - ln(e^(1/(n+1)) - 1)",
             target="H",
-            domain_min=1,
-            lower=_batir_lower,
-            upper=_batir_upper,
+            lower=Side(_minus_ln_expm1, _batir_const, ("0.5672", "0.5673")),
+            upper=Side(_minus_ln_expm1, specfun.euler_gamma, ("0.5772", "0.5773")),
             lower_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_const", *_window("0.5672", "0.5673"), value=_batir_const),
-                SharpConstant("upper_const", *g_win, value=_gamma),
-            ),
             notes="At n = 1 the two logarithms coincide and the lower side gives H(1) = 1 exactly.",
         ),
         BoundSpec(
             bound_id="qi_guo_family",
             description="ln(n + 1/2) + g < H(n) <= ln(n + e^(1-g) - 1) + g",
             target="H",
-            domain_min=1,
-            lower=_qi_guo_lower,
-            upper=_qi_guo_upper,
+            lower=Side(_ln_plus_gamma, Fraction(1, 2), ("0.5", "0.5")),
+            upper=Side(_ln_plus_gamma, _qi_guo_offset, ("0.5262", "0.5263")),
             upper_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_offset", *_window("0.5", "0.5"), value=lambda p: Ball(1, -1)),
-                SharpConstant(
-                    "upper_offset",
-                    *_window("0.5262", "0.5263"),
-                    value=lambda p: sub(_exp_one_minus_gamma(p), Ball.from_int(1), p),
-                ),
-            ),
             notes="Offsets 1/2 and e^(1-g) - 1 are both best possible.",
         ),
         BoundSpec(
             bound_id="chen",
             description="1/(24(n+a)^2) <= H(n) - ln(n+1/2) - g < 1/(24(n+1/2)^2), a = 1/(2 sqrt(6(1-g-ln(3/2)))) - 1",
             target="H_minus_lnhalf_gamma",
-            domain_min=1,
-            lower=_chen_lower,
-            upper=_chen_upper,
+            lower=Side(_recip_24_square, _chen_shift, ("0.5510", "0.5511")),
+            upper=Side(_recip_24_square, Fraction(1, 2), ("0.5", "0.5")),
             lower_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_shift", *_window("0.5510", "0.5511"), value=_chen_shift),
-                SharpConstant(
-                    "upper_shift",
-                    *_window("0.5", "0.5"),
-                    value=lambda p: Ball(1, -1),
-                ),
-            ),
             notes="Shift a chosen so the lower side is exact at n = 1; 1/2 is the limiting shift.",
         ),
         BoundSpec(
             bound_id="main",
             description="-1/(12n^2 + A) <= H(n) - ln n - 1/(2n) - g < -1/(12n^2 + 6/5), A = 2(7-12g)/(2g-1)",
             target="H_minus_ln_half_n_gamma",
-            domain_min=1,
-            lower=_main_lower,
-            upper=_main_upper,
+            lower=Side(_neg_recip_12_square, _main_shift, ("0.9507", "0.9508")),
+            upper=Side(_neg_recip_12_square, Fraction(6, 5), ("1.2", "1.2")),
             lower_equalities=frozenset({1}),
-            sharp_constants=(
-                SharpConstant("lower_shift", *_window("0.9507", "0.9508"), value=_main_shift),
-                SharpConstant(
-                    "upper_shift",
-                    *_window("1.2", "1.2"),
-                    value=lambda p: Ball.from_fraction(Fraction(6, 5), p),
-                ),
-            ),
             notes=(
                 "Quadratic-denominator window; A makes the lower side exact at "
                 "n = 1 and 6/5 is the limit value, so both constants are best "
@@ -610,14 +564,11 @@ def bound_ids() -> tuple[str, ...]:
 
 
 def _spec_at(bound_id: str, n: int) -> BoundSpec:
-    """The bound's spec, once n is an int in its domain."""
+    """The bound's spec, once n is an index (specfun.check_index)."""
     spec = _CATALOG_MAP.get(bound_id)
     if spec is None:
         raise KeyError(f"unknown bound: {bound_id!r}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < spec.domain_min:
-        raise ValueError(f"bound {bound_id!r} needs n >= {spec.domain_min}")
+    specfun.check_index(n)
     return spec
 
 

@@ -39,7 +39,9 @@ psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
 applied, so the series is only ever used where its terms decay far below
 the working precision.  The sum those recurrences carry, 1/x + ... +
 1/(x+m-1) or its squares, is one exact helper (`_shift_sum`) for digamma,
-trigamma and psi_gap; ln Gamma carries an exact product instead, and its
+trigamma and psi_gap, taken on the series' rule: exactly where x has at
+most 8 fraction bits, and beyond as terms floored to fixed point
+(`_shift_ball`).  ln Gamma carries an exact product instead, and its
 Stirling formula is one helper (`_stirling`) for lgamma and stirling_tail.
 """
 
@@ -58,6 +60,7 @@ from .ball import (
     PrecisionExhausted,
     _dyadic_fraction,
     _endpoints_scaled,
+    _from_int_interval,
     add,
     add_rad_fraction,
     bits_of,
@@ -87,6 +90,7 @@ __all__ = [
     "psi_gap",
     "stirling_tail",
     "pi_ball",
+    "check_index",
 ]
 
 
@@ -367,6 +371,16 @@ _SERIES = {
 # exact partial sums
 # ---------------------------------------------------------------------------
 
+def check_index(n: int) -> int:
+    """n, once it is an index: an int >= 1 and not a bool, which would
+    stand for 0 or 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
 def _tree_sum(term, a: int, b: int) -> Fraction:
     """Balanced sum of term(a..b) keeping intermediate denominators small."""
     if b < a:
@@ -417,8 +431,7 @@ def alternating_tail(n: int, prec) -> Ball:
     The partial sum at odd n > 1 lies above ln 2 by 1/n less the distance
     at n - 1, and at n = 1 by 1 - ln 2.  The cost does not depend on n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_index(n)
     p = bits_of(prec)
     if n == 1:
         return sub(Ball.from_int(1), elementary.ln2_ball(p), p)
@@ -491,8 +504,7 @@ def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:
     The returned ball always contains the exact harmonic number; its width
     is at most twice the first omitted term plus rounding.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_index(n)
     cfg = config or EmConfig()
     p = bits_of(cfg.precision)
     w = p + 16
@@ -615,6 +627,20 @@ def _series_at(kind: str, nman: int, nexp: int, w: int) -> tuple[Ball, Fraction]
     return acc, series.tail(count, x)
 
 
+def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
+    """_shift_sum at x = xman 2^nexp as a ball, on _series_at's rule: exact
+    and rounded once where x has at most 8 fraction bits; beyond, each term
+    is floored to w + 32 fraction bits, so the cost does not grow with x's
+    fraction and the m floors lose less than m units of the last place."""
+    x = _dyadic_fraction(xman, nexp)
+    if x.denominator <= 1 << _EXACT_SUM_BITS:
+        return Ball.from_fraction(_shift_sum(x, m, s), w)
+    f = w + 32
+    one = 1 << (f - s * nexp)  # 2^f (x+j)^-s = one / (xman + j 2^-nexp)^s
+    total = sum(one // (xman + (j << -nexp)) ** s for j in range(m))
+    return _from_int_interval(total, total + m, -f, w)
+
+
 def _digamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
     series, tail = _series_at("psi", nman, nexp, w)
@@ -623,8 +649,7 @@ def _digamma_point(man: int, exp: int, w: int) -> Ball:
     res = sub(res, series, w)
     if m:
         # psi(x) = psi(x+m) - sum_{j=0}^{m-1} 1/(x+j)
-        r = _shift_sum(_dyadic_fraction(xman, nexp), m, 1)
-        res = sub(res, Ball.from_fraction(r, w), w)
+        res = sub(res, _shift_ball(xman, nexp, m, 1, w), w)
     return add_rad_fraction(res, tail)
 
 
@@ -636,8 +661,7 @@ def _trigamma_point(man: int, exp: int, w: int) -> Ball:
     res = add(res, series, w)
     if m:
         # psi'(x) = psi'(x+m) + sum_{j=0}^{m-1} 1/(x+j)^2
-        r = _shift_sum(_dyadic_fraction(xman, nexp), m, 2)
-        res = add(res, Ball.from_fraction(r, w), w)
+        res = add(res, _shift_ball(xman, nexp, m, 2, w), w)
     return add_rad_fraction(res, tail)
 
 
@@ -729,9 +753,7 @@ def psi_gap(n: int, prec) -> Ball:
     The cost depends on the precision, not on n; results are memoised per
     (n, precision).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _psi_gap(n, bits_of(prec))
+    return _psi_gap(check_index(n), bits_of(prec))
 
 
 @lru_cache(maxsize=1024)

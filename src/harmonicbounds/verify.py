@@ -57,10 +57,8 @@ from .ball import (
     sub,
 )
 from .bounds import (
-    _alt_tail_shift,
+    SharpConstant,
     _frame_offset,
-    _gamma,
-    _main_shift,
     bound_ids,
     catalog,
     catalog_map,
@@ -84,7 +82,6 @@ __all__ = [
     "verify_all",
 ]
 
-_LIMIT = Fraction(6, 5)
 _GUARD = 16
 
 DEFAULT_G_GRID: tuple[int, ...] = (3, 4, 5, 10, 50, 100)
@@ -129,11 +126,11 @@ def _overlap_verdict(a: Ball, b: Ball, w: int) -> tuple[Verdict, Ball]:
 
 
 def _anchor(
-    check: str, value_at: Callable[[int], Ball], exact: Ball, lo: str, hi: str, w0: int
+    check: str, value_at: Callable[[int], Ball], exact: Ball,
+    window: tuple[Fraction, Fraction], w0: int,
 ) -> CheckRecord:
-    """value_at(w) at n = 1 meets its closed form `exact` and lies in (lo, hi)."""
+    """value_at(w) at n = 1 meets its closed form `exact` and lies inside window."""
     agree, diff = _overlap_verdict(value_at(w0), exact, w0)
-    window = Fraction(lo), Fraction(hi)
     rec = _certify(check, (("n", 1),), lambda w: _inside(value_at(w), *window, w), w0)
     return replace(
         rec, verdict=rec.verdict if agree is Verdict.PASS else Verdict.FAIL,
@@ -141,9 +138,19 @@ def _anchor(
     )
 
 
+def _sharp(bound_id: str, name: str) -> SharpConstant:
+    """A constant the catalog declares best possible, with its window."""
+    return next(c for c in catalog_map()[bound_id].sharp_constants if c.name == name)
+
+
 # ---------------------------------------------------------------------------
 # the sharpness function f
 # ---------------------------------------------------------------------------
+
+# f(1) is the main bound's lower shift A, and f's limit its upper shift 6/5
+_F_AT_ONE = _sharp("main", "lower_shift")
+_F_LIMIT = _sharp("main", "upper_shift")
+
 
 def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ball, int]:
     """Climb the precision ladder until f's denominator den_at(w) is certainly positive."""
@@ -180,26 +187,18 @@ def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
     """Enclosure of f at an integer n >= 1 or a positive ball argument."""
     p = bits_of(prec)
     w = p + _GUARD
-    if isinstance(x, int):
-        if x < 1:
-            raise ValueError("integer argument must be >= 1")
-        return round_ball(_f_int(x, w), p)
     if not isinstance(x, Ball):
-        raise TypeError("argument must be an int or a Ball")
+        return round_ball(_f_int(specfun.check_index(x), w), p)
     den, ww = _positive_den(lambda ww: _gap(x, ww), w, "f denominator")
     sq = mul(Ball.from_int(12), mul(x, x, ww), ww)
     return round_ball(sub(recip(den, ww), sq, ww), p)
 
 
-def _limit_ball(w: int) -> Ball:
-    return Ball.from_fraction(_LIMIT, w)
-
-
 def _f_closed_form(n: int, w: int) -> Ball:
     """Closed forms of f(1), f(2), f(3) as expressions in g, ln 2, ln 3."""
-    g = _gamma(w)
+    g = specfun.euler_gamma(w)
     if n == 1:
-        return _main_shift(w)
+        return _F_AT_ONE.value(w)
     if n == 2:
         l2 = elementary.ln2_ball(w)
         s = add(mul(Ball.from_int(48), g, w), mul(Ball.from_int(48), l2, w), w)
@@ -215,12 +214,12 @@ def _f_closed_form(n: int, w: int) -> Ball:
     raise ValueError("closed forms are recorded only for n in {1, 2, 3}")
 
 
-_F_PRINTED = {
-    1: Fraction("0.9507"),
-    2: Fraction("1.1090"),
-    3: Fraction("1.1549"),
+# f(1), f(2), f(3) to the four digits printed; f(1)'s are A's, from the catalog
+_F_DIGITS = {
+    1: (_F_AT_ONE.window_lo, _F_AT_ONE.window_hi),
+    2: (Fraction("1.1090"), Fraction("1.1091")),
+    3: (Fraction("1.1549"), Fraction("1.1550")),
 }
-_F_DIGIT_STEP = Fraction(1, 10**4)
 
 _GAP_SAMPLES = (1, 2, 3, 10, 100, 1000)
 
@@ -238,16 +237,15 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
             check="f_value", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=p,
         ))
-        lo = _F_PRINTED[n]
         rep.append(_certify(
             "f_digits", (("n", n),),
-            lambda w, n=n, lo=lo: _inside(_f_int(n, w), lo, lo + _F_DIGIT_STEP, w), p,
+            lambda w, n=n: _inside(_f_int(n, w), *_F_DIGITS[n], w), p,
         ))
 
     for n in range(1, max_n + 1):
         rep.append(_certify(
             "f_below_limit", (("n", n),),
-            lambda w, n=n: (sub(_limit_ball(w), _f_int(n, w), w),), p,
+            lambda w, n=n: (sub(_F_LIMIT.value(w), _f_int(n, w), w),), p,
         ))
         if n < max_n:
             rep.append(_certify(
@@ -261,8 +259,8 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
         rep.append(_certify(
             "f_gap_decreasing", (("n", a), ("next", b)),
             lambda w, a=a, b=b: (sub(
-                sub(_limit_ball(w), _f_int(a, w), w),
-                sub(_limit_ball(w), _f_int(b, w), w),
+                sub(_F_LIMIT.value(w), _f_int(a, w), w),
+                sub(_F_LIMIT.value(w), _f_int(b, w), w),
                 w,
             ),),
             p,
@@ -274,7 +272,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
             "f_limit_close", (("n", 1000),),
             lambda w: (sub(
                 Ball.from_fraction(Fraction(1, 10**6), w),
-                sub(_limit_ball(w), _f_int(1000, w), w),
+                sub(_F_LIMIT.value(w), _f_int(1000, w), w),
                 w,
             ),),
             p,
@@ -426,8 +424,9 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     p = bits_of(prec)
     rep = VerificationReport()
 
-    exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), _gamma(p), p), p)
-    rep.append(_anchor("epsilon_anchor", lambda w: _epsilon(1, w), exact1, "0.733", "0.735", p))
+    exact1 = sub(Ball.from_int(70), mul(Ball.from_int(120), specfun.euler_gamma(p), p), p)
+    window = Fraction("0.733"), Fraction("0.735")
+    rep.append(_anchor("epsilon_anchor", lambda w: _epsilon(1, w), exact1, window, p))
 
     for n in range(1, max_n + 1):
         rep.append(_certify(
@@ -473,6 +472,11 @@ def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 # alternating-tail constants
 # ---------------------------------------------------------------------------
 
+# x_1 is the alternating tail bound's lower shift, and x_n's limit its upper shift 1
+_X_AT_ONE = _sharp("alt_tail", "lower_shift")
+_X_LIMIT = _sharp("alt_tail", "upper_shift")
+
+
 @lru_cache(maxsize=16)
 def _alt_x(n: int, w: int) -> Ball:
     """x_n = 1/|tail| - 2n."""
@@ -487,7 +491,8 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
     rep = VerificationReport()
 
     rep.append(_anchor(
-        "x_anchor", lambda w: _alt_x(1, w), _alt_tail_shift(p), "1.2588", "1.2590", p
+        "x_anchor", lambda w: _alt_x(1, w), _X_AT_ONE.value(p),
+        (_X_AT_ONE.window_lo, _X_AT_ONE.window_hi), p,
     ))
 
     for n in range(1, max_n):
@@ -498,7 +503,7 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
 
     rep.append(_certify(
         "x_above_limit", (("n", max_n),),
-        lambda w: (sub(_alt_x(max_n, w), Ball.from_int(1), w),), p,
+        lambda w: (sub(_alt_x(max_n, w), _X_LIMIT.value(w), w),), p,
     ))
     return rep
 

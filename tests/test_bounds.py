@@ -31,11 +31,14 @@ from harmonicbounds.elementary import ln, ln2_ball
 from harmonicbounds.report import Verdict
 from harmonicbounds.specfun import (
     alternating_partial,
+    alternating_tail,
     euler_gamma,
+    harmonic_em,
     harmonic_exact,
     odd_harmonic_exact,
     psi_gap,
 )
+from harmonicbounds.verify import f_eval
 from helpers import assert_contains, oracle
 
 EXPECTED_IDS = (
@@ -79,7 +82,6 @@ def test_catalog_ids_are_stable():
 def test_catalog_entries_are_well_formed():
     for spec in catalog():
         assert spec.target in TARGETS
-        assert spec.domain_min >= 1
         assert spec.description
         for side, pts in (("lower", spec.lower_equalities), ("upper", spec.upper_equalities)):
             want = EXPECTED_EQUALITIES.get((spec.bound_id, side), set())
@@ -97,6 +99,66 @@ def test_sharp_constants_sit_in_their_decimal_windows():
             else:
                 assert ball.lower() >= sc.window_lo, f"{spec.bound_id}.{sc.name}"
                 assert ball.upper() <= sc.window_hi, f"{spec.bound_id}.{sc.name}"
+
+
+def _recip_2n(n, a):
+    return 1 / (2 * n + a)
+
+
+def _recip_24_square(n, a):
+    return 1 / (24 * (n + a) ** 2)
+
+
+def _neg_recip_12_square(n, a):
+    return -1 / (12 * n**2 + a)
+
+
+def _minus_ln_expm1(n, c):
+    return c - mp.ln(mp.expm1(1 / mp.mpf(n + 1)))
+
+
+def _ln_plus_gamma(n, c):
+    return mp.ln(n + c) + mp.euler
+
+
+# (bound, declared constant) -> (the side's formula in n and the constant,
+# the constant), both written here in mpmath and apart from the catalog
+ORACLE_SIDES = {
+    ("toth", "upper_shift"): (_recip_2n, lambda: mp.mpf(1) / 3),
+    ("toth_sharp", "lower_shift"): (_recip_2n, lambda: 1 / (1 - mp.euler) - 2),
+    ("toth_sharp", "upper_shift"): (_recip_2n, lambda: mp.mpf(1) / 3),
+    ("alt_tail", "lower_shift"): (_recip_2n, lambda: 1 / (1 - mp.ln(2)) - 2),
+    ("alt_tail", "upper_shift"): (_recip_2n, lambda: mp.mpf(1)),
+    ("batir", "lower_const"): (_minus_ln_expm1, lambda: 1 + mp.ln(mp.sqrt(mp.e) - 1)),
+    ("batir", "upper_const"): (_minus_ln_expm1, lambda: +mp.euler),
+    ("qi_guo_family", "lower_offset"): (_ln_plus_gamma, lambda: mp.mpf(1) / 2),
+    ("qi_guo_family", "upper_offset"): (_ln_plus_gamma, lambda: mp.exp(1 - mp.euler) - 1),
+    ("chen", "lower_shift"): (
+        _recip_24_square,
+        lambda: 1 / (2 * mp.sqrt(6 * (1 - mp.euler - mp.ln(mp.mpf(3) / 2)))) - 1,
+    ),
+    ("chen", "upper_shift"): (_recip_24_square, lambda: mp.mpf(1) / 2),
+    ("main", "lower_shift"): (
+        _neg_recip_12_square, lambda: 2 * (7 - 12 * mp.euler) / (2 * mp.euler - 1),
+    ),
+    ("main", "upper_shift"): (_neg_recip_12_square, lambda: mp.mpf(6) / 5),
+}
+
+
+def test_declared_sides_are_their_formula_at_their_constant():
+    # a side and the constant the catalog declares for it cannot drift apart
+    seen = set()
+    for spec in catalog():
+        for sc in spec.sharp_constants:
+            key = (spec.bound_id, sc.name)
+            seen.add(key)
+            formula, const = ORACLE_SIDES[key]
+            assert_contains(sc.value(256), oracle(const), label=f"{key}")
+            side = spec.lower if sc.name.startswith("lower") else spec.upper
+            for n in (1, 2, 10, 10**3):
+                want = oracle(lambda: formula(n, const()))
+                assert_contains(side(n, 256), want, label=f"{key} at n={n}")
+    assert seen == set(ORACLE_SIDES)
 
 
 def test_eight_equality_records_are_declared_in_total():
@@ -351,9 +413,17 @@ def test_check_bound_validation():
 @pytest.mark.parametrize("n", [True, False, 2.5, 3.0, Fraction(3), "3"])
 def test_bound_index_must_be_an_int(n):
     # a bool would be checked as 0 or 1 and printed as true or false
-    for call in (check_bound, evaluate_bound):
+    for call in (
+        lambda n: check_bound("main", n),
+        lambda n: evaluate_bound("main", n),
+        lambda n: target_value("H", n),
+        lambda n: psi_gap(n, 128),
+        lambda n: alternating_tail(n, 128),
+        harmonic_em,
+        f_eval,
+    ):
         with pytest.raises(TypeError, match="n must be an int"):
-            call("main", n)
+            call(n)
 
 
 def test_check_bound_is_deterministic():

@@ -1,12 +1,16 @@
-"""Smoke test of tools/reportsha.py, the report fingerprint printer."""
+"""Tests of tools/reportsha.py, the report fingerprint printer, and the
+fingerprints it prints for the current code."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from harmonicbounds.verify import verify_all
 
@@ -26,3 +30,26 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
     names = [line.split()[0] for line in families]
     assert names == sorted({r.check for r in rep.records})
     assert all(re.fullmatch(r"  \S+ +[0-9a-f]{64}", line) for line in families)
+
+
+# Report fingerprints of the current code.  A change that moves a verdict, a
+# record or a report byte must update these and say why.
+PINNED = {
+    (500, 128): (
+        "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
+        "bc5d1c255e221c6173f6dc1028dc6f2e2e41ea8a70fd4d4edce3fcf0f9b9be9d",
+    ),
+    (25, 1024): (
+        "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
+        "b4f2a7c76f3f38562c7df60db6d8471efce3e75f53ca1c61eb444598493d420e",
+    ),
+}
+
+
+@pytest.mark.parametrize("max_n, bits", sorted(PINNED))
+def test_report_fingerprints_are_pinned(max_n, bits):
+    spec = importlib.util.spec_from_file_location("reportsha", _PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    _, keys, js, *_ = tool.fingerprint(max_n, bits)
+    assert (keys.split()[-1], js.split()[-1]) == PINNED[max_n, bits]

@@ -407,14 +407,15 @@ def test_digamma_family_against_mpmath(x):
         Fraction(50),
         Fraction(12345, 64),
         Fraction(1, 3),
+        Fraction(2**9 + 1, 2**9),
         Fraction(2**20 + 1, 2**12),
     ],
 )
 def test_digamma_family_at_1024_bits_against_mpmath(x):
-    # 1/2 .. 50 and 1/3 are shifted up to the threshold, 12345/64 and
-    # 2^8 + 2^-12 are summed where they are; 1/3 is a ball rounded to the
-    # working precision, and it and 2^8 + 2^-12 have too many fraction
-    # bits for the exact sum
+    # 1/2 .. 50, 1/3 and 1 + 2^-9 are shifted up to the threshold, 12345/64
+    # and 2^8 + 2^-12 are summed where they are; 1/3 is a ball rounded to
+    # the working precision, and it, 1 + 2^-9 and 2^8 + 2^-12 have too many
+    # fraction bits for the exact sums
     for name, fn, ref in (
         ("psi", digamma, mp.digamma),
         ("psi1", trigamma, lambda v: mp.polygamma(1, v)),
@@ -437,17 +438,29 @@ def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
 
     for name in ("sum", "balls"):
         monkeypatch.setattr(specfun._Series, name, record(name))
-    for x, want in (
-        (Fraction(121), "sum"),
-        (Fraction(12345, 64), "sum"),
-        (Fraction(2**16 + 1, 2**8), "sum"),
-        (Fraction(2**17 + 1, 2**9), "balls"),
-        (Fraction(1, 3), "balls"),
+    # the shift below the threshold (121 at 1024 bits) follows the same rule
+    shift_sum = specfun._shift_sum
+    monkeypatch.setattr(
+        specfun, "_shift_sum", lambda *args: seen.append("shift") or shift_sum(*args)
+    )
+    for x, want, shifted in (
+        (Fraction(121), "sum", False),
+        (Fraction(12345, 64), "sum", False),
+        (Fraction(2**16 + 1, 2**8), "sum", False),
+        (Fraction(2**17 + 1, 2**9), "balls", False),
+        (Fraction(1, 2), "sum", True),
+        (Fraction(2**8 + 1, 2**8), "sum", True),
+        (Fraction(2**9 + 1, 2**9), "balls", True),
+        (Fraction(1, 3), "balls", True),
     ):
         for fn in (digamma, trigamma, lgamma):
             seen.clear()
             fn(x, 1024)
-            assert seen and set(seen) == {want}, (fn.__name__, x)
+            # ln Gamma carries an exact product, not the shift sum
+            exact_shift = shifted and want == "sum" and fn is not lgamma
+            assert seen and set(seen) == {want} | ({"shift"} if exact_shift else set()), (
+                fn.__name__, x,
+            )
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -458,6 +471,20 @@ def test_shift_sum_matches_the_per_term_sum(x, s):
     for m in (0, 1, 2, 9, 10, 57):
         want = sum((1 / (x + j) ** s for j in range(m)), Fraction(0))
         assert _shift_sum(x, m, s) == want, (x, s, m)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_shift_ball_contains_the_exact_shift_sum(s):
+    from harmonicbounds.specfun import _shift_ball, _shift_sum
+
+    third = Ball.from_fraction(Fraction(1, 3), 1040)  # 1/3 rounded to a long dyadic
+    for xman, nexp in ((1, -1), (2**9 + 1, -9), (third.man, third.exp)):
+        x = Fraction(xman, 2**-nexp)
+        for m in (1, 9, 121):
+            want = _shift_sum(x, m, s)
+            b = _shift_ball(xman, nexp, m, s, 1040)
+            assert b.contains(want), (x, m)
+            assert b.rad_fraction() < want / 2**1030, (x, m)
 
 
 def test_digamma_accepts_ball_arguments():
