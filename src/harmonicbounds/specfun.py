@@ -19,9 +19,13 @@ integer or a dyadic rational a/2^f, because ball functions are evaluated
 at their endpoints.  At an integer or a short dyadic (f <= 8) the sum is
 exact, in integers, and rounded to a ball once; at a longer endpoint, such
 as that of a ball rounded to the working precision, the exact integers
-would grow by about 2f bits a term, so the sum runs in ball arithmetic over
-the coefficients rounded to the working precision, as does
-`stirling_tail`'s few-term prefix at its ball argument.
+would grow by about 2f bits a term, so the sum runs by Horner's rule in
+ball arithmetic over the coefficients rounded to the working precision
+(`_Series.ball_sum`), the one routine also behind `stirling_tail`'s
+few-term prefix at its ball argument.  `_Series.truncation` gives the
+first K terms as an exact polynomial in 1/x, with the sign of the first
+omitted term, which is the side of it on which the series lies; `verify`
+derives its envelopes and its lower bound on g from it.
 
 That radius holds at every truncation length, for two reasons:
 - psi, psi' and ln Gamma: the series are asymptotic and diverge, but the
@@ -72,6 +76,7 @@ from .ball import (
     scale2,
     sub,
 )
+from .symbolic import Poly
 
 __all__ = [
     "BernoulliCache",
@@ -233,6 +238,16 @@ class _Series:
                 self._lcm = lcm
             return self._nums[:count], self._steps[:count]
 
+    def truncation(self, count: int) -> tuple[Poly, int]:
+        """The first count terms as a polynomial in u = 1/x, and the sign of
+        the first omitted term.  The series lies strictly between the
+        polynomial and the polynomial plus that term (for x > 0; x >= 1 for
+        expm1), so on the side of the polynomial that the sign states."""
+        coeffs = [Fraction(0)] * (2 * count + self.s + 1)
+        for k in range(1, count + 1):
+            coeffs[2 * k + self.s] = self.coeff(k)
+        return Poly(coeffs), 1 if self.coeff(count + 1) > 0 else -1
+
     def balls(self, w: int, count: int) -> list[Ball]:
         """Ball coefficients c_1..c_count at working bits w."""
         nums, steps = self._table(count)
@@ -349,6 +364,15 @@ class _Series:
         den = math.prod(steps) * a ** max(2 * count + self.s, 0) * d ** max(-self.s, 0)
         return Fraction(num, den), self.tail(count, x)
 
+    def ball_sum(self, x: Ball, count: int, w: int) -> Ball:
+        """The first count terms at a ball x: Horner's rule over the
+        coefficients at w bits in 1/x^2, times 1/x^(2+s)."""
+        inv = recip(x, w)
+        acc = _horner(self.balls(w, count), mul(inv, inv, w), w)
+        for _ in range(2 + self.s):  # term k is c_k x^-2(k-1) x^-(2+s)
+            acc = mul(acc, inv, w)
+        return acc
+
     def at(self, x: int, w: int) -> tuple[Fraction, Fraction]:
         """The series at an integer x >= 1 summed to 2^-(w+6), and its tail."""
         return self.sum(x, self.terms(_log2_lower(x, 0), w + 6))
@@ -371,13 +395,13 @@ _SERIES = {
 # exact partial sums
 # ---------------------------------------------------------------------------
 
-def check_index(n: int) -> int:
-    """n, once it is an index: an int >= 1 and not a bool, which would
+def check_index(n: int, least: int = 1) -> int:
+    """n, once it is an index: an int >= least and not a bool, which would
     stand for 0 or 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
     return n
 
 
@@ -396,16 +420,12 @@ def _tree_sum(term, a: int, b: int) -> Fraction:
 
 def harmonic_exact(n: int) -> Fraction:
     """Exact harmonic number H(n) = 1 + 1/2 + ... + 1/n."""
-    if n < 0:
-        raise ValueError("partial sum index must be nonnegative")
-    return _tree_sum(lambda i: Fraction(1, i), 1, n)
+    return _tree_sum(lambda i: Fraction(1, i), 1, check_index(n, 0))
 
 
 def odd_harmonic_exact(n: int) -> Fraction:
     """Exact sum of reciprocals of the first n odd numbers."""
-    if n < 0:
-        raise ValueError("partial sum index must be nonnegative")
-    return _tree_sum(lambda i: Fraction(1, 2 * i - 1), 1, n)
+    return _tree_sum(lambda i: Fraction(1, 2 * i - 1), 1, check_index(n, 0))
 
 
 def _shift_sum(x: Fraction, m: int, s: int) -> Fraction:
@@ -417,9 +437,7 @@ def _shift_sum(x: Fraction, m: int, s: int) -> Fraction:
 
 def alternating_partial(n: int) -> Fraction:
     """Exact alternating sum 1 - 1/2 + 1/3 - ... +- 1/n = H(n) - H(floor(n/2))."""
-    if n < 0:
-        raise ValueError("partial sum index must be nonnegative")
-    return harmonic_exact(n) - harmonic_exact(n // 2)
+    return harmonic_exact(check_index(n, 0)) - harmonic_exact(n // 2)
 
 
 def alternating_tail(n: int, prec) -> Ball:
@@ -620,11 +638,7 @@ def _series_at(kind: str, nman: int, nexp: int, w: int) -> tuple[Ball, Fraction]
     if x.denominator <= 1 << _EXACT_SUM_BITS:
         acc, tail = series.sum(x, count)
         return Ball.from_fraction(acc, w), tail
-    inv = recip(Ball(nman, nexp), w)
-    acc = _horner(series.balls(w, count), mul(inv, inv, w), w)
-    for _ in range(2 + series.s):  # term k is c_k N^-2(k-1) N^-(2+s)
-        acc = mul(acc, inv, w)
-    return acc, series.tail(count, x)
+    return series.ball_sum(Ball(nman, nexp), count, w), series.tail(count, x)
 
 
 def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
@@ -791,8 +805,5 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
     if lo <= 0:
         raise DomainError("argument enclosure must be strictly positive")
     count = 2 * order if kind == "F" else 2 * order + 1
-    lg = lgamma(xb, w)
-    inv_x = recip(xb, w)
-    acc = _horner(_SERIES["lgamma"].balls(w, count), mul(inv_x, inv_x, w), w)
-    res = sub(lg, _stirling(xb, mul(acc, inv_x, w), w), p)
+    res = sub(lgamma(xb, w), _stirling(xb, _SERIES["lgamma"].ball_sum(xb, count, w), w), p)
     return res if kind == "F" else neg(res)

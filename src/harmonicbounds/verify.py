@@ -22,6 +22,12 @@ _certify is the one path from such a claim to its record.  The one check
 that is not an inequality, that two enclosures of the same real
 intersect, compares the balls as sets (_overlap_verdict).
 
+The g_positivity stage reads no hand-entered polynomial: its envelopes
+of psi, psi' and ln x + 1/(2x) - psi(x+1), and the quartic G whose
+positivity bounds g from below, are derived from the truncated series in
+specfun._SERIES, each envelope's side from the sign of the first omitted
+term.
+
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at, so the stages read the psi_gap, g and ln
 values the bound sweep has already cached; only f_eval, which hands a
@@ -32,6 +38,7 @@ their targets differ by terms free of ln n and g (bounds._frame_offset).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
@@ -284,33 +291,53 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
 # positivity of g and the envelope inequalities behind it
 # ---------------------------------------------------------------------------
 
-# numerators over c * x^k denominators, coefficients in ascending powers
-_PSI_LOW = (Poly((10, 0, -21, 0, 210, 1260)), 2520, 6)
-_PSI_HIGH = (Poly((-21, 0, 20, 0, -42, 0, 420, 2520)), 5040, 8)
-_PSI1_LOW = (Poly((-7, 0, 5, 0, -7, 0, 35, 105, 210)), 210, 9)
-_PSI1_HIGH = (Poly((5, 0, -7, 0, 35, 105, 210)), 210, 7)
-_GAP_HIGH = (Poly((10, 0, -21, 0, 210)), 2520, 6)
+# The envelopes are the psi and psi' series (specfun._SERIES) truncated after
+# 3 and 4 terms, as polynomials in u = 1/x, with
+#   psi(x) = ln x - u/2 - S(u),  psi'(x) = u + u^2/2 + S1(u),  gap(x) = S(u).
+# Each series lies strictly between its truncation and the truncation plus
+# the first omitted term (DLMF 5.11(ii)), so on the side that term's sign
+# states: +1 above the truncation, -1 below it.
+_U = Poly.x()
+_HALF = Poly.const(Fraction(1, 2))
 
-_G_POLY = Poly((-100, 0, -8400, 0, 1659))
-_G_SHIFTED = (58679, 128772, 81186, 19908, 1659)
+
+def _envelopes(kind: str, lead: Poly) -> list[tuple[Poly, int]]:
+    """lead + the kind's series truncated after 3 and 4 terms, each with the
+    side on which lead + series lies."""
+    trunc = specfun._SERIES[kind].truncation
+    return [(lead + poly, side) for poly, side in (trunc(3), trunc(4))]
 
 
-def _ratio_ball(spec: tuple[Poly, int, int], x, w: int) -> Ball:
-    """Evaluate numerator / (c x^k), exactly when x is rational."""
-    poly, c, k = spec
+def _g_shifted(psi1_low: Poly, gap_high: Poly) -> tuple[tuple[int, ...], bool]:
+    """The lower bound psi1_low - u^2 - u + u^2/2 - 24 x gap_high^2 on g, by
+    psi'(x+1) = psi'(x) - u^2 and 0 < gap < gap_high, as G(x) over a
+    positive multiple of x^d with G in primitive integer form.  Returns G's
+    Taylor coefficients at x = 3 and whether the bound starts at u^7, as
+    g = O(x^-7) does: a lower bound with a u^k term, k < 7, is false or
+    negative for large x."""
+    ub = _U * (psi1_low - _U - _HALF * _U * _U) - Poly.const(24) * gap_high * gap_high
+    bound = ub.coeffs[1:]
+    coeffs = bound[::-1]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(lcm, math.gcd(*(c.numerator for c in coeffs)))
+    shifted = Poly()
+    for c in reversed(coeffs):
+        shifted = shifted * (_U + Poly.const(3)) + Poly.const(c * scale)
+    return tuple(int(c) for c in shifted.coeffs), not any(bound[:7])
+
+
+def _at(poly: Poly, x, w: int) -> Ball:
+    """poly(1/x): exact and rounded once at a rational x, by ball Horner at a ball."""
     if isinstance(x, Ball):
-        num = specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], x, w)
-        den = mul(Ball.from_int(c), _pow_ball(x, k, w), w)
-        return div(num, den, w)
-    xf = Fraction(x)
-    return Ball.from_fraction(poly(xf) / (c * xf**k), w)
+        return specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], recip(x, w), w)
+    return Ball.from_fraction(poly(1 / Fraction(x)), w)
 
 
-def _pow_ball(x: Ball, k: int, w: int) -> Ball:
-    acc = Ball.from_int(1)
-    for _ in range(k):
-        acc = mul(acc, x, w)
-    return acc
+def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, ...]:
+    """v - t for each truncation t that v lies above (side +1), then t - v
+    for each one it lies below: the differences that must be > 0."""
+    ordered = sorted(truncations, key=lambda ts: -ts[1])
+    return tuple(sub(v, t, w) if side > 0 else sub(t, v, w) for t, side in ordered)
 
 
 def _as_point(x) -> tuple[str, Ball | None, Fraction | None]:
@@ -346,15 +373,14 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
     p = bits_of(prec)
     rep = VerificationReport()
 
-    # the shifted expansion must reproduce the quartic exactly
-    y = Poly.x() - Poly.const(3)
-    recomposed = Poly.const(0)
-    for c in reversed(_G_SHIFTED):
-        recomposed = recomposed * y + Poly.const(c)
-    identity_ok = recomposed == _G_POLY and _G_POLY(Fraction(3)) == _G_SHIFTED[0]
+    psi = _envelopes("psi", _HALF * _U)  # of ln x - psi(x)
+    psi1 = _envelopes("psi1", _U + _HALF * _U * _U)
+    gap_high = next(e for e, side in _envelopes("psi", Poly()) if side < 0)
+    g_shifted, starts_at_u7 = _g_shifted(next(e for e, side in psi1 if side > 0), gap_high)
+    # G > 0 for x >= 3 when every Taylor coefficient of G at 3 is > 0
     rep.append(CheckRecord(
-        check="g_shifted_identity", params=(("constant", _G_SHIFTED[0]),),
-        verdict=Verdict.PASS if identity_ok else Verdict.FAIL,
+        check="g_shifted_identity", params=(("constant", g_shifted[0]),),
+        verdict=Verdict.PASS if starts_at_u7 and min(g_shifted) > 0 else Verdict.FAIL,
         margin=None, precision_bits=0,
     ))
 
@@ -364,9 +390,9 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         if base < 3:
             raise ValueError("grid points must be >= 3")
 
-        # exact positivity of the quartic via its nonnegative shifted form
+        # exact positivity of G via its positive shifted form
         yv = base - 3
-        value = sum(c * yv**k for k, c in enumerate(_G_SHIFTED))
+        value = sum(c * yv**k for k, c in enumerate(g_shifted))
         rep.append(CheckRecord(
             check="g_polynomial", params=(("x", label),),
             verdict=Verdict.PASS if value > 0 else Verdict.FAIL,
@@ -377,32 +403,20 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         at = (("x", label),)
         rep.append(_certify("g_direct", at, lambda w, arg=arg: (_g_direct(arg, w),), p))
 
-        def psi_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
-            # ln x - low(x) < psi(x) < ln x - high(x)
+        def psi_sides(ww: int, arg=arg) -> tuple[Ball, ...]:
+            # psi's truncations are ln x less those of ln x - psi, on the other side
             a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
             lnx = elementary.ln(a, ww)
-            psi = specfun.digamma(arg, ww)
-            return (
-                sub(psi, sub(lnx, _ratio_ball(_PSI_LOW, arg, ww), ww), ww),
-                sub(sub(lnx, _ratio_ball(_PSI_HIGH, arg, ww), ww), psi, ww),
-            )
+            truncs = [(sub(lnx, _at(e, arg, ww), ww), -side) for e, side in psi]
+            return _sides(specfun.digamma(arg, ww), truncs, ww)
 
         rep.append(_certify("psi_envelope", at, psi_sides, p))
-
-        def psi1_sides(ww: int, arg=arg) -> tuple[Ball, Ball]:
-            # low(x) < psi'(x) < high(x)
-            psi1 = specfun.trigamma(arg, ww)
-            return (
-                sub(psi1, _ratio_ball(_PSI1_LOW, arg, ww), ww),
-                sub(_ratio_ball(_PSI1_HIGH, arg, ww), psi1, ww),
-            )
-
-        rep.append(_certify("psi1_envelope", at, psi1_sides, p))
-
-        rep.append(_certify(
-            "gap_envelope", at,
-            lambda w, arg=arg: (sub(_ratio_ball(_GAP_HIGH, arg, w), _gap(arg, w), w),), p,
-        ))
+        rep.append(_certify("psi1_envelope", at, lambda w, arg=arg: _sides(
+            specfun.trigamma(arg, w), [(_at(e, arg, w), side) for e, side in psi1], w,
+        ), p))
+        rep.append(_certify("gap_envelope", at, lambda w, arg=arg: _sides(
+            _gap(arg, w), [(_at(gap_high, arg, w), -1)], w,
+        ), p))
     return rep
 
 
@@ -674,6 +688,8 @@ def verify_all(
         raise ValueError("max_n must be >= 3")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if isinstance(checks, str):
+        raise TypeError(f"checks must be a collection of check names, not the str {checks!r}")
     selected = tuple(checks) if checks is not None else CHECK_NAMES
     if not selected:
         raise ValueError("checks must name at least one check")

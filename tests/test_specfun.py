@@ -216,6 +216,17 @@ def test_alternating_partial_via_harmonic_identity(n):
     assert alternating_partial(2 * n) == harmonic_exact(2 * n) - harmonic_exact(n)
 
 
+@pytest.mark.parametrize("fn", [harmonic_exact, odd_harmonic_exact, alternating_partial])
+def test_exact_partial_sums_take_an_int_index_from_zero(fn):
+    # a bool would be summed as 0 or 1 terms, and a float failed inside range
+    for n in (True, 2.5, 3.0):
+        with pytest.raises(TypeError, match="n must be an int"):
+            fn(n)
+    assert fn(0) == Fraction(0)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        fn(-1)
+
+
 def test_alternating_tail_contains_true_distance_to_ln2():
     for n in (1, 2, 3, 10, 101):
         t = alternating_tail(n, 128)
@@ -590,6 +601,29 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
             # rounded from that table
             expected = [Ball.from_fraction(c[k], w) for k in range(count)]
             assert series.balls(w, count) == expected, (kind, w)
+
+
+@pytest.mark.parametrize("x", [Fraction(7, 2), Fraction(7), Fraction(1000)], ids=str)
+def test_truncations_lie_on_their_stated_side(x):
+    # the series from mpmath's psi and psi', not from digamma or trigamma:
+    # psi(x) = ln x - 1/(2x) - S(1/x) and psi'(x) = 1/x + 1/(2x^2) + S1(1/x)
+    from harmonicbounds.specfun import _SERIES
+
+    with mp.workdps(80):
+        xm = mp.mpf(x.numerator) / x.denominator
+        sums = {
+            "psi": mp.log(xm) - 1 / (2 * xm) - mp.digamma(xm),
+            "psi1": mp.psi(1, xm) - 1 / xm - 1 / (2 * xm**2),
+        }
+        for kind, value in sums.items():
+            for count in (3, 4):
+                poly, side = _SERIES[kind].truncation(count)
+                t = poly(1 / x)
+                miss = value - mp.mpf(t.numerator) / t.denominator
+                assert mp.sign(miss) == side, (kind, count)
+                # and no further off than the first omitted term
+                first = _SERIES[kind].tail(count, x)
+                assert abs(miss) < mp.mpf(first.numerator) / first.denominator, (kind, count)
 
 
 def test_tail_at_a_long_dyadic_bounds_the_first_omitted_term():

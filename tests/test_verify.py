@@ -161,6 +161,47 @@ def test_g_polynomial_margin_at_three_is_exact():
     assert margin.mid_fraction() == 58679
 
 
+def test_g_polynomial_is_the_quartic_derived_from_the_series():
+    # the lower bound on g reduces to (1659 x^4 - 8400 x^2 - 100) / (264600 x^11);
+    # g_polynomial's margin is the quartic's exact value at each point
+    points = (3, Fraction(7, 2), 4, 5, 10, 50, 100)
+    rep = g_positivity(points, 128)
+    recs = [r for r in rep.records if r.check == "g_polynomial"]
+    assert len(recs) == len(points)
+    for x, rec in zip(points, recs):
+        assert rec.margin.is_exact
+        assert rec.margin.mid_fraction() == 1659 * Fraction(x) ** 4 - 8400 * Fraction(x) ** 2 - 100
+    identity = [r for r in rep.records if r.check == "g_shifted_identity"]
+    assert [(r.params, r.verdict) for r in identity] == [((("constant", 58679),), Verdict.PASS)]
+
+
+@pytest.mark.parametrize("factor", [Fraction(101, 100), Fraction(99, 100)], ids=["up", "down"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["psi", "psi1"])
+def test_a_perturbed_series_coefficient_fails_g_positivity(monkeypatch, kind, k, factor):
+    # c_k changed by 1 % only where verify derives its envelopes and g's
+    # bound: digamma and trigamma still read the true series
+    from harmonicbounds import specfun
+    from harmonicbounds.symbolic import Poly
+
+    series = specfun._SERIES[kind]
+    truncation = series.truncation
+
+    def perturbed(count):
+        poly, side = truncation(count)
+        coeffs = list(poly.coeffs)
+        coeffs[2 * k + series.s] *= factor
+        return Poly(coeffs), side
+
+    monkeypatch.setattr(series, "truncation", perturbed)
+    rep = g_positivity(None, 128)
+    assert rep.summary()["fail"] > 0
+    if k <= 2:
+        # c_1 and c_2 are what cancels g's bound down to u^7
+        identity = next(r for r in rep.records if r.check == "g_shifted_identity")
+        assert identity.verdict is Verdict.FAIL
+
+
 def test_g_direct_margin_matches_leading_asymptotics():
     # g(x) ~ 79/(12600 x^7); at x = 3 the enclosure should be within a
     # factor of two of the leading term
@@ -445,6 +486,12 @@ def test_verify_all_refuses_an_empty_check_selection():
     # an empty selection certifies nothing, so it must not report success
     with pytest.raises(ValueError, match="at least one check"):
         verify_all(5, 128, checks=())
+
+
+def test_verify_all_refuses_a_bare_string_of_checks():
+    # a str iterates over its characters, so "cm" would select "c" and "m"
+    with pytest.raises(TypeError, match="checks must be a collection"):
+        verify_all(5, 128, checks="cm")
 
 
 def test_verify_all_exit_code_zero_when_green():
