@@ -22,7 +22,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from . import specfun
-from .ball import Ball, MAX_PRECISION, MIN_PRECISION, bits_of, enclosure_str
+from .ball import Ball, MAX_PRECISION, MIN_PRECISION, enclosure_str
 from .bounds import bound_ids, check_bound, target_value
 from .report import (
     VerificationReport,
@@ -52,25 +52,21 @@ BOUNDS_CSV_HEADER = [
 ]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _int_at_least(least: int, most: int | None = None):
+    """The argparse type of an integer in [least, most]."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be <= {most}")
+        return value
 
-def _precision_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    lo, hi = bits_of(MIN_PRECISION), bits_of(MAX_PRECISION)
-    if not lo <= value <= hi:
-        raise argparse.ArgumentTypeError(f"precision must be between {lo} and {hi} bits")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_precision(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--precision",
-            type=_precision_arg,
+            type=_int_at_least(MIN_PRECISION, MAX_PRECISION),
             default=_DEFAULT_BITS,
             metavar="BITS",
             help=f"working precision in bits (default {_DEFAULT_BITS})",
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("eval", help="print H(n) exactly or as a decimal enclosure")
-    p.add_argument("n", type=_positive_int, help="index of the harmonic number")
+    p.add_argument("n", type=_int_at_least(1), help="index of the harmonic number")
     p.add_argument(
         "--exact",
         action="store_true",
@@ -110,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bounds", help="check the bound catalog at one index")
-    p.add_argument("n", type=_positive_int, help="index to check the bounds at")
+    p.add_argument("n", type=_int_at_least(1), help="index to check the bounds at")
     p.add_argument(
         "--bound",
         choices=("all",) + bound_ids(),
@@ -125,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-n",
         dest="max_n",
-        type=_positive_int,
+        type=_int_at_least(3),
         default=1000,
         help="sweep indices 1..max_n (default 1000)",
     )
@@ -137,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="worker processes for the bound sweep (default 1)",
     )
@@ -149,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-n",
         dest="max_n",
-        type=_positive_int,
+        type=_int_at_least(2),
         default=1000,
         help="compare over indices 2..max_n (default 1000)",
     )
@@ -235,9 +231,6 @@ def _emit_report(rep: VerificationReport, fmt: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 3:
-        print("error: verify needs --max-n >= 3", file=sys.stderr)
-        return 2
     if args.checks is None:
         checks = None
     else:
@@ -254,9 +247,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.max_n < 2:
-        print("error: compare needs --max-n >= 2", file=sys.stderr)
-        return 2
     rep = refinement_check(args.max_n, args.precision)
     return _emit_report(rep, args.fmt)
 

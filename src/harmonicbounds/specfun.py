@@ -4,9 +4,9 @@ Exact layer: Bernoulli numbers/polynomials and partial sums (harmonic,
 odd-denominator harmonic, alternating) as Fractions.  The Bernoulli numbers
 come from the integer tangent numbers, built once per process.  The partial
 sums grow with n (H(n) has a denominator of about 1.44 n bits), so no
-certified evaluation uses them: they are public API and the test-suite's
-independent reference.  Each call sums from 1 by balanced splitting and
-keeps no state; only H(2^k), which gamma is built from, is memoised.
+certified evaluation uses them, gamma's H(2^k) included: they are public
+API and the test-suite's independent reference.  Each call sums from 1 by
+balanced splitting and keeps no state.
 
 Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
@@ -42,11 +42,12 @@ Arguments below the shift threshold are pushed up by the recurrences
 psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
 applied, so the series is only ever used where its terms decay far below
 the working precision.  The sum those recurrences carry, 1/x + ... +
-1/(x+m-1) or its squares, is one exact helper (`_shift_sum`) for digamma,
-trigamma and psi_gap, taken on the series' rule: exactly where x has at
-most 8 fraction bits, and beyond as terms floored to fixed point
-(`_shift_ball`).  ln Gamma carries an exact product instead, and its
-Stirling formula is one helper (`_stirling`) for lgamma and stirling_tail.
+1/(x+m-1) or its squares, is one fixed-point helper (`_shift_ball`) for
+digamma, trigamma and psi_gap at every x: each term is floored to a fixed
+number of fraction bits and the floors are carried as the radius, so no
+Fraction grows with m.  The same helper sums H(2^k) for gamma.  ln Gamma
+carries an exact product instead, and its Stirling formula is one helper
+(`_stirling`) for lgamma and stirling_tail.
 """
 
 from __future__ import annotations
@@ -428,13 +429,6 @@ def odd_harmonic_exact(n: int) -> Fraction:
     return _tree_sum(lambda i: Fraction(1, 2 * i - 1), 1, check_index(n, 0))
 
 
-def _shift_sum(x: Fraction, m: int, s: int) -> Fraction:
-    """sum_{j=0}^{m-1} (x+j)^-s exactly for a rational x > 0: what the
-    recurrences of psi (s = 1) and psi' (s = 2) carry from x to x + m."""
-    a, d = x.numerator, x.denominator
-    return _tree_sum(lambda j: Fraction(d**s, (a + j * d) ** s), 0, m - 1)
-
-
 def alternating_partial(n: int) -> Fraction:
     """Exact alternating sum 1 - 1/2 + 1/3 - ... +- 1/n = H(n) - H(floor(n/2))."""
     return harmonic_exact(check_index(n, 0)) - harmonic_exact(n // 2)
@@ -542,19 +536,16 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
 
     Rearranges the Euler--Maclaurin formula at n = 2^k so the only
     transcendental input is ln 2: gamma = H(n) - k ln 2 - 1/(2n) + sum of
-    Bernoulli corrections, with the first omitted term as radius.  The two
-    policies pick different k (and hence different orders q), giving
-    independent derivations whose enclosures must overlap.
+    Bernoulli corrections, with the first omitted term as radius.  H(n) is
+    summed in fixed point (`_shift_ball`), n floors of less than an ulp
+    each at p + 48 fraction bits, so it costs n short divisions, not an
+    exact Fraction with a 1.44 n-bit denominator.  The two policies pick
+    different k (and hence different orders q), giving independent
+    derivations whose enclosures must overlap.
     """
     if policy not in _GAMMA_POLICIES:
         raise ValueError(f"unknown euler_gamma policy: {policy!r}")
     return _euler_gamma(bits_of(prec), policy)
-
-
-@lru_cache(maxsize=16)
-def _harmonic_pow2(k: int) -> Fraction:
-    """Exact H(2^k), shared by every precision of gamma that uses this k."""
-    return harmonic_exact(1 << k)
 
 
 @lru_cache(maxsize=64)
@@ -567,9 +558,9 @@ def _euler_gamma(p: int, policy: str) -> Ball:
     w = p + 16
     psi = _SERIES["psi"]
     series, tail = psi.sum(n, psi.terms(k, p + 10))
-    acc = _harmonic_pow2(k) - Fraction(1, 2 * n) + series
+    acc = add(_shift_ball(1, 0, n, 1, w), Ball.from_fraction(series - Fraction(1, 2 * n), w), w)
     ln_n = mul(elementary.ln2_ball(w), Ball.from_int(k), w)
-    res = sub(Ball.from_fraction(acc, w), ln_n, p)
+    res = sub(acc, ln_n, p)
     return add_rad_fraction(res, tail)
 
 
@@ -642,13 +633,12 @@ def _series_at(kind: str, nman: int, nexp: int, w: int) -> tuple[Ball, Fraction]
 
 
 def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
-    """_shift_sum at x = xman 2^nexp as a ball, on _series_at's rule: exact
-    and rounded once where x has at most 8 fraction bits; beyond, each term
-    is floored to w + 32 fraction bits, so the cost does not grow with x's
-    fraction and the m floors lose less than m units of the last place."""
-    x = _dyadic_fraction(xman, nexp)
-    if x.denominator <= 1 << _EXACT_SUM_BITS:
-        return Ball.from_fraction(_shift_sum(x, m, s), w)
+    """sum_{j=0}^{m-1} (x+j)^-s at x = xman 2^nexp > 0, nexp <= 0, as a
+    ball: what the recurrences of psi (s = 1) and psi' (s = 2) carry from x
+    to x + m, and at x = 1, s = 1 the harmonic number H(m).  Each term is
+    floored to w + 32 fraction bits, so the cost grows neither with x's
+    fraction nor with the sum's exact denominator, and the m floors lose
+    less than m units of the last place."""
     f = w + 32
     one = 1 << (f - s * nexp)  # 2^f (x+j)^-s = one / (xman + j 2^-nexp)^s
     total = sum(one // (xman + (j << -nexp)) ** s for j in range(m))
@@ -762,8 +752,9 @@ def psi_gap(n: int, prec) -> Ball:
     This difference is of order 1/(12 n^2); evaluating it through the
     asymptotic series directly avoids the catastrophic cancellation of
     subtracting two O(ln n) enclosures.  For n below the shift threshold
-    the series is applied at a shifted integer N with the exact rational
-    correction carried along, leaving ln(n/N) as the only transcendental.
+    the series is applied at a shifted integer N with the correction
+    1/(n+1) + ... + 1/N carried along in fixed point (`_shift_ball`),
+    leaving ln(n/N) as the only transcendental.
     The cost depends on the precision, not on n; results are memoised per
     (n, precision).
     """
@@ -779,8 +770,8 @@ def _psi_gap(n: int, p: int) -> Ball:
         return add_rad_fraction(Ball.from_fraction(acc, p), tail)
     series, tail = _threshold_series(w)
     # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
-    rest = Fraction(1, 2 * n) + _shift_sum(Fraction(n + 1), big - n, 1)
-    res = add(Ball.from_fraction(rest, w), series, w)
+    res = add(_shift_ball(n + 1, 0, big - n, 1, w), series, w)
+    res = add(Ball.from_fraction(Fraction(1, 2 * n), w), res, w)
     res = add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
     return add_rad_fraction(res, tail)
 

@@ -341,9 +341,11 @@ def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, 
 
 
 def _as_point(x) -> tuple[str, Ball | None, Fraction | None]:
-    """Normalize a grid entry to (label, ball-or-None, rational-or-None)."""
+    """Normalize a grid entry to (label, ball-or-None, rational-or-None).
+    The label is a rational's value or a ball's exact midpoint and radius,
+    so two grid entries share it only when they are the same point."""
     if isinstance(x, Ball):
-        return f"[{float(x.mid_fraction()):.6g}]", x, None
+        return f"[{x.mid_fraction()} +/- {x.rad_fraction()}]", x, None
     xf = Fraction(x)
     return str(x) if isinstance(x, int) else str(xf), None, xf
 
@@ -367,9 +369,11 @@ def _g_direct(x, w: int) -> Ball:
 
 def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify g > 0 on the grid, plus the rational-envelope chain behind it."""
-    points = tuple(grid) if grid is not None else DEFAULT_G_GRID
+    points = [_as_point(x) for x in (grid if grid is not None else DEFAULT_G_GRID)]
     if not points:
         raise ValueError("grid must be non-empty")
+    if len({label for label, _, _ in points}) < len(points):
+        raise ValueError("grid points must be distinct")
     p = bits_of(prec)
     rep = VerificationReport()
 
@@ -384,8 +388,7 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         margin=None, precision_bits=0,
     ))
 
-    for x in points:
-        label, xball, xfrac = _as_point(x)
+    for label, xball, xfrac in points:
         base = xfrac if xfrac is not None else xball.lower()
         if base < 3:
             raise ValueError("grid points must be >= 3")

@@ -24,7 +24,10 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -250,6 +253,7 @@ def test_compare_reports_refinement_records(capsys):
 def test_compare_rejects_small_max_n(capsys):
     code, _, err = run_cli(capsys, "compare", "--max-n", "1")
     assert code == 2
+    assert "max-n" in err
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,11 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "bc5d1c255e221c6173f6dc1028dc6f2e2e41ea8a70fd4d4edce3fcf0f9b9be9d",
+        "175a19a479990bfca067144321ee0c624af41043b14795fea286cacdab32dcfc",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "b4f2a7c76f3f38562c7df60db6d8471efce3e75f53ca1c61eb444598493d420e",
+        "05164c196107d7f3a86fcf1f173200c10b37fb63ee174dbc2bfcea51c1c6f112",
     ),
 }
 

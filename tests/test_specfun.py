@@ -252,11 +252,14 @@ def test_pi_contains_frozen_digits():
 
 
 def test_euler_gamma_digits_and_radius():
-    # radius after final rounding stays within one ulp at p bits
-    for p in (53, 128, 256, 1024):
-        g = euler_gamma(p)
-        assert_contains(g, GAMMA_110, fuzz=Fraction(1, 10**100), label=f"gamma@{p}")
-        assert g.rad_fraction() <= Fraction(1, 2 ** (p - 1))
+    # 1300 digits resolve gamma far below the 4096-bit radius (about 10^-1233);
+    # the radius after final rounding stays within one ulp at p bits
+    want = oracle(lambda: +mp.euler, dps=1300)
+    for policy in ("default", "alt"):
+        for p in (53, 128, 256, 1024, 4096):
+            g = euler_gamma(p, policy)
+            assert_contains(g, want, fuzz=Fraction(1, 10**1290), label=f"gamma@{p}/{policy}")
+            assert g.rad_fraction() <= Fraction(1, 2 ** (p - 1)), (p, policy)
 
 
 def test_euler_gamma_policies_agree_and_differ_in_derivation():
@@ -273,22 +276,23 @@ def test_euler_gamma_gamma_digit_window_at_double_precision():
     assert_in_window(euler_gamma(53), "0.57721566", "0.57721567", "gamma@53")
 
 
-def test_cached_harmonic_at_powers_of_two_is_exact():
-    from harmonicbounds.specfun import _harmonic_pow2
-
-    for k in range(11):
-        assert _harmonic_pow2(k) == harmonic_exact(2**k), k
+def _refuse(*args):
+    raise AssertionError("exact sum on a certified path")
 
 
-def test_two_precisions_of_gamma_build_one_harmonic_sum():
-    from harmonicbounds.specfun import _euler_gamma, _harmonic_pow2
+@pytest.mark.parametrize("p", [128, 1024])
+def test_euler_gamma_sums_no_exact_harmonic_number(monkeypatch, p):
+    # H(2^k) is summed in fixed point: no Fraction tree on gamma's path
+    from harmonicbounds import specfun
 
-    _euler_gamma.cache_clear()
-    _harmonic_pow2.cache_clear()
-    for p in (200, 1024):  # both sum to n = 2^13
-        assert_contains(euler_gamma(p), GAMMA_110, fuzz=Fraction(1, 10**100), label=f"gamma@{p}")
-    info = _harmonic_pow2.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    monkeypatch.setattr(specfun, "_tree_sum", _refuse)
+    monkeypatch.setattr(specfun, "harmonic_exact", _refuse)
+    specfun._euler_gamma.cache_clear()
+    try:
+        for policy in ("default", "alt"):
+            assert_contains(euler_gamma(p, policy), GAMMA_110, fuzz=Fraction(1, 10**100))
+    finally:
+        specfun._euler_gamma.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +453,18 @@ def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
 
     for name in ("sum", "balls"):
         monkeypatch.setattr(specfun._Series, name, record(name))
-    # the shift below the threshold (121 at 1024 bits) follows the same rule
-    shift_sum = specfun._shift_sum
+    # the shift below the threshold (121 at 1024 bits) is in fixed point at
+    # every x, whatever side the series takes
+    shift_ball = specfun._shift_ball
     monkeypatch.setattr(
-        specfun, "_shift_sum", lambda *args: seen.append("shift") or shift_sum(*args)
+        specfun, "_shift_ball", lambda *args: seen.append("shift") or shift_ball(*args)
     )
     for x, want, shifted in (
         (Fraction(121), "sum", False),
         (Fraction(12345, 64), "sum", False),
         (Fraction(2**16 + 1, 2**8), "sum", False),
         (Fraction(2**17 + 1, 2**9), "balls", False),
+        (Fraction(1), "sum", True),
         (Fraction(1, 2), "sum", True),
         (Fraction(2**8 + 1, 2**8), "sum", True),
         (Fraction(2**9 + 1, 2**9), "balls", True),
@@ -467,35 +473,44 @@ def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
         for fn in (digamma, trigamma, lgamma):
             seen.clear()
             fn(x, 1024)
-            # ln Gamma carries an exact product, not the shift sum
-            exact_shift = shifted and want == "sum" and fn is not lgamma
-            assert seen and set(seen) == {want} | ({"shift"} if exact_shift else set()), (
+            # ln Gamma carries an exact product, not the shift sum, but pads
+            # its hull at a ball with a radius (1/3) by digamma's slope
+            dyadic = x.denominator & (x.denominator - 1) == 0
+            shift = shifted and (fn is not lgamma or not dyadic)
+            assert seen and set(seen) == {want} | ({"shift"} if shift else set()), (
                 fn.__name__, x,
             )
 
 
-@pytest.mark.parametrize("s", [1, 2])
-@pytest.mark.parametrize("x", [Fraction(121), Fraction(12345, 64), Fraction(1, 3)])
-def test_shift_sum_matches_the_per_term_sum(x, s):
-    from harmonicbounds.specfun import _shift_sum
+@pytest.mark.parametrize("fn", [psi_gap, digamma, trigamma])
+def test_shift_below_the_threshold_sums_no_exact_fraction(monkeypatch, fn):
+    from harmonicbounds import specfun
 
-    for m in (0, 1, 2, 9, 10, 57):
-        want = sum((1 / (x + j) ** s for j in range(m)), Fraction(0))
-        assert _shift_sum(x, m, s) == want, (x, s, m)
+    want = fn(1, 1024)
+    specfun._psi_gap.cache_clear()
+    monkeypatch.setattr(specfun, "_tree_sum", _refuse)
+    assert fn(1, 1024) == want
 
 
 @pytest.mark.parametrize("s", [1, 2])
 def test_shift_ball_contains_the_exact_shift_sum(s):
-    from harmonicbounds.specfun import _shift_ball, _shift_sum
+    from harmonicbounds.specfun import _shift_ball
 
     third = Ball.from_fraction(Fraction(1, 3), 1040)  # 1/3 rounded to a long dyadic
-    for xman, nexp in ((1, -1), (2**9 + 1, -9), (third.man, third.exp)):
+    points = [(x, 0) for x in (1, 2, 17, 121)] + [(1, -1), (2**9 + 1, -9), (third.man, third.exp)]
+    for xman, nexp in points:
         x = Fraction(xman, 2**-nexp)
-        for m in (1, 9, 121):
-            want = _shift_sum(x, m, s)
+        for m in (0, 1, 2, 9, 10, 57, 121):
+            want = sum((1 / (x + j) ** s for j in range(m)), Fraction(0))
             b = _shift_ball(xman, nexp, m, s, 1040)
             assert b.contains(want), (x, m)
-            assert b.rad_fraction() < want / 2**1030, (x, m)
+            assert b.rad_fraction() <= want / 2**1030, (x, m)
+    if s == 1:
+        # gamma's H(2^13)
+        want = harmonic_exact(2**13)
+        b = _shift_ball(1, 0, 2**13, 1, 1040)
+        assert b.contains(want)
+        assert b.rad_fraction() <= want / 2**1030
 
 
 def test_digamma_accepts_ball_arguments():

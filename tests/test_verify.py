@@ -217,6 +217,20 @@ def test_g_positivity_accepts_rational_and_ball_points():
     assert _all_green(rep)
 
 
+def test_g_positivity_keys_each_grid_point_once():
+    # 3 and Fraction(3) are one point, whose records would share their keys
+    with pytest.raises(ValueError, match="distinct"):
+        g_positivity((3, Fraction(3), 4.0), 128)
+    # balls are labelled by their exact midpoint and radius, so two that
+    # agree to many digits keep distinct keys; rationals keep their values
+    a, b = Ball(3 * 2**40 + 1, -40), Ball(3 * 2**39 + 1, -39)
+    rep = g_positivity((3, Fraction(7, 2), a, b), 128)
+    keys = [(r.check, r.params) for r in rep.records]
+    assert len(set(keys)) == len(keys) == 1 + 4 * 5
+    labels = [dict(r.params)["x"] for r in rep.records if r.check == "g_direct"]
+    assert labels == ["3", "7/2"] + [f"[{x.mid_fraction()} +/- 0]" for x in (a, b)]
+
+
 def test_g_positivity_wide_ball_point_is_honestly_undecided():
     # an input interval of width 2^-9 swamps the envelope margins; the
     # checker must say undecided rather than fake a pass
