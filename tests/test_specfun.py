@@ -493,6 +493,26 @@ def test_shift_below_the_threshold_sums_no_exact_fraction(monkeypatch, fn):
 
 
 @pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("x", [Fraction(121), Fraction(12345, 64), Fraction(1, 3)])
+def test_shift_sum_matches_the_per_term_sum(x, s):
+    # the shift sum at x, dyadic or not, lies between the fixed-point sums at
+    # the endpoints of x's 1040-bit ball, as digamma and trigamma take it
+    from harmonicbounds.ball import _endpoints_scaled
+    from harmonicbounds.specfun import _shift_ball
+
+    lo, hi, e = _endpoints_scaled(Ball.from_fraction(x, 1040))
+    assert e <= 0 and Fraction(lo, 2**-e) <= x <= Fraction(hi, 2**-e)
+    for m in (0, 1, 2, 9, 10, 57):
+        want = sum((1 / (x + j) ** s for j in range(m)), Fraction(0))
+        at_lo = _shift_ball(lo, e, m, s, 1040)  # the sum decreases in x
+        at_hi = _shift_ball(hi, e, m, s, 1040)
+        assert at_hi.lower() <= want <= at_lo.upper(), (x, s, m)
+        assert at_lo.upper() - at_hi.lower() <= want / 2**1030, (x, s, m)
+        if lo == hi:
+            assert at_lo.contains(want), (x, s, m)
+
+
+@pytest.mark.parametrize("s", [1, 2])
 def test_shift_ball_contains_the_exact_shift_sum(s):
     from harmonicbounds.specfun import _shift_ball
 
