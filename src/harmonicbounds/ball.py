@@ -547,8 +547,9 @@ def compare(a: Ball, b: Ball) -> Order:
 # decimal rendering (exact integer algorithms; no float round-trips)
 # ---------------------------------------------------------------------------
 
-def _decimal_digits(a: int, exp: int, sig: int) -> tuple[int, int]:
-    """Return (D, t): D has `sig` digits, a*2^exp ~= D * 10^(t-sig+1), half-even."""
+def _decimal_digits(a: int, exp: int, sig: int, up: bool = False) -> tuple[int, int]:
+    """Return (D, t): D has `sig` digits, a*2^exp ~= D * 10^(t-sig+1), rounded
+    half-even, or upward if `up`."""
     # first estimate of the decimal exponent
     t = (a.bit_length() - 1 + exp) * 30103 // 100000
     for _ in range(4):
@@ -557,8 +558,9 @@ def _decimal_digits(a: int, exp: int, sig: int) -> tuple[int, int]:
         num *= 10 ** max(-pow10, 0)
         den = (1 << max(-exp, 0)) * 10 ** max(pow10, 0)
         q, r = divmod(num, den)
-        r2 = 2 * r
-        if r2 > den or (r2 == den and (q & 1)):
+        if up:
+            q += r > 0
+        elif 2 * r > den or (2 * r == den and q & 1):
             q += 1
         if q >= 10**sig:
             t += 1
@@ -600,22 +602,8 @@ def radius_decimal(rman: int, rexp: int) -> str:
     """Two-significant-digit upper bound for a radius, always scientific."""
     if rman == 0:
         return "0"
-    t = (rman.bit_length() - 1 + rexp) * 30103 // 100000
-    for _ in range(4):
-        pow10 = t - 1
-        num = rman << max(rexp, 0) if rexp >= 0 else rman
-        num *= 10 ** max(-pow10, 0)
-        den = (1 << max(-rexp, 0)) * 10 ** max(pow10, 0)
-        q = -(-num // den)  # ceil: radius strings must never round down
-        if q >= 100:
-            t += 1
-            continue
-        if q < 10:
-            t -= 1
-            continue
-        ds = str(q)
-        return f"{ds[0]}.{ds[1]}e{t:+d}"
-    raise AssertionError("radius digit extraction failed to settle")
+    q, t = _decimal_digits(rman, rexp, 2, up=True)  # radius strings never round down
+    return f"{q // 10}.{q % 10}e{t:+d}"
 
 
 def enclosure_str(b: Ball, sig: int = 36) -> str:

@@ -69,6 +69,17 @@ def _int_at_least(least: int, most: int | None = None):
     return parse
 
 
+def _check_list(text: str) -> tuple[str, ...]:
+    """The argparse type of a comma-separated list of check names."""
+    checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    unknown = sorted(set(checks) - set(CHECK_NAMES))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown checks: {', '.join(unknown)}")
+    if not checks:
+        raise argparse.ArgumentTypeError("must name at least one check")
+    return checks
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonic-bounds",
@@ -127,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checks",
+        type=_check_list,
         default=None,
         metavar="LIST",
         help="comma-separated subset of: " + ", ".join(CHECK_NAMES),
@@ -231,18 +243,7 @@ def _emit_report(rep: VerificationReport, fmt: str) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.checks is None:
-        checks = None
-    else:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        unknown = sorted(set(checks) - set(CHECK_NAMES))
-        if unknown:
-            print(f"error: unknown checks: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        if not checks:
-            print("error: --checks must name at least one check", file=sys.stderr)
-            return 2
-    rep = verify_all(args.max_n, args.precision, checks=checks, jobs=args.jobs)
+    rep = verify_all(args.max_n, args.precision, checks=args.checks, jobs=args.jobs)
     return _emit_report(rep, args.fmt)
 
 

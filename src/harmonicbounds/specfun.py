@@ -2,18 +2,20 @@
 
 Exact layer: Bernoulli numbers/polynomials and partial sums (harmonic,
 odd-denominator harmonic, alternating) as Fractions.  The Bernoulli numbers
-come from the integer tangent numbers, built once per process.  The partial
-sums grow with n (H(n) has a denominator of about 1.44 n bits), so no
-certified evaluation uses them, gamma's H(2^k) included: they are public
-API and the test-suite's independent reference.  Each call sums from 1 by
-balanced splitting and keeps no state.
+come from the integer tangent numbers, each computed once per process by a
+recurrence that grows one column at a time.  The partial sums grow with n
+(H(n) has a denominator of about 1.44 n bits), so no certified evaluation
+uses them, gamma's H(2^k) included: they are public API and the
+test-suite's independent reference.  Each call sums from 1 by balanced
+splitting and keeps no state.
 
 Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
 remainder functions and ln(e^(1/x) - 1).  All of them read one kind of
 Bernoulli series (`_Series`): term k is c_k x^-(2k+s) with c_k = B_2k over
-the kind's divisors, with one exact coefficient table, one term-count rule
-and one error radius, the magnitude of the first omitted term.  Every
+the kind's divisors, with one exact coefficient table, one term-count rule,
+from a float bound on |B_2k| (DLMF 24.9.8), and one error radius, the
+magnitude of the first omitted term.  Every
 argument at which a series is summed to the working precision is an
 integer or a dyadic rational a/2^f, because ball functions are evaluated
 at their endpoints.  At an integer or a short dyadic (f <= 8) the sum is
@@ -104,19 +106,21 @@ __all__ = [
 # Bernoulli numbers
 # ---------------------------------------------------------------------------
 
-def _tangent_numbers(n: int) -> list[int]:
-    """The tangent numbers T_1..T_n (1, 2, 16, 272, ...), tan x = sum T_k
-    x^(2k-1) / (2k-1)!, by Brent and Harvey's in-place integer recurrence
-    ("Fast computation of Bernoulli, Tangent and Secant numbers", 2011):
-    O(n^2) small-by-big products and no gcd.
+def _tangent_step(column: list[int]) -> None:
+    """Extend Brent and Harvey's tangent recurrence ("Fast computation of
+    Bernoulli, Tangent and Secant numbers", 2011) by one column, in place.
+
+    Column j holds t_j after passes 0..j: t_j = j! after pass 0, and after
+    pass k it is (j-k) times column j-1 after pass k plus (j-k+2) times
+    itself after pass k-1.  Its last entry is the tangent number T_(j+1)
+    (1, 2, 16, 272, ...; tan x = sum T_k x^(2k-1) / (2k-1)!).  A step costs
+    j small-by-big products and no gcd.
     """
-    t = [1] * n
-    for k in range(1, n):
-        t[k] = k * t[k - 1]
-    for k in range(1, n):
-        for j in range(k, n):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
+    j = len(column)
+    column[0] *= j
+    for k in range(1, j):
+        column[k] = (j - k) * column[k] + (j - k + 2) * column[k - 1]
+    column.append(2 * column[-1])
 
 
 class BernoulliCache:
@@ -124,13 +128,14 @@ class BernoulliCache:
 
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
     one gcd per value; odd indices above 1 are stored as exact zeros.  The
-    tangent recurrence cannot be extended in place, so each growth rebuilds
-    it, to at least 1.25 times the current length: a run of requests one
-    index apart rebuilds it a logarithmic number of times.
+    table keeps the last column of the tangent recurrence and extends it one
+    column per new T_k, so it grows by any amount and computes each tangent
+    number once.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+        self._column = [1]  # column k - 1 of the recurrence, ending in T_k
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -145,17 +150,15 @@ class BernoulliCache:
         return self._values[m]
 
     def _grow(self, m: int) -> None:
-        vals = self._values
-        if m < len(vals):
-            return
-        top = max(m, len(vals) * 5 // 4)
-        tangent = _tangent_numbers(top // 2)
-        for j in range(len(vals), top + 1):
+        vals, column = self._values, self._column
+        for j in range(len(vals), m + 1):
             k, q = j // 2, 1 << j  # q = 4^k for even j
             if j % 2:
                 vals.append(Fraction(0))
-            else:
-                vals.append(Fraction((-1) ** (k - 1) * j * tangent[k - 1], q * (q - 1)))
+                continue
+            if len(column) < k:
+                _tangent_step(column)
+            vals.append(Fraction((-1) ** (k - 1) * j * column[-1], q * (q - 1)))
 
 
 _BERNOULLI = BernoulliCache()
@@ -199,18 +202,22 @@ class _Series:
     """A Bernoulli series whose term k >= 1 is c_k x^-(2k+s), with c_k equal
     to B_2k over the product of divisors(k).
 
-    It grows on demand under one lock and keeps, per k: a bit-length bound
-    on log2 |c_k| for the term-count rule, the exact c_k as a numerator
-    over the lcm L_k of the denominators of c_1..c_k (each built once per
-    process), and c_k as a ball at each working precision asked, rounded
-    from that table.  The first omitted term is one Fraction per x, built
-    straight from B_2k.
+    It grows on demand under one lock and keeps, per k, the exact c_k as
+    a numerator over the lcm L_k of the denominators of c_1..c_k (each
+    built once per process), and c_k as a ball at each working precision
+    asked, rounded from that table.  The term count reads no coefficient:
+    it comes from a float bound on |B_2k|.  The first omitted term is one
+    Fraction per x, built straight from B_2k.
+
+    A kind that converges (expm1, for x >= 1) has terms that shrink at
+    every k; the others diverge, and their terms shrink only up to k of
+    about pi x.
     """
 
-    def __init__(self, s: int, divisors) -> None:
+    def __init__(self, s: int, divisors, converges: bool = False) -> None:
         self.s = s
         self._divisors = divisors
-        self._log2 = [0]  # indexed by k; k = 0 is unused
+        self._converges = converges
         self._nums: list[int] = []  # c_k * L_k at index k - 1
         self._steps: list[int] = []  # L_k / L_(k-1) at index k - 1
         self._lcm = 1  # L_k for the longest k built
@@ -220,13 +227,6 @@ class _Series:
     def coeff(self, k: int) -> Fraction:
         """The exact coefficient c_k."""
         return bernoulli_number(2 * k) / math.prod(self._divisors(k))
-
-    def _grow_log2(self, k: int) -> None:
-        with self._lock:
-            for j in range(len(self._log2), k + 1):
-                b = bernoulli_number(2 * j)
-                bound = b.numerator.bit_length() - b.denominator.bit_length() + 1
-                self._log2.append(bound - sum(d.bit_length() - 1 for d in self._divisors(j)))
 
     def _table(self, count: int) -> tuple[list[int], list[int]]:
         """The numerators c_k L_k and the steps L_k / L_(k-1), k <= count."""
@@ -262,25 +262,28 @@ class _Series:
             return coeffs[:count]
 
     def _lower(self, k: int, h) -> float:
-        """A lower bound on log2 of term k at log2 x >= h, without B_2k.
+        """A lower bound L on log2 of term k at x = 2^h, read without B_2k.
 
-        |B_2k| > 2 (2k)! / (2 pi)^2k; the factor 2 is given up to cover
-        the float error.
+        2 (2k)! / (2 pi)^2k < |B_2k| < 2 (2k)! / ((2 pi)^2k (1 - 2^(1-2k)))
+        (DLMF 24.9.8), so for k >= 2 the term lies between 2^(L+1) and
+        2^(L+1.2); the factor 2 is given up to cover the float error.  At
+        an x above 2^h the term is smaller still.
         """
         logc = math.lgamma(2 * k + 1) / _LN2 - 2 * k * _LOG2_2PI
         for d in self._divisors(k):
             logc -= math.log2(d)
         return logc - (2 * k + self.s) * h
 
-    def _reach(self, h, target: int, k: int) -> int | None:
-        """Smallest j >= k whose term's lower bound is <= 2^-target, or None
-        if there is none up to pi 2^h - 1.
+    def _reach(self, h, target: int) -> int | None:
+        """Smallest k >= 2 whose term's lower bound is <= 2^-target, or None
+        if a divergent kind has none up to pi 2^h - 1.
 
-        Up to there the lower bound decreases with j for every kind, so a
-        galloping search followed by bisection finds it.
+        Up to there the lower bound decreases with k for every kind, and
+        for a convergent kind at every k, so a galloping search followed by
+        bisection finds it.
         """
-        top = math.floor(math.pi * 2.0 ** min(h, 64.0)) - 1
-        lo = k
+        top = math.inf if self._converges else math.floor(math.pi * 2.0 ** min(h, 64.0)) - 1
+        lo = k = 2
         while self._lower(k, h) > -target:
             if k >= top:
                 return None
@@ -294,40 +297,22 @@ class _Series:
         return k
 
     def terms(self, h, target: int) -> int:
-        """Smallest count >= 1 whose first omitted term is certifiably below
-        2^-target, h being a lower bound on log2 x.
+        """Smallest count >= 1 whose first omitted term's bound `_lower` is
+        <= 2^-(target+2), h being a lower bound on log2 x.
 
-        A scan that gets past k = 32 starts where `_reach` says a term can
-        first get there.  The bit-length bound lies less than 6 bits above
-        `_lower`, so the scan ends by the term whose lower bound is below
-        2^-(target+6).  The Bernoulli table grows once, to where the last
-        kind to get there (psi1, whose coefficients are the largest) gets
-        there, so that the other kinds' counts at the same point and
-        precision do not rebuild it a few terms further on.
+        That term is then below 2^-target, and the last term kept, when
+        count > 1, above 2^-(target+1) at x = 2^h: no kept term is far
+        below the target.  It reads no Bernoulli number.
 
         The asymptotic kinds diverge: their terms shrink only until k is of
-        order pi*x, so if the bound stops improving before reaching the
-        target the shift threshold was chosen too small -- a programming
-        error, not a runtime condition, hence the assertion.
+        order pi*x, so if none gets to the target the shift threshold was
+        chosen too small -- a programming error, not a runtime condition,
+        hence the assertion.
         """
-        count, best = 1, None
-        if len(self._log2) > 32 and self._log2[32] - (2 * 32 + self.s) * h > -target:
-            # None: no term gets there, and the scan from 2 fails its assertion
-            count = (self._reach(h, target, 2) or 2) - 1
-        while True:
-            k = count + 1
-            if k >= len(self._log2):
-                reach = max(s._reach(h, target + 6, 2) or 2 for s in _SERIES.values())
-                bernoulli_number(2 * max(reach, k))
-                self._grow_log2(self._reach(h, target + 6, k) or k)
-            lg = self._log2[k] - (2 * k + self.s) * h
-            if lg <= -target:
-                return count
-            if best is not None and lg > best + 2 and count > 8:
-                raise AssertionError("asymptotic series cannot reach target precision")
-            if best is None or lg < best:
-                best = lg
-            count += 1
+        reach = self._reach(h, target + 2)
+        if reach is None:
+            raise AssertionError("asymptotic series cannot reach target precision")
+        return reach - 1
 
     def tail(self, count: int, x) -> Fraction:
         """|c_(count+1)| x^-(2 count + 2 + s), the first omitted term.
@@ -388,7 +373,7 @@ _SERIES = {
     "psi": _Series(0, lambda k: (2 * k,)),
     "psi1": _Series(1, lambda k: ()),
     "lgamma": _Series(-1, lambda k: (2 * k, 2 * k - 1)),
-    "expm1": _Series(0, lambda k: (2 * k, math.factorial(2 * k))),
+    "expm1": _Series(0, lambda k: (2 * k, math.factorial(2 * k)), converges=True),
 }
 
 
@@ -396,13 +381,13 @@ _SERIES = {
 # exact partial sums
 # ---------------------------------------------------------------------------
 
-def check_index(n: int, least: int = 1) -> int:
-    """n, once it is an index: an int >= least and not a bool, which would
-    stand for 0 or 1."""
+def check_index(n: int, least: int | None = 1, name: str = "n") -> int:
+    """n, once it is an index or a count called name: an int >= least (any
+    int if least is None) and not a bool, which would stand for 0 or 1."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < least:
-        raise ValueError(f"n must be >= {least}")
+        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be >= {least}")
     return n
 
 
@@ -787,7 +772,7 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
     """
     if kind not in ("F", "G"):
         raise ValueError("kind must be 'F' or 'G'")
-    if not 1 <= order <= 12:
+    if not 1 <= check_index(order, None, "order") <= 12:
         raise ValueError("order must be in [1, 12]")
     p = bits_of(prec)
     w = p + 32

@@ -233,8 +233,7 @@ _GAP_SAMPLES = (1, 2, 3, 10, 100, 1000)
 
 def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify that f is increasing, capped by 6/5, and anchored at 1, 2, 3."""
-    if max_n < 3:
-        raise ValueError("max_n must be >= 3")
+    specfun.check_index(max_n, 3, "max_n")
     p = bits_of(prec)
     rep = VerificationReport()
 
@@ -436,8 +435,7 @@ def _epsilon(n: int, w: int) -> Ball:
 
 def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify 0 < eps_n < 1 across [1, max_n], anchored at eps_1 = 70 - 120 g."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+    specfun.check_index(max_n, 1, "max_n")
     p = bits_of(prec)
     rep = VerificationReport()
 
@@ -469,8 +467,7 @@ def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
 
 def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify the quadratic-window H(n) interval sits inside the older ones."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
+    specfun.check_index(max_n, 2, "max_n")
     p = bits_of(prec)
     rep = VerificationReport()
     for n in range(2, max_n + 1):
@@ -502,8 +499,7 @@ def _alt_x(n: int, w: int) -> Ball:
 
 def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify x_n = 1/|tail| - 2n decreases from 1/(1 - ln 2) - 2 toward 1."""
-    if max_n < 2:
-        raise ValueError("max_n must be >= 2")
+    specfun.check_index(max_n, 2, "max_n")
     p = bits_of(prec)
     rep = VerificationReport()
 
@@ -547,7 +543,8 @@ def cm_spotcheck(
     steps = {b - a for a, b in zip(pts, pts[1:])}
     if len(steps) != 1:
         raise ValueError("grid must be equally spaced")
-    if not 0 <= depth <= 6:
+    specfun.check_index(order, None, "order")
+    if not 0 <= specfun.check_index(depth, None, "depth") <= 6:
         raise ValueError("depth must be between 0 and 6")
     if len(pts) <= depth:
         raise ValueError("grid too short for the requested depth")
@@ -687,10 +684,8 @@ def verify_all(
     bound sweep fans out over worker processes and reassembles in catalog
     order, and all other checks run serially in a fixed sequence.
     """
-    if max_n < 3:
-        raise ValueError("max_n must be >= 3")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    specfun.check_index(max_n, 3, "max_n")
+    specfun.check_index(jobs, 1, "jobs")
     if isinstance(checks, str):
         raise TypeError(f"checks must be a collection of check names, not the str {checks!r}")
     selected = tuple(checks) if checks is not None else CHECK_NAMES

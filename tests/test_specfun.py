@@ -117,32 +117,37 @@ def test_bernoulli_denominators_follow_von_staudt_clausen():
         assert bernoulli_number(2 * k).denominator == want, k
 
 
-def test_bernoulli_table_rebuilds_a_logarithmic_number_of_times(monkeypatch):
+def test_each_tangent_number_is_computed_once(monkeypatch):
+    # built to B_1200 in one jump, then one index at a time, the table takes
+    # one column step per tangent number T_2..T_600 either way
     from harmonicbounds import specfun
 
-    calls = []
-    tangent = specfun._tangent_numbers
-    monkeypatch.setattr(specfun, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
-    cache = BernoulliCache()
-    got = [cache.get(m) for m in range(2, 1201, 2)]
-    assert 1 <= len(calls) <= 30
-    assert got == [bernoulli_number(m) for m in range(2, 1201, 2)]
+    step = specfun._tangent_step
+    for one_jump in (True, False):
+        columns = []
+        monkeypatch.setattr(
+            specfun, "_tangent_step", lambda column: columns.append(len(column)) or step(column)
+        )
+        cache = BernoulliCache()
+        if one_jump:
+            cache.get(1200)
+        got = [cache.get(m) for m in range(1201)]
+        assert columns == list(range(1, 600)), one_jump
+        assert got == [bernoulli_number(m) for m in range(1201)]
 
 
-def test_cold_term_counts_of_every_kind_build_the_tangent_table_once(monkeypatch):
-    # psi asks first; psi1, whose count is a few terms longer, must not
-    # rebuild the table a few entries further on
+def test_terms_reads_no_bernoulli_number(monkeypatch):
     from harmonicbounds import specfun
 
-    h = _log2_lower_of(121)
-    want = {kind: specfun._SERIES[kind].terms(h, 1046) for kind in _KINDS}
-    calls = []
-    tangent = specfun._tangent_numbers
-    monkeypatch.setattr(specfun, "_tangent_numbers", lambda n: calls.append(n) or tangent(n))
-    monkeypatch.setattr(specfun, "_BERNOULLI", BernoulliCache())
-    for kind, (s, divisors) in _KINDS.items():
-        assert specfun._Series(s, divisors).terms(h, 1046) == want[kind], kind
-    assert len(calls) == 1
+    def refuse(m):
+        raise AssertionError(f"terms read B_{m}")
+
+    monkeypatch.setattr(specfun, "bernoulli_number", refuse)
+    monkeypatch.setattr(specfun, "_BERNOULLI", None)
+    for w in (144, 1040, 4128, 16400):
+        h = _log2_lower_of(specfun._shift_threshold(w))
+        for kind, series in specfun._SERIES.items():
+            assert series.terms(h, w + 6) > 1, (kind, w)
 
 
 def test_bernoulli_polynomial_low_degrees():
@@ -675,40 +680,36 @@ def test_tail_at_a_long_dyadic_bounds_the_first_omitted_term():
             assert got.denominator.bit_length() < exact.denominator.bit_length() // 8
 
 
-def _plain_scan(kind: str, h: float, target: int) -> int:
-    """The term count by scanning k = 2, 3, ... for the first term whose
-    bit-length bound is below 2^-target, with the divergence assertion."""
-    s, divisors = _KINDS[kind]
-    count, best = 1, None
-    while True:
-        k = count + 1
-        b = bernoulli_number(2 * k)
-        bound = b.numerator.bit_length() - b.denominator.bit_length() + 1
-        bound -= sum(d.bit_length() - 1 for d in divisors(k))
-        lg = bound - (2 * k + s) * h
-        if lg <= -target:
-            return count
-        if best is not None and lg > best + 2 and count > 8:
-            raise AssertionError("asymptotic series cannot reach target precision")
-        if best is None or lg < best:
-            best = lg
-        count += 1
+def _term(kind: str, k: int, x) -> Fraction:
+    """|c_k| x^-(2k+s), term k of a kind written out here."""
+    return abs(_coeff(kind, k)) / Fraction(x) ** (2 * k + _KINDS[kind][0])
 
 
 @pytest.mark.parametrize("w", [144, 1040, 4128])
-def test_terms_matches_a_plain_scan(w):
+def test_term_counts_are_correct_and_minimal(w):
+    # the first omitted term is below the target 2^-(w+6), the last one kept
+    # within 2 bits of it, and a divergent kind whose terms all stay above
+    # it up to k of about pi x is refused
     from harmonicbounds.specfun import _SERIES, _shift_threshold
 
-    for x in (_shift_threshold(w), 150, 10**3, 10**6, Fraction(245, 2)):
-        h = _log2_lower_of(x)
-        for kind in _KINDS:
+    points = (_shift_threshold(w), 150, 10**3, 10**6, Fraction(245, 2))
+    refused = []
+    for kind in _KINDS:
+        for x in points + ((2, 18) if kind == "expm1" else ()):
+            h = _log2_lower_of(x)
             try:
-                want = _plain_scan(kind, h, w + 6)
+                count = _SERIES[kind].terms(h, w + 6)
             except AssertionError:
-                with pytest.raises(AssertionError):
-                    _SERIES[kind].terms(h, w + 6)
+                assert kind != "expm1", x
+                top = math.floor(math.pi * x)
+                assert all(_term(kind, k, x) > Fraction(1, 2 ** (w + 8)) for k in range(2, top))
+                refused.append((kind, x))
                 continue
-            assert _SERIES[kind].terms(h, w + 6) == want, (kind, x, w)
+            assert _term(kind, count + 1, x) <= Fraction(1, 2 ** (w + 6)), (kind, x, w)
+            if count > 1:
+                assert _term(kind, count, x) > Fraction(1, 2 ** (w + 8)), (kind, x, w)
+    # at 4128 bits 150 and 245/2 are below every divergent kind's reach
+    assert len(refused) == (6 if w == 4128 else 0), refused
 
 
 # ---------------------------------------------------------------------------

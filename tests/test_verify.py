@@ -15,6 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from harmonicbounds import specfun, verify
 from harmonicbounds.ball import Ball, sub
 from harmonicbounds.report import Verdict
 from harmonicbounds.specfun import PrecisionExhausted
@@ -494,6 +495,39 @@ def test_verify_all_validation():
         verify_all(10, 128, checks=("bounds", "bogus"))
     with pytest.raises(ValueError):
         verify_all(10, 128, jobs=0)
+
+
+_GRID = range(1, 21)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("max_n", lambda: sharpness_main(3.0)),
+        ("max_n", lambda: epsilon_window(True)),
+        ("max_n", lambda: refinement_check(True)),
+        ("max_n", lambda: alt_tail_constants(2.0)),
+        ("max_n", lambda: verify_all(8.0)),
+        ("jobs", lambda: verify_all(8, jobs=2.0)),
+        ("order", lambda: cm_spotcheck("F", True, _GRID, 4)),
+        ("depth", lambda: cm_spotcheck("F", 2, _GRID, True)),
+        ("order", lambda: specfun.stirling_tail("F", True, 3, 128)),
+    ],
+    ids=[
+        "sharpness_max_n", "epsilon_max_n", "refinement_max_n", "alt_tail_max_n",
+        "verify_all_max_n", "verify_all_jobs", "cm_order", "cm_depth", "stirling_order",
+    ],
+)
+def test_counts_refuse_bools_and_non_ints_before_any_work(monkeypatch, name, call):
+    # True would run as 1 and 2.0 would fail deep inside a loop; every stage
+    # reads its precision just after its checks, so none may get that far
+    def no_work(prec):
+        raise AssertionError("work started before the counts were checked")
+
+    monkeypatch.setattr(verify, "bits_of", no_work)
+    monkeypatch.setattr(specfun, "bits_of", no_work)
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        call()
 
 
 def test_verify_all_refuses_an_empty_check_selection():

@@ -20,20 +20,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _counts(w: int) -> str:
-    # the term count of every series kind at the shift threshold of working
-    # precision w: the first builds the Bernoulli table far enough for all
-    return (
-        f"[k.terms(s._log2_lower(s._shift_threshold({w}), 0), {w + 6})"
-        " for k in s._SERIES.values()]"
-    )
+def _sums(w: int) -> str:
+    # every series kind summed at the shift threshold of working precision
+    # w: the Bernoulli table and each kind's coefficient table grow to there
+    return f"[k.at(s._shift_threshold({w}), {w}) for k in s._SERIES.values()]"
 
 
 # (label, statement run once with `s` bound to harmonicbounds.specfun)
 ITEMS = (
-    ("Bernoulli table, every kind's count at the 144-bit threshold", _counts(144)),
-    ("Bernoulli table, every kind's count at the 1040-bit threshold", _counts(1040)),
-    ("Bernoulli table, every kind's count at the 4128-bit threshold", _counts(4128)),
+    ("Bernoulli table, every kind's first sum at the 144-bit threshold", _sums(144)),
+    ("Bernoulli table, every kind's first sum at the 1040-bit threshold", _sums(1040)),
+    ("Bernoulli table, every kind's first sum at the 4128-bit threshold", _sums(4128)),
     ("euler_gamma(128)", "s.euler_gamma(128)"),
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
     ("_threshold_series(144)", "s._threshold_series(144)"),
