@@ -222,6 +222,7 @@ class _Series:
         self._steps: list[int] = []  # L_k / L_(k-1) at index k - 1
         self._lcm = 1  # L_k for the longest k built
         self._balls: dict[int, list[Ball]] = {}
+        self._logc: dict[int, float] = {}  # _lower's bound at h = 0, per k probed
         self._lock = threading.Lock()
 
     def coeff(self, k: int) -> Fraction:
@@ -267,11 +268,16 @@ class _Series:
         2 (2k)! / (2 pi)^2k < |B_2k| < 2 (2k)! / ((2 pi)^2k (1 - 2^(1-2k)))
         (DLMF 24.9.8), so for k >= 2 the term lies between 2^(L+1) and
         2^(L+1.2); the factor 2 is given up to cover the float error.  At
-        an x above 2^h the term is smaller still.
+        an x above 2^h the term is smaller still.  The part that does not
+        depend on h is kept per k probed: a kind's divisors, (2k)! among
+        them, cost far more than the lookup.
         """
-        logc = math.lgamma(2 * k + 1) / _LN2 - 2 * k * _LOG2_2PI
-        for d in self._divisors(k):
-            logc -= math.log2(d)
+        logc = self._logc.get(k)
+        if logc is None:
+            logc = math.lgamma(2 * k + 1) / _LN2 - 2 * k * _LOG2_2PI
+            for d in self._divisors(k):
+                logc -= math.log2(d)
+            self._logc[k] = logc
         return logc - (2 * k + self.s) * h
 
     def _reach(self, h, target: int) -> int | None:

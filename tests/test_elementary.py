@@ -7,6 +7,7 @@ far higher working precision than any certified radius under test.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicbounds.ball import Ball, DomainError, RangeError, add, compare, Order, mul
-from harmonicbounds.elementary import exp, ln, ln2_ball, sqrt
+from harmonicbounds.elementary import (
+    _ln_constants,
+    _ln_dyadic,
+    _reductions,
+    exp,
+    ln,
+    ln2_ball,
+    sqrt,
+)
 from helpers import LN2_110, assert_contains, oracle
 
 positive_fractions = st.fractions(
@@ -68,6 +77,68 @@ def test_ln_radius_shrinks_with_precision():
 def test_ln_contains_oracle_value(x):
     b = ln(Ball.from_fraction(x, 192), 128)
     assert_contains(b, oracle(mp.ln, x), label=f"ln({x})")
+
+
+KERNEL_BITS = [77, 152, 1048, 4120]  # working bits at 53, 128, 1024 and 4096
+
+
+def _scaled_ln(man: int, exp: int, w: int):
+    """mpmath's ln(man * 2^exp) * 2^w, 100 bits finer than the kernel."""
+    with mp.workprec(w + 100):
+        return mp.log(mp.mpf(man) * mp.mpf(2) ** exp) * mp.mpf(2) ** w
+
+
+def _kernel_arguments(w: int) -> list[tuple[int, int]]:
+    """(man, exp) pairs: every reduction threshold 1 + 2^-j and its two
+    neighbours, 1, one ulp below 2, mantissas longer than w, and exponents
+    of +-(w + 60)."""
+    one = 1 << w
+    args = [(1, 0), ((1 << (w + 1)) - 1, -w), ((1 << (w + 41)) - 1, -(w + 40))]
+    for j in range(1, _reductions(w) + 1):
+        args += [(one + (one >> j) + d, -w) for d in (-1, 0, 1)]
+    rng = random.Random(w)
+    for _ in range(20):
+        man = rng.getrandbits(w + 40) | 1
+        args.append((man, rng.randrange(-(w + 60), w + 60) - man.bit_length()))
+    for man in (1, 3, 10**9 + 7, (1 << (w + 40)) // 3):
+        args += [(man, w + 60), (man, -(w + 60) - man.bit_length())]
+    return args
+
+
+@pytest.mark.parametrize("w", KERNEL_BITS)
+def test_ln_kernel_encloses_mpmath_and_stays_narrow(w):
+    # the width is a few ulps per reduction step and per series term (about
+    # w/(2r+2) of them), plus k times the width of ln 2
+    r = _reductions(w)
+    l2_lo, l2_hi = _ln_constants(w)[0]
+    for man, exp in _kernel_arguments(w):
+        lo, hi = _ln_dyadic(man, exp, w)
+        assert lo <= _scaled_ln(man, exp, w) <= hi, (w, man, exp)
+        k = exp + man.bit_length() - 1
+        assert hi - lo <= 4 * (w // (2 * r + 2) + r) + 64 + abs(k) * (l2_hi - l2_lo), (w, man, exp)
+
+
+@pytest.mark.parametrize("w", KERNEL_BITS)
+def test_ln_constants_contain_mpmath_within_two_ulps(w):
+    consts = _ln_constants(w)
+    assert len(consts) == _reductions(w) + 1
+    for j, (lo, hi) in enumerate(consts):
+        # ln 2 at j = 0, then ln(1 + 2^-j)
+        with mp.workprec(w + 100):
+            want = mp.log(2 if j == 0 else 1 + mp.mpf(2) ** -j) * mp.mpf(2) ** w
+        assert lo <= want <= hi and hi - lo <= 2, (w, j)
+
+
+def test_ln_of_a_ball_is_padded_by_its_lipschitz_bound():
+    # ln over [mid - rad, mid + rad] lies within rad / (mid - rad) of ln(mid);
+    # a radius keeps 32 bits, rounded up
+    mid = Ball.from_fraction(Fraction(10**12 + 39, 10**6), 192)
+    wide = add(mid, Ball(0, 0, 1, -30), 192)
+    b = ln(wide, 128)
+    for v in (wide.lower(), wide.upper()):
+        assert_contains(b, oracle(mp.ln, v), label=f"ln({float(v)})")
+    pad = wide.rad_fraction() / wide.lower()
+    assert b.rad_fraction() <= (ln(mid, 128).rad_fraction() + pad) * (1 + Fraction(1, 2**30))
 
 
 @given(positive_fractions, positive_fractions)

@@ -37,7 +37,7 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "032567d6de529c7ed8b4d4a06677a83cd629dbd9361f70ea11750d0184f8693b",
+        "28c895b57bc278fdfaf1432a2d59f978dd69b555d5ecdcd9917b90dd3fb55018",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",

@@ -150,6 +150,23 @@ def test_terms_reads_no_bernoulli_number(monkeypatch):
             assert series.terms(h, w + 6) > 1, (kind, w)
 
 
+def test_kept_term_bounds_equal_the_formula_they_keep():
+    # _lower keeps its h-free part per k; the kept float must be the one the
+    # formula gives, so that no term count moves
+    from harmonicbounds import specfun
+
+    for kind, series in specfun._SERIES.items():
+        fresh = specfun._Series(series.s, series._divisors, series._converges)
+        for k in range(1, 2000, 1 if kind != "expm1" else 13):
+            logc = math.lgamma(2 * k + 1) / specfun._LN2 - 2 * k * specfun._LOG2_2PI
+            for d in series._divisors(k):
+                logc -= math.log2(d)
+            for h in (0.0, 1.5, 6.9, 11.55, 64.0):
+                want = logc - (2 * k + series.s) * h
+                assert fresh._lower(k, h) == want, (kind, k, h)
+                assert fresh._lower(k, h) == want, (kind, k, h)
+
+
 def test_bernoulli_polynomial_low_degrees():
     x = Fraction(3, 7)
     assert bernoulli_polynomial(0, x) == 1

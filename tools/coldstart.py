@@ -1,4 +1,4 @@
-"""First-call cost of each process-wide table or constant in specfun.
+"""First-call cost of each process-wide table or constant in specfun and elementary.
 
 Usage: python3 tools/coldstart.py
 
@@ -20,6 +20,12 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _ln(p: int) -> str:
+    # ln(3) reads ln 2 and every ln(1 + 2^-j) that ln divides out, which
+    # elementary builds once per working precision
+    return f"s.elementary.ln(s.Ball.from_int(3), {p})"
+
+
 def _sums(w: int) -> str:
     # every series kind summed at the shift threshold of working precision
     # w: the Bernoulli table and each kind's coefficient table grow to there
@@ -31,6 +37,9 @@ ITEMS = (
     ("Bernoulli table, every kind's first sum at the 144-bit threshold", _sums(144)),
     ("Bernoulli table, every kind's first sum at the 1040-bit threshold", _sums(1040)),
     ("Bernoulli table, every kind's first sum at the 4128-bit threshold", _sums(4128)),
+    ("ln(3) at 128 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(128)),
+    ("ln(3) at 1024 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(1024)),
+    ("ln(3) at 4096 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(4096)),
     ("euler_gamma(128)", "s.euler_gamma(128)"),
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
     ("_threshold_series(144)", "s._threshold_series(144)"),
