@@ -286,9 +286,7 @@ def _batir_const(w: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 def _ln1p_half_recip(n: int, w: int) -> Ball:
-    # ln(1 + 1/(2n)) is of size 1/(2n); the argument is rounded far below
-    # the ln kernel's absolute error so the result keeps relative accuracy
-    return elementary.ln(Ball.from_fraction(Fraction(2 * n + 1, 2 * n), w + 64), w)
+    return elementary.ln1p_recip(2 * n, w)
 
 
 def _half_recip(n: int, w: int) -> Ball:

@@ -1,54 +1,61 @@
-"""Certified elementary functions on balls: ln, exp, sqrt.
+"""Certified elementary functions on balls: ln, exp, sqrt, and the
+constants ln 2 and pi.
 
 The kernels work on plain integers scaled by 2^-w (w = working bits) with
 directed rounding: lower bounds only ever round down, upper bounds only
 ever round up, so the returned interval encloses the true value by
-construction.  Interval inputs are handled by evaluating at the midpoint
-and adding a Lipschitz term, or for wide inputs by endpoint evaluation.
+construction.
+
+One series is summed here: 2 atanh(1/q) for an integer q >= 3, whose
+terms are each the last divided by q^2, so no step multiplies big
+integers; with alternating signs it is 2 arctan(1/q).  At q = 2m + 1 it
+is ln(1 + 1/m), which `ln1p_recip` sums at the scale of its value so that
+its error is relative.  ln 2 (m = 1) and every ln(1 + 2^-j) (m = 2^j) form
+one table per working precision, and pi is 16 arctan(1/5) - 4 arctan(1/239)
+(Machin).
 
 ln reduces its argument to t in [1, 2) times a power of two, then divides
 out 1 + 2^-j for j = 1..r, each at most once, greedily (Brent and
 Zimmermann, Modern Computer Arithmetic, 4.4), so that t < 1 + 2^-r and
     ln t = 2 * atanh((t-1)/(t+1)),   u = (t-1)/(t+1) < 2^-(r+1),
-a series of about w/(2r+2) terms; r = isqrt(w/2).  ln 2 and every
-ln(1 + 2^-j) taken out are 2 * atanh(1/q) for q = 3 and q = 2^(j+1) + 1,
-a series whose terms are each the last divided by q^2, built once per
-working precision.  exp reduces modulo ln 2 and sums the Taylor series
-with a ratio tail bound.
+a series of about w/(2r+2) terms; r = isqrt(w/2).  ln of a ball adds its
+Lipschitz pad to ln of its midpoint.
+
+exp reads the same table backwards: it writes x = k ln 2 + sum of the
+ln(1 + 2^-j) it takes out, greedily, + z with 0 <= z < 2^-r, so that
+    exp x = 2^k * prod (1 + 2^-j) * e^z,
+the product by shift-adds and e^z by a Taylor series of about w/r terms,
+one product each.  exp of a ball is the hull of exp at its two endpoints,
+exp being increasing.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from fractions import Fraction
 
 from .ball import (
     Ball,
     DomainError,
     RangeError,
-    MAX_PRECISION,
     _endpoints_scaled,
     _from_int_interval,
-    add_rad_fraction,
     bits_of,
     hull,
 )
 
-__all__ = ["ln", "exp", "sqrt", "ln2_ball"]
+__all__ = ["ln", "exp", "sqrt", "ln2_ball", "ln1p_recip", "pi_ball"]
 
 # extra guard bits between requested precision and the integer kernels
 _GUARD = 24
 
-_SERIES_STOP = 32
-
 
 def _working_bits(p: int) -> int:
-    return min(p + _GUARD, MAX_PRECISION + 2 * _GUARD)
+    return p + _GUARD
 
 
 def _reductions(w: int) -> int:
-    """r, the number of factors 1 + 2^-j that ln may divide out at w bits.
+    """r, the number of factors 1 + 2^-j that ln and exp may take out at w bits.
 
     Each costs one short division and saves about w/(2r^2) series terms,
     each a w-bit product, so the best r grows like sqrt(w).
@@ -56,34 +63,56 @@ def _reductions(w: int) -> int:
     return math.isqrt(w // 2)
 
 
-def _atanh_recip_iv(q: int, w: int) -> tuple[int, int]:
-    """Enclose 2 atanh(1/q) = ln((q+1)/(q-1)), for an integer q >= 3, at
-    scale 2^-w.
+def _floor_ceil(man: int, s: int) -> tuple[int, int]:
+    """Floor and ceiling of man * 2^s."""
+    if s >= 0:
+        return man << s, man << s
+    lo = man >> -s
+    return lo, lo + (man & ((1 << -s) - 1) != 0)
+
+
+def _atanh_recip_iv(q: int, w: int, alternate: bool = False) -> tuple[int, int]:
+    """Enclose 2 atanh(1/q) = ln((q+1)/(q-1)), or 2 arctan(1/q) if
+    `alternate`, for an integer q >= 3, at scale 2^-w.
 
     2 atanh(1/q) 2^(w+16) is the sum of X_i / (2i+1) with X_i equal to
     2^(w+17) / q^(2i+1), and p_i = floor(X_i) is exact: each is the last
     floored by q^2.  So term i lies in [p_i // d, p_i // d + 1], d = 2i+1,
-    and once p_i is 0 (at i >= 1) the rest sum below (1/3)(9/8) < 1.  The
-    16 extra bits absorb the one ulp per term.
+    and once p_i is 0 (at i >= 1) the rest sum below (1/3)(9/8) < 1.
+    arctan flips the sign of every odd term, so its lower end may lose the
+    n + 1 ulps that its upper end may gain; its rest lies within the first
+    omitted term, below 1.  The 16 extra bits absorb the one ulp per term.
     """
     g = 16
     p = (1 << (w + g + 1)) // q
     q2 = q * q
     s = n = 0
-    d = 1
     while p:
-        s += p // d
+        t = p // (2 * n + 1)
+        s += -t if alternate and n & 1 else t
         n += 1
         p //= q2
-        d += 2
-    return s >> g, -(-(s + n + 1) >> g)
+    return (s - (n + 1 if alternate else 0)) >> g, -(-(s + n + 1) >> g)
+
+
+def ln1p_recip(m: int, prec) -> Ball:
+    """Certified enclosure of ln(1 + 1/m) = 2 atanh(1/(2m+1)) for an int m >= 1.
+
+    The series runs at scale 2^-(w + bit length of m), so the error is
+    relative to the value, which lies in (1/(2m), 1/m].
+    """
+    if m < 1:
+        raise ValueError("ln1p_recip needs m >= 1")
+    p = bits_of(prec)
+    w = _working_bits(p) + m.bit_length()
+    lo, hi = _atanh_recip_iv(2 * m + 1, w)
+    return _from_int_interval(lo, hi, -w, p)
 
 
 @lru_cache(maxsize=64)
 def _ln_constants(w: int) -> tuple[tuple[int, int], ...]:
-    """ln 2, then ln(1 + 2^-j) for j = 1..r, as integer intervals at scale 2^-w."""
-    qs = [3] + [(1 << (j + 1)) + 1 for j in range(1, _reductions(w) + 1)]
-    return tuple(_atanh_recip_iv(q, w) for q in qs)
+    """ln(1 + 2^-j) for j = 0..r, ln 2 first, as integer intervals at scale 2^-w."""
+    return tuple(_atanh_recip_iv((2 << j) + 1, w) for j in range(_reductions(w) + 1))
 
 
 def _atanh_sum_iv(u_lo: int, u_hi: int, w: int, r: int) -> tuple[int, int]:
@@ -124,12 +153,7 @@ def _ln_dyadic(man: int, exp: int, w: int) -> tuple[int, int]:
     """
     bl = man.bit_length()
     k = exp + bl - 1  # man*2^exp = t * 2^k with t in [1, 2)
-    s = w - (bl - 1)
-    if s >= 0:
-        t_lo = t_hi = man << s
-    else:
-        t_lo = man >> -s
-        t_hi = t_lo if man & ((1 << -s) - 1) == 0 else t_lo + 1
+    t_lo, t_hi = _floor_ceil(man, w - (bl - 1))
     one = 1 << w
     consts = _ln_constants(w)
     r = len(consts) - 1
@@ -165,6 +189,15 @@ def ln2_ball(prec) -> Ball:
     return _from_int_interval(lo, hi, -w, p)
 
 
+def pi_ball(prec) -> Ball:
+    """Certified enclosure of pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin)."""
+    p = bits_of(prec)
+    w = _working_bits(p)
+    a_lo, a_hi = _atanh_recip_iv(5, w, alternate=True)
+    b_lo, b_hi = _atanh_recip_iv(239, w, alternate=True)
+    return _from_int_interval(8 * a_lo - 2 * b_hi, 8 * a_hi - 2 * b_lo, -w, p)
+
+
 def ln(a: Ball, prec) -> Ball:
     """Natural logarithm of a ball whose enclosure is strictly positive."""
     p = bits_of(prec)
@@ -181,90 +214,71 @@ def ln(a: Ball, prec) -> Ball:
     return _from_int_interval(lo, hi, -w, p)
 
 
-def _imul_iv(a_lo: int, a_hi: int, b_lo: int, b_hi: int, w: int) -> tuple[int, int]:
-    c1 = a_lo * b_lo
-    c2 = a_lo * b_hi
-    c3 = a_hi * b_lo
-    c4 = a_hi * b_hi
-    lo = min(c1, c2, c3, c4) >> w
-    hi = -((-max(c1, c2, c3, c4)) >> w)
-    return lo, hi
+def _exp_taylor(y: int, z: int, w: int) -> int:
+    """A lower bound on y e^z, with y, z and the result at scale 2^-w, for
+    |y| >= 2 and 0 <= z < 2^(w-1).
 
-
-def _float_of_dyadic(man: int, exp: int) -> float:
-    bl = man.bit_length()
-    drop = max(0, bl - 53)
-    return math.ldexp(man >> drop, exp + drop)
+    Term i is t_i = floor(t_(i-1) z / (i 2^w)) with t_0 = y, one product
+    each; as z >= 0, every t_i is at most its true value y z^i / i!.  The
+    chain stops at the first |t_i| <= 1, at i >= 1.  The true terms after
+    it shrink by a ratio z 2^-w / (i+1) < 1/4, so they sum below a third
+    of its true value: below 1/3 in magnitude.  They are positive for
+    y > 0 and the lower bound drops them; for y < 0 the caller adds 1.
+    """
+    s = t = y
+    i = 0
+    while abs(t) > 1:
+        i += 1
+        t = (t * z >> w) // i
+        s += t
+    return s
 
 
 def _exp_dyadic(man: int, exp: int, w: int) -> tuple[int, int, int]:
-    """exp(man*2^exp) as ([lo, hi], k): value lies in [lo, hi]*2^(k-w)."""
-    if man == 0:
-        one = 1 << w
-        return one, one, 0
+    """exp(man*2^exp) as ([lo, hi], k): value lies in [lo, hi]*2^(k-w).
+
+    With x in [x_lo, x_hi] at scale 2^-w, k = floor(x_lo / L) for the ln 2
+    endpoint L that puts z_lo = x_lo - k ln 2 at its least, the upper one
+    for k >= 0 and the lower one for k < 0, so 0 <= z_lo < L.  Taking out
+    ln(1 + 2^-j) whenever z_lo reaches its upper end C_j leaves z_lo below
+    C_j at each j, as ln(1 + 2^-(j-1)) - ln(1 + 2^-j) falls short of
+    ln(1 + 2^-j) by about 2^-2j, far more than a few ulps; so z_lo ends
+    below 2^-r.  z_hi exceeds z_lo by at most 1 + 2|k| + 2r ulps, each
+    constant being at most 2 ulps wide.  y = prod (1 + 2^-j) takes one
+    floor or ceiling a step.
+    """
     if man.bit_length() + exp > 25:
         raise RangeError("exp argument magnitude above 2^25 is not supported")
-    s = exp + w
-    if s >= 0:
-        x_lo = x_hi = man << s
-    else:
-        q = man >> -s
-        x_lo = q
-        x_hi = q if man & ((1 << -s) - 1) == 0 else q + 1
-    l2_lo, l2_hi = _ln_constants(w)[0]
-    k = int(math.floor(_float_of_dyadic(man, exp) * 1.4426950408889634 + 0.5))
-    bound = (2**w * 36) // 100
-    for _ in range(3):
-        if k >= 0:
-            r_lo = x_lo - k * l2_hi
-            r_hi = x_hi - k * l2_lo
-        else:
-            r_lo = x_lo - k * l2_lo
-            r_hi = x_hi - k * l2_hi
-        if r_hi > bound:
-            k += 1
-        elif r_lo < -bound:
-            k -= 1
-        else:
-            break
-    else:
-        raise AssertionError("exp argument reduction failed to settle")
-    one = 1 << w
-    t_lo = t_hi = one
-    s_lo = s_hi = one
-    j = 1
-    while max(abs(t_lo), abs(t_hi)) > _SERIES_STOP:
-        t_lo, t_hi = _imul_iv(t_lo, t_hi, r_lo, r_hi, w)
-        t_lo = t_lo // j
-        t_hi = -(-t_hi // j)
-        s_lo += t_lo
-        s_hi += t_hi
-        j += 1
-        if j > 10000:
-            raise AssertionError("exp series failed to converge")
-    # remaining terms are geometric with ratio |r|/(j+1) <= 0.36
-    m = max(abs(t_lo), abs(t_hi)) + 1
-    return s_lo - m, s_hi + m, k
+    x_lo, x_hi = _floor_ceil(man, exp + w)
+    consts = _ln_constants(w)
+    r = len(consts) - 1
+    # k >= 0 takes k ln 2 out of x_lo at its upper end, k < 0 at its lower end
+    near, far = consts[0] if x_lo >= 0 else consts[0][::-1]
+    k = x_lo // far
+    z_lo, z_hi = x_lo - k * far, x_hi - k * near
+    y_lo = y_hi = 1 << w
+    for j in range(1, r + 1):
+        if z_lo >= consts[j][1]:
+            z_lo -= consts[j][1]
+            z_hi -= consts[j][0]
+            y_lo += y_lo >> j
+            y_hi += -(-y_hi >> j)
+    if z_hi > (1 << (w - r)) + 2 * abs(k) + 2 * r + 1:
+        raise AssertionError("exp argument out of the reduced range")
+    return _exp_taylor(y_lo, z_lo, w), 1 - _exp_taylor(-y_hi, z_hi, w), k
 
 
 def exp(a: Ball, prec) -> Ball:
-    """Exponential of a ball."""
+    """Exponential of a ball: the hull of exp at its endpoints, exp being increasing."""
     p = bits_of(prec)
     w = _working_bits(p)
-    lo, hi, k = _exp_dyadic(a.man, a.exp, w)
-    res = _from_int_interval(lo, hi, k - w, p)
-    if a.rman == 0:
-        return res
-    r = a.rad_fraction()
-    if r <= Fraction(1, 2):
-        # e^x <= e^mid * e^r <= 2 * sup(point enclosure) for r <= 1/2
-        pad = 2 * r * res.upper()
-        return add_rad_fraction(res, pad)
-    # wide input: exp is increasing, evaluate both endpoints
     lo_end, hi_end, e = _endpoints_scaled(a)
-    b_lo = exp(Ball(lo_end, e), p)
-    b_hi = exp(Ball(hi_end, e), p)
-    return hull(b_lo, b_hi, p)
+    lo, hi, k = _exp_dyadic(lo_end, e, w)
+    res = _from_int_interval(lo, hi, k - w, p)
+    if a.rman:
+        lo, hi, k = _exp_dyadic(hi_end, e, w)
+        res = hull(res, _from_int_interval(lo, hi, k - w, p), p)
+    return res
 
 
 def sqrt(a: Ball, prec) -> Ball:

@@ -79,6 +79,7 @@ from .ball import (
     scale2,
     sub,
 )
+from .elementary import pi_ball
 from .symbolic import Poly
 
 __all__ = [
@@ -445,38 +446,13 @@ def alternating_tail(n: int, prec) -> Ball:
 
 
 # ---------------------------------------------------------------------------
-# pi (needed for ln(2*pi) in log-gamma)
+# ln(2 pi)/2 for Stirling's formula; pi comes from elementary's arctan
+# kernel, the series behind ln 2
 # ---------------------------------------------------------------------------
-
-def _arctan_recip(q: int, w: int) -> tuple[Fraction, Fraction]:
-    """Partial sum and tail bound for arctan(1/q), alternating series."""
-    def den(j: int) -> int:
-        return (2 * j + 1) * q ** (2 * j + 1)
-
-    j = 0
-    while den(j).bit_length() <= w + 8:
-        j += 1
-    return _tree_sum(lambda i: Fraction(-1 if i & 1 else 1, den(i)), 0, j - 1), Fraction(1, den(j))
-
-
-@lru_cache(maxsize=32)
-def _pi_cached(w: int) -> Ball:
-    s5, t5 = _arctan_recip(5, w)
-    s239, t239 = _arctan_recip(239, w)
-    mid = 16 * s5 - 4 * s239
-    b = Ball.from_fraction(mid, w)
-    return add_rad_fraction(b, 16 * t5 + 4 * t239)
-
-
-def pi_ball(prec) -> Ball:
-    """Certified enclosure of pi via Machin's formula."""
-    p = bits_of(prec)
-    return round_ball(_pi_cached(p + 16), p)
-
 
 @lru_cache(maxsize=32)
 def _half_ln_2pi(w: int) -> Ball:
-    two_pi = scale2(_pi_cached(w + 8), 1)
+    two_pi = scale2(pi_ball(w + 8), 1)
     return scale2(elementary.ln(two_pi, w), -1)
 
 

@@ -39,7 +39,7 @@ from harmonicbounds.specfun import (
     psi_gap,
 )
 from harmonicbounds.verify import f_eval
-from helpers import assert_contains, oracle
+from helpers import assert_contains, exact_fraction, oracle
 
 EXPECTED_IDS = (
     "franel",
@@ -267,6 +267,20 @@ def test_ln_expm1_recip_contains_the_mpmath_value(x):
         got = bounds._ln_expm1_recip(x, w)
         assert_contains(got, want, fuzz=Fraction(1, 2**2990) * abs(want), label=f"x={x}, w={w}")
         assert got.rad_fraction() < abs(want) / 2 ** (w - 8)
+
+
+@pytest.mark.parametrize("w", [152, 1048, 4120])
+@pytest.mark.parametrize(
+    "n", [1, 500, 10**6, 2**200, 10**400], ids=["1", "500", "1e6", "2^200", "1e400"]
+)
+def test_ln1p_half_recip_keeps_relative_accuracy(n, w):
+    # ln(1 + 1/(2n)) is about 1/(2n): an absolute error of 2^-w would leave
+    # no correct bit of it at n = 2^200
+    with mp.workprec(w + n.bit_length() + 100):
+        want = exact_fraction(mp.log1p(1 / (2 * mp.mpf(n))))
+    got = bounds._ln1p_half_recip(n, w)
+    assert_contains(got, want, fuzz=want / 2 ** (w + 60), label=f"n={n}, w={w}")
+    assert got.rad_fraction() <= want / 2 ** (w - 4)
 
 
 def test_quartic_target_is_negated_psi_gap():

@@ -16,15 +16,19 @@ from hypothesis import given, settings, strategies as st
 
 from harmonicbounds.ball import Ball, DomainError, RangeError, add, compare, Order, mul
 from harmonicbounds.elementary import (
+    _atanh_recip_iv,
+    _exp_dyadic,
     _ln_constants,
     _ln_dyadic,
     _reductions,
     exp,
     ln,
+    ln1p_recip,
     ln2_ball,
+    pi_ball,
     sqrt,
 )
-from helpers import LN2_110, assert_contains, oracle
+from helpers import LN2_110, assert_contains, exact_fraction, oracle
 
 positive_fractions = st.fractions(
     min_value=Fraction(1, 10**6), max_value=Fraction(10**6), max_denominator=10**9
@@ -129,6 +133,28 @@ def test_ln_constants_contain_mpmath_within_two_ulps(w):
         assert lo <= want <= hi and hi - lo <= 2, (w, j)
 
 
+@pytest.mark.parametrize("w", KERNEL_BITS)
+def test_arctan_kernel_contains_mpmath_within_two_ulps(w):
+    # the alternating series behind pi, at Machin's two divisors and more
+    for q in (3, 5, 239, (1 << 40) + 1):
+        lo, hi = _atanh_recip_iv(q, w, alternate=True)
+        with mp.workprec(w + 100):
+            want = 2 * mp.atan(1 / mp.mpf(q)) * mp.mpf(2) ** w
+        assert lo <= want <= hi and hi - lo <= 2, (w, q)
+
+
+@pytest.mark.parametrize("p", [128, 1024])
+def test_ln1p_recip_keeps_relative_accuracy(p):
+    for m in (1, 3, 2**64 + 1, 10**300 + 7):
+        b = ln1p_recip(m, p)
+        with mp.workprec(p + m.bit_length() + 100):
+            want = exact_fraction(mp.log1p(1 / mp.mpf(m)))
+        assert_contains(b, want, fuzz=want / 2 ** (p + 60), label=f"m={m}")
+        assert b.rad_fraction() <= want / 2 ** (p - 2), m
+    with pytest.raises(ValueError):
+        ln1p_recip(0, p)
+
+
 def test_ln_of_a_ball_is_padded_by_its_lipschitz_bound():
     # ln over [mid - rad, mid + rad] lies within rad / (mid - rad) of ln(mid);
     # a radius keeps 32 bits, rounded up
@@ -170,6 +196,87 @@ def test_exp_of_one_contains_e():
 def test_exp_rejects_huge_arguments():
     with pytest.raises(RangeError):
         exp(Ball.exact_dyadic(1, 26), 64)
+    with pytest.raises(RangeError):
+        exp(Ball.exact_dyadic(-1, 25), 64)
+    with pytest.raises(RangeError):
+        # a ball whose upper end reaches 2^25
+        exp(Ball((1 << 25) - 1, 0, 1, 0), 64)
+
+
+def _scaled_exp(man: int, e: int, w: int, k: int):
+    """mpmath's exp(man * 2^e) * 2^(w-k), 100 bits finer than the kernel."""
+    with mp.workprec(w + 100):
+        return mp.exp(mp.mpf(man) * mp.mpf(2) ** e) * mp.mpf(2) ** (w - k)
+
+
+def _exp_arguments(w: int) -> list[tuple[int, int]]:
+    """(man, exp) pairs: 0 and one ulp either side of it, both ends of every
+    reduction threshold ln(1 + 2^-j) and one ulp beyond, k ln 2 and its
+    neighbours for k = +-1 and +-1000, each also negated, random negative
+    arguments, and |x| one ulp below 2^25."""
+    consts = _ln_constants(w)
+    args = [(0, 0), (1, -w), (-1, -w), (1, -(w + 60)), (-1, -(w + 60))]
+    for lo, hi in consts:  # ln 2 first, then ln(1 + 2^-j) for j <= r
+        for c in (lo - 1, lo, hi, hi + 1):
+            args += [(c, -w), (-c, -w)]
+    l2 = consts[0][0]
+    for k in (1, -1, 1000, -1000):
+        args += [(k * l2 + d, -w) for d in (-1, 0, 1, 2, 3)]
+    rng = random.Random(w)
+    for _ in range(20):
+        man = rng.getrandbits(w + 40) | 1
+        args.append((-man, rng.randrange(-(w + 60), 20) - man.bit_length()))
+    top = (1 << (w + 25)) - 1
+    return args + [(top, -w), (-top, -w)]
+
+
+@pytest.mark.parametrize("w", KERNEL_BITS)
+def test_exp_kernel_encloses_mpmath_and_stays_narrow(w):
+    # width: the reduced argument's, 1 + 2r ulps plus |k| widths of ln 2,
+    # scaled by y e^z < 2, plus an ulp per shift-add and two per Taylor term
+    # (under w/r of them)
+    r = _reductions(w)
+    l2_lo, l2_hi = _ln_constants(w)[0]
+    for man, e in _exp_arguments(w):
+        lo, hi, k = _exp_dyadic(man, e, w)
+        assert lo <= _scaled_exp(man, e, w, k) <= hi, (w, man, e)
+        assert hi - lo <= 2 * (abs(k) * (l2_hi - l2_lo) + w // r) + 12 * r + 8, (w, man, e)
+
+
+def test_exp_of_a_ball_is_the_hull_of_its_endpoints():
+    for mid, rad in ((Fraction(-7, 3), Ball(0, 0, 1, -30)), (Fraction(1, 5), Ball(0, 0, 3, 0))):
+        ball = add(Ball.from_fraction(mid, 192), rad, 192)
+        b = exp(ball, 128)
+        want_lo, want_hi = (oracle(mp.exp, v) for v in (ball.lower(), ball.upper()))
+        assert_contains(b, want_lo, label=f"exp({float(ball.lower())})")
+        assert_contains(b, want_hi, label=f"exp({float(ball.upper())})")
+        # a radius keeps 32 bits, rounded up
+        assert b.upper() - b.lower() <= (want_hi - want_lo) * (1 + Fraction(1, 2**30)) + want_hi / 2**120
+
+
+@pytest.mark.parametrize("p", [53, 128, 1024, 4096])
+def test_pi_contains_mpmath_within_an_ulp(p):
+    with mp.workprec(p + 100):
+        want = exact_fraction(+mp.pi)
+    b = pi_ball(p)
+    assert_contains(b, want, fuzz=Fraction(1, 2 ** (p + 90)), label=f"pi@{p}")
+    assert b.rad_fraction() <= Fraction(1, 2 ** (p - 1))
+
+
+@pytest.mark.parametrize("p", [4096, 4160, 4608])
+def test_every_accepted_precision_keeps_its_bits(p):
+    # up to the internal ceiling of 4608 bits, no kernel caps its working bits
+    with mp.workprec(p + 100):
+        cases = (
+            ("ln 3", ln(Ball.from_int(3), p), mp.log(3)),
+            ("exp 1/2", exp(Ball(1, -1), p), mp.exp(mp.mpf(1) / 2)),
+            ("ln 2", ln2_ball(p), mp.log(2)),
+            ("pi", pi_ball(p), +mp.pi),
+        )
+        for label, b, want in cases:
+            want = exact_fraction(want)
+            assert_contains(b, want, fuzz=want / 2 ** (p + 90), label=f"{label}@{p}")
+            assert b.rad_fraction() <= want / 2 ** (p - 2), label
 
 
 @given(st.fractions(min_value=-30, max_value=30, max_denominator=10**6))

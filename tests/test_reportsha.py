@@ -37,11 +37,11 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "28c895b57bc278fdfaf1432a2d59f978dd69b555d5ecdcd9917b90dd3fb55018",
+        "40a8e04b7d62d89aa4e85f61fd9a7d6c1e9101959bef9a8c3c6438dfba441db8",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "05164c196107d7f3a86fcf1f173200c10b37fb63ee174dbc2bfcea51c1c6f112",
+        "32ded2c5f94cfad5ea2804c08506bd177c0c50958ab57d1308ca92e140e2de3f",
     ),
 }
 

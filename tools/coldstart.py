@@ -26,6 +26,11 @@ def _ln(p: int) -> str:
     return f"s.elementary.ln(s.Ball.from_int(3), {p})"
 
 
+def _exp(p: int) -> str:
+    # exp(1/2) reads the same table, from the ln 2 end
+    return f"s.elementary.exp(s.Ball(1, -1), {p})"
+
+
 def _sums(w: int) -> str:
     # every series kind summed at the shift threshold of working precision
     # w: the Bernoulli table and each kind's coefficient table grow to there
@@ -40,6 +45,11 @@ ITEMS = (
     ("ln(3) at 128 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(128)),
     ("ln(3) at 1024 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(1024)),
     ("ln(3) at 4096 bits, with its table of ln 2 and ln(1 + 2^-j)", _ln(4096)),
+    ("exp(1/2) at 128 bits, with its table of ln 2 and ln(1 + 2^-j)", _exp(128)),
+    ("exp(1/2) at 1024 bits, with its table of ln 2 and ln(1 + 2^-j)", _exp(1024)),
+    ("exp(1/2) at 4096 bits, with its table of ln 2 and ln(1 + 2^-j)", _exp(4096)),
+    ("pi_ball(1024)", "s.pi_ball(1024)"),
+    ("pi_ball(4096)", "s.pi_ball(4096)"),
     ("euler_gamma(128)", "s.euler_gamma(128)"),
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
     ("_threshold_series(144)", "s._threshold_series(144)"),
