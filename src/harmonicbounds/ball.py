@@ -1,16 +1,23 @@
 """Midpoint-radius interval ("ball") arithmetic over dyadic rationals.
 
-A ball represents the closed interval [m*2^e - r, m*2^e + r] where the
-midpoint mantissa m is an arbitrary-precision integer and the radius
-r = rman*2^rexp keeps a short mantissa (at most 32 bits) with its own
-exponent.  The radius is deliberately *not* a machine float: at working
-precisions of a few thousand bits a float radius would underflow to zero
-below 2^-1074 and silently destroy soundness.
+A ball (man, exp, r) represents the closed interval
+[(man - r)*2^exp, (man + r)*2^exp]: the midpoint mantissa man is an
+arbitrary-precision integer and the radius r >= 0 counts units in the last
+place of the midpoint, as in F. Johansson, "Arb: efficient arbitrary-
+precision midpoint-radius interval arithmetic".  The radius is
+deliberately *not* a machine float: at working precisions of a few
+thousand bits a float radius would underflow to zero below 2^-1074 and
+silently destroy soundness.
+
+Rounding at p bits is one shift: the midpoint keeps at most p + 1 bits,
+rounded to nearest, and the radius plus the rounding error is divided by
+the same power of two, rounding up.  A wide ball, whose radius is about as
+long as its midpoint, is given a shorter midpoint instead, so that after
+every rounding r is at most 2^64 + 1.
 
 Every operation returns a ball whose interval contains the exact image of
-the input intervals; midpoint rounding (ties to even) is folded into the
-radius.  No infinities or NaNs exist in this model — out-of-domain inputs
-raise instead.
+the input intervals.  No infinities or NaNs exist in this model — out-of-
+domain inputs raise instead.
 """
 
 from __future__ import annotations
@@ -80,11 +87,12 @@ CLIMB_CAP = MAX_PRECISION + 16
 # plain-int precisions are allowed a bit past the user-facing cap.
 _INTERNAL_CEILING = MAX_PRECISION + 512
 
-# Radius mantissas are kept at or below this many bits, always rounding up.
-_RAD_BITS = 32
+# A rounding keeps r at most 2^_RADIUS_BITS + 1, shortening the midpoint of
+# a wide ball instead of carrying a long radius.
+_RADIUS_BITS = 64
 
-# Midpoint alignment beyond roughly (precision + this) bits is absorbed into
-# the radius instead of materialising huge shifted integers.
+# An addend more than (precision + this) bits below the other one is
+# absorbed into the radius instead of materialising huge shifted integers.
 _ALIGN_SLACK = 64
 
 
@@ -110,14 +118,14 @@ class Precision:
 
 def bits_of(prec) -> int:
     """Accept an int or a Precision and return validated bits."""
+    if type(prec) is int and MIN_PRECISION <= prec <= _INTERNAL_CEILING:
+        return prec
     if isinstance(prec, Precision):
         return prec.bits
     if isinstance(prec, int) and not isinstance(prec, bool):
-        if not MIN_PRECISION <= prec <= _INTERNAL_CEILING:
-            raise ValueError(
-                f"precision must be in [{MIN_PRECISION}, {_INTERNAL_CEILING}] bits, got {prec}"
-            )
-        return prec
+        raise ValueError(
+            f"precision must be in [{MIN_PRECISION}, {_INTERNAL_CEILING}] bits, got {prec}"
+        )
     raise TypeError(f"precision must be an int or Precision, got {type(prec).__name__}")
 
 
@@ -138,8 +146,7 @@ def climb(step, w0: int):
         if decision is not None:
             return decision, value, w
         if w >= CLIMB_CAP or (
-            prev is not None
-            and _dyadic_cmp(deciding.rman, deciding.rexp + 1, prev.rman, prev.rexp) > 0
+            prev is not None and _dyadic_cmp(deciding.r, deciding.exp + 1, prev.r, prev.exp) > 0
         ):
             return None, value, w
         prev = deciding
@@ -152,93 +159,6 @@ class Order(Enum):
     CERTAINLY_LESS = "certainly_less"
     CERTAINLY_GREATER = "certainly_greater"
     OVERLAPPING = "overlapping"
-
-
-# ---------------------------------------------------------------------------
-# radius helpers: nonnegative dyadics (mantissa, exponent), rounded upward
-# ---------------------------------------------------------------------------
-
-def _rad_norm(m: int, e: int) -> tuple[int, int]:
-    """Shorten a nonnegative dyadic m*2^e to <= _RAD_BITS mantissa bits, rounding up."""
-    if m == 0:
-        return 0, 0
-    bl = m.bit_length()
-    if bl <= _RAD_BITS:
-        return m, e
-    s = bl - _RAD_BITS
-    m2 = (m + (1 << s) - 1) >> s
-    if m2.bit_length() > _RAD_BITS:  # ceiling carried up to a power of two
-        m2 >>= 1
-        s += 1
-    return m2, e + s
-
-
-def _rad_add(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    if m1 == 0:
-        return _rad_norm(m2, e2)
-    if m2 == 0:
-        return _rad_norm(m1, e1)
-    m1, e1 = _rad_norm(m1, e1)
-    m2, e2 = _rad_norm(m2, e2)
-    if e1 < e2:
-        m1, e1, m2, e2 = m2, e2, m1, e1
-    sh = e1 - e2
-    if sh > _RAD_BITS + 2:
-        # The smaller term is below one ulp of the larger; absorb it.
-        return _rad_norm(m1 + 1, e1)
-    return _rad_norm((m1 << sh) + m2, e2)
-
-
-def _rad_mul(m1: int, e1: int, m2: int, e2: int) -> tuple[int, int]:
-    if m1 == 0 or m2 == 0:
-        return 0, 0
-    return _rad_norm(m1 * m2, e1 + e2)
-
-
-def _rad_from_fraction(value: Fraction) -> tuple[int, int]:
-    """Upper-bound a nonnegative Fraction by a short radius."""
-    num, den = value.numerator, value.denominator
-    if num == 0:
-        return 0, 0
-    if num < 0:
-        raise ValueError("radius must be nonnegative")
-    shift = _RAD_BITS + 2 + den.bit_length() - num.bit_length()
-    if shift < 0:
-        shift = 0
-    q = -((-(num << shift)) // den)  # ceil
-    return _rad_norm(q, -shift)
-
-
-def _round_mid(man: int, exp: int, prec: int) -> tuple[int, int, int, int]:
-    """Round man*2^exp to <= prec mantissa bits (ties to even).
-
-    Returns (man', exp', err_man, err_exp) where the error term bounds the
-    rounding defect in radius format.
-    """
-    if man == 0:
-        return 0, 0, 0, 0
-    a = abs(man)
-    bl = a.bit_length()
-    if bl <= prec:
-        return man, exp, 0, 0
-    s = bl - prec
-    q = a >> s
-    r = a - (q << s)
-    half = 1 << (s - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-        err = (1 << s) - r
-    else:
-        err = r
-    if q.bit_length() > prec:  # rounded up to a power of two
-        q >>= 1
-        s += 1
-    if man < 0:
-        q = -q
-    if err == 0:
-        return q, exp + s, 0, 0
-    em, ee = _rad_norm(err, exp)
-    return q, exp + s, em, ee
 
 
 def _dyadic_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
@@ -259,30 +179,41 @@ def _dyadic_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (a > b) - (a < b)
 
 
+_new_ball = object.__new__
+_set = object.__setattr__
+
+
+def _ball(man: int, exp: int, r: int) -> "Ball":
+    b = _new_ball(Ball)
+    _set(b, "man", man)
+    _set(b, "exp", exp)
+    _set(b, "r", r)
+    return b
+
+
 class Ball:
-    """Closed interval [man*2^exp - rman*2^rexp, man*2^exp + rman*2^rexp]."""
+    """Closed interval [(man - r)*2^exp, (man + r)*2^exp], with r >= 0."""
 
-    __slots__ = ("man", "exp", "rman", "rexp")
+    __slots__ = ("man", "exp", "r")
 
-    def __init__(self, man: int, exp: int, rman: int = 0, rexp: int = 0):
+    def __new__(cls, man: int, exp: int, rman: int = 0, rexp: int = 0):
+        """The ball man*2^exp +/- rman*2^rexp, held exactly: the midpoint's
+        exponent drops to rexp when the radius is the finer of the two."""
         if rman < 0:
             raise ValueError("radius mantissa must be nonnegative")
-        if man == 0:
-            exp = 0
-        if rman == 0:
-            rexp = 0
-        else:
-            rman, rexp = _rad_norm(rman, rexp)
-        object.__setattr__(self, "man", man)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "rman", rman)
-        object.__setattr__(self, "rexp", rexp)
+        if not rman:
+            return _ball(man, exp if man else 0, 0)
+        if not man:
+            return _ball(0, rexp, rman)
+        if rexp < exp:
+            return _ball(man << (exp - rexp), rexp, rman)
+        return _ball(man, exp, rman << (rexp - exp))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ball is immutable")
 
     def __reduce__(self):
-        return (Ball, (self.man, self.exp, self.rman, self.rexp))
+        return (Ball, (self.man, self.exp, self.r, self.exp))
 
     # -- constructors -------------------------------------------------------
 
@@ -299,14 +230,14 @@ class Ball:
         """Enclose an int or Fraction; radius is at most one ulp at `prec`."""
         p = bits_of(prec)
         if isinstance(value, int):
-            return _make(value, 0, 0, 0, p)
+            return _make(value, 0, 0, p)
         if not isinstance(value, Fraction):
             raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
         num, den = value.numerator, value.denominator
         if num == 0:
             return cls(0, 0)
         if den & (den - 1) == 0:  # already dyadic
-            return _make(num, 1 - den.bit_length(), 0, 0, p)
+            return _make(num, 1 - den.bit_length(), 0, p)
         sign = 1 if num > 0 else -1
         a = abs(num)
         shift = p + 1 + den.bit_length() - a.bit_length()
@@ -314,29 +245,38 @@ class Ball:
             shift = 0
         q, r = divmod(a << shift, den)
         if r == 0:
-            return _make(sign * q, -shift, 0, 0, p)
+            return _make(sign * q, -shift, 0, p)
         # true value in (q, q+1) * 2^-shift: centre on the half-integer
-        return _make(sign * (2 * q + 1), -shift - 1, 1, -shift - 1, p)
+        return _make(sign * (2 * q + 1), -shift - 1, 1, p)
 
-    # -- exact views --------------------------------------------------------
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def rman(self) -> int:
+        """The radius is rman*2^rexp."""
+        return self.r
+
+    @property
+    def rexp(self) -> int:
+        return self.exp if self.r else 0
 
     @property
     def is_exact(self) -> bool:
-        return self.rman == 0
+        return self.r == 0
 
     def mid_fraction(self) -> Fraction:
         return _dyadic_fraction(self.man, self.exp)
 
     def rad_fraction(self) -> Fraction:
-        return _dyadic_fraction(self.rman, self.rexp)
+        return _dyadic_fraction(self.r, self.exp)
 
     def lower(self) -> Fraction:
         """Exact lower endpoint."""
-        return self.mid_fraction() - self.rad_fraction()
+        return _dyadic_fraction(self.man - self.r, self.exp)
 
     def upper(self) -> Fraction:
         """Exact upper endpoint."""
-        return self.mid_fraction() + self.rad_fraction()
+        return _dyadic_fraction(self.man + self.r, self.exp)
 
     def contains(self, value) -> bool:
         """Exact membership test for an int or Fraction."""
@@ -344,21 +284,15 @@ class Ball:
         return self.lower() <= v <= self.upper()
 
     def contains_zero(self) -> bool:
-        if self.rman == 0:
-            return self.man == 0
-        return _dyadic_cmp(abs(self.man), self.exp, self.rman, self.rexp) <= 0
+        return abs(self.man) <= self.r
 
     def is_positive(self) -> bool:
         """True when every point of the ball is > 0."""
-        if self.man <= 0:
-            return False
-        return _dyadic_cmp(self.man, self.exp, self.rman, self.rexp) > 0
+        return self.man > self.r
 
     def is_negative(self) -> bool:
         """True when every point of the ball is < 0."""
-        if self.man >= 0:
-            return False
-        return _dyadic_cmp(-self.man, self.exp, self.rman, self.rexp) > 0
+        return -self.man > self.r
 
     def sign_definite(self) -> bool:
         return self.is_positive() or self.is_negative()
@@ -374,7 +308,7 @@ class Ball:
             return NotImplemented
         return (
             _dyadic_cmp(self.man, self.exp, other.man, other.exp) == 0
-            and _dyadic_cmp(self.rman, self.rexp, other.rman, other.rexp) == 0
+            and _dyadic_cmp(self.r, self.exp, other.r, other.exp) == 0
         )
 
     def __hash__(self):
@@ -387,33 +321,40 @@ def _dyadic_fraction(m: int, e: int) -> Fraction:
     return Fraction(m, 1 << -e)
 
 
-def _make(man: int, exp: int, rman: int, rexp: int, prec: int) -> Ball:
-    man2, exp2, em, ee = _round_mid(man, exp, prec)
-    rm, re = _rad_add(rman, rexp, em, ee)
-    return Ball(man2, exp2, rm, re)
-
-
-def _mag_upper(b: Ball) -> tuple[int, int]:
-    """Short upper bound for sup |x| over the ball, in radius format."""
-    m, e = _rad_norm(abs(b.man), b.exp)
-    return _rad_add(m, e, b.rman, b.rexp)
+def _make(man: int, exp: int, r: int, prec: int) -> Ball:
+    """Round (man, exp, r) to at most prec + 1 midpoint bits and a radius of
+    at most 2^_RADIUS_BITS + 1, by one shift s: the midpoint to nearest,
+    and the radius plus the midpoint's rounding error upward."""
+    s = man.bit_length() - prec - 1
+    if r.bit_length() - _RADIUS_BITS > s:
+        s = r.bit_length() - _RADIUS_BITS
+    if s <= 0:
+        return _ball(man, exp if man or r else 0, r)
+    q = (man + (1 << (s - 1))) >> s
+    r = (r + abs(man - (q << s)) + (1 << s) - 1) >> s
+    if q.bit_length() > prec + 1:  # rounded up to 2^(prec+1)
+        return _ball(q >> 1, exp + s + 1, (r + 1) >> 1)
+    return _ball(q, exp + s, r)
 
 
 def _endpoints_scaled(b: Ball) -> tuple[int, int, int]:
     """Exact endpoints as (lo, hi, e) with endpoints lo*2^e and hi*2^e."""
-    if b.rman == 0:
-        return b.man, b.man, b.exp
-    e = min(b.exp, b.rexp)
-    m = b.man << (b.exp - e)
-    r = b.rman << (b.rexp - e)
-    return m - r, m + r, e
+    return b.man - b.r, b.man + b.r, b.exp
 
 
 def _from_int_interval(lo: int, hi: int, e: int, prec: int) -> Ball:
     """Ball from an integer-endpoint interval [lo, hi] * 2^e."""
     if lo > hi:
         raise ValueError("empty interval")
-    return _make(lo + hi, e - 1, hi - lo, e - 1, prec)
+    return _make(lo + hi, e - 1, hi - lo, prec)
+
+
+def _absorb(man: int, exp: int, r: int, top: int, prec: int) -> Ball:
+    """(man, exp, r), of magnitude below 2^top, plus anything of magnitude
+    below 2^(top - prec - 1), which widens the radius by that bound."""
+    e = min(exp, top - prec - 1)
+    s = exp - e
+    return _make(man << s, e, (r << s) + (1 << (top - prec - 1 - e)), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -421,124 +362,127 @@ def _from_int_interval(lo: int, hi: int, e: int, prec: int) -> Ball:
 # ---------------------------------------------------------------------------
 
 def neg(a: Ball) -> Ball:
-    return Ball(-a.man, a.exp, a.rman, a.rexp)
+    return _ball(-a.man, a.exp, a.r)
 
 
 def abs_ball(a: Ball) -> Ball:
     """Enclosure of |x|; collapses to [0, hi] when the ball straddles zero."""
     if not a.contains_zero():
-        return Ball(abs(a.man), a.exp, a.rman, a.rexp)
-    hm, he = _mag_upper(a)
-    # interval [0, hm*2^he]
-    return Ball(hm, he - 1, hm, he - 1)
+        return _ball(abs(a.man), a.exp, a.r)
+    hi = abs(a.man) + a.r
+    return _ball(hi, a.exp - 1, hi)
 
 
 def scale2(a: Ball, k: int) -> Ball:
     """Exact multiplication by 2^k."""
-    if a.man == 0 and a.rman == 0:
+    if a.man == 0 and a.r == 0:
         return a
-    return Ball(a.man, a.exp + k, a.rman, a.rexp + k)
+    return _ball(a.man, a.exp + k, a.r)
+
+
+def _add(a: Ball, bman: int, b: Ball, p: int) -> Ball:
+    """a plus the ball (bman, b.exp, b.r): bman is b.man, or -b.man for a
+    difference."""
+    am, ae, ar = a.man, a.exp, a.r
+    be, br = b.exp, b.r
+    gap = ae - be
+    if gap > p + _ALIGN_SLACK or -gap > p + _ALIGN_SLACK:
+        if not (am or ar):
+            return _make(bman, be, br, p)
+        if not (bman or br):
+            return _make(am, ae, ar, p)
+        ta = (abs(am) + ar).bit_length() + ae
+        tb = (abs(bman) + br).bit_length() + be
+        if tb < ta - p - _ALIGN_SLACK:
+            return _absorb(am, ae, ar, ta, p)
+        if ta < tb - p - _ALIGN_SLACK:
+            return _absorb(bman, be, br, tb, p)
+    if gap >= 0:
+        return _make((am << gap) + bman, be, (ar << gap) + br, p)
+    return _make(am + (bman << -gap), ae, ar + (br << -gap), p)
 
 
 def add(a: Ball, b: Ball, prec) -> Ball:
-    p = bits_of(prec)
-    extra = None
-    if a.man == 0:
-        sm, se = b.man, b.exp
-    elif b.man == 0:
-        sm, se = a.man, a.exp
-    else:
-        big, small = (a, b) if (a.man.bit_length() + a.exp >= b.man.bit_length() + b.exp) else (b, a)
-        h_small = abs(small.man).bit_length() + small.exp
-        h_big = abs(big.man).bit_length() + big.exp
-        if h_small < h_big - (p + _ALIGN_SLACK):
-            sm, se = big.man, big.exp
-            extra = (1, h_small)  # |small midpoint| < 2^h_small
-        else:
-            e0 = min(a.exp, b.exp)
-            sm = (a.man << (a.exp - e0)) + (b.man << (b.exp - e0))
-            se = e0
-    rm, re = _rad_add(a.rman, a.rexp, b.rman, b.rexp)
-    if extra is not None:
-        rm, re = _rad_add(rm, re, *extra)
-    return _make(sm, se, rm, re, p)
+    return _add(a, b.man, b, bits_of(prec))
 
 
 def sub(a: Ball, b: Ball, prec) -> Ball:
-    return add(a, neg(b), prec)
+    return _add(a, -b.man, b, bits_of(prec))
 
 
 def mul(a: Ball, b: Ball, prec) -> Ball:
+    """One midpoint product; the radius is (|a| + ra) rb + ra |b|."""
     p = bits_of(prec)
-    mm = a.man * b.man
-    me = a.exp + b.exp
-    rm, re = 0, 0
-    if b.rman:
-        am, ae = _mag_upper(a)
-        rm, re = _rad_mul(am, ae, b.rman, b.rexp)
-    if a.rman and b.man:
-        bm, be = _rad_norm(abs(b.man), b.exp)
-        rm, re = _rad_add(rm, re, *_rad_mul(a.rman, a.rexp, bm, be))
-    return _make(mm, me, rm, re, p)
+    am, ar, bm, br = a.man, a.r, b.man, b.r
+    r = (abs(am) + ar) * br if br else 0
+    if ar:
+        r += ar * abs(bm)
+    return _make(am * bm, a.exp + b.exp, r, p)
 
 
 def recip(b: Ball, prec) -> Ball:
     """Enclosure of 1/x; the input must exclude zero."""
     p = bits_of(prec)
-    lo, hi, e = _endpoints_scaled(b)
-    if lo <= 0 <= hi:
+    m = abs(b.man)
+    if m <= b.r:
         raise EnclosureError("reciprocal of an interval containing zero")
-    flip = lo < 0
-    if flip:
-        lo, hi = -hi, -lo
-    # 1/(x * 2^e) for x in [lo, hi], both positive integers now
+    lo, hi = m - b.r, m + b.r
+    # 1/(x * 2^e) for x in [lo, hi], both positive integers
     k = p + 4 + hi.bit_length()
-    num = 1 << k
-    new_lo = num // hi  # floor(2^k / hi)
-    q, r = divmod(num, lo)
-    new_hi = q if r == 0 else q + 1  # ceil(2^k / lo)
-    if flip:
+    new_lo = (1 << k) // hi
+    new_hi = -(-(1 << k) // lo)
+    if b.man < 0:
         new_lo, new_hi = -new_hi, -new_lo
-    return _from_int_interval(new_lo, new_hi, -k - e, p)
+    return _from_int_interval(new_lo, new_hi, -k - b.exp, p)
 
 
 def div(a: Ball, b: Ball, prec) -> Ball:
     p = bits_of(prec)
-    return mul(a, recip(b, min(p + 8, MAX_PRECISION)), p)
+    return mul(a, recip(b, min(p + 8, _INTERNAL_CEILING)), p)
 
 
 def hull(a: Ball, b: Ball, prec) -> Ball:
     """Smallest ball (at `prec`) containing both input balls."""
     p = bits_of(prec)
-    alo, ahi, ae = _endpoints_scaled(a)
-    blo, bhi, be = _endpoints_scaled(b)
-    e = min(ae, be)
-    sa = ae - e
-    sb = be - e
-    lo = min(alo << sa, blo << sb)
-    hi = max(ahi << sa, bhi << sb)
+    e = min(a.exp, b.exp)
+    sa = a.exp - e
+    sb = b.exp - e
+    lo = min((a.man - a.r) << sa, (b.man - b.r) << sb)
+    hi = max((a.man + a.r) << sa, (b.man + b.r) << sb)
     return _from_int_interval(lo, hi, e, p)
 
 
 def add_rad_fraction(a: Ball, value: Fraction) -> Ball:
-    """Widen a ball by a nonnegative rational amount (rounded up)."""
-    em, ee = _rad_from_fraction(value)
-    rm, re = _rad_add(a.rman, a.rexp, em, ee)
-    return Ball(a.man, a.exp, rm, re)
+    """Widen a ball by a nonnegative rational amount, rounded up to a unit of
+    the midpoint.  The midpoint's exponent first drops to keep _RADIUS_BITS
+    bits of the amount; for a ball with a radius, by at most _RADIUS_BITS,
+    as rounding up then adds at most 2^-_RADIUS_BITS of that radius.  An
+    exact ball has no such scale and no precision to round to, so its
+    midpoint is shifted down to the amount's scale, however far below it
+    lies; the next rounding operation shortens it again."""
+    num, den = value.numerator, value.denominator
+    if num < 0:
+        raise ValueError("radius must be nonnegative")
+    if num == 0:
+        return a
+    e = min(a.exp, num.bit_length() - den.bit_length() - _RADIUS_BITS)
+    if a.r:
+        e = max(e, a.exp - _RADIUS_BITS)
+    s = a.exp - e
+    units = -((-num << max(-e, 0)) // (den << max(e, 0)))
+    return _ball(a.man << s, e, (a.r << s) + units)
 
 
 def round_ball(b: Ball, prec) -> Ball:
     """Re-round a ball's midpoint to `prec` bits, widening the radius."""
-    return _make(b.man, b.exp, b.rman, b.rexp, bits_of(prec))
+    return _make(b.man, b.exp, b.r, bits_of(prec))
 
 
 def compare(a: Ball, b: Ball) -> Order:
     """Set comparison: certainly-less / certainly-greater / overlapping."""
-    alo, ahi, ae = _endpoints_scaled(a)
-    blo, bhi, be = _endpoints_scaled(b)
-    if _dyadic_cmp(ahi, ae, blo, be) < 0:
+    if _dyadic_cmp(a.man + a.r, a.exp, b.man - b.r, b.exp) < 0:
         return Order.CERTAINLY_LESS
-    if _dyadic_cmp(alo, ae, bhi, be) > 0:
+    if _dyadic_cmp(a.man - a.r, a.exp, b.man + b.r, b.exp) > 0:
         return Order.CERTAINLY_GREATER
     return Order.OVERLAPPING
 
@@ -618,5 +562,5 @@ def enclosure_str(b: Ball, sig: int = 36) -> str:
         d, t = _decimal_digits(abs(b.man), b.exp, sig)
         mid = _decimal_body(b.man, d, t, sig)
         err = abs(abs(b.mid_fraction()) - d * Fraction(10) ** (t - sig + 1))
-    rm, re = _rad_add(b.rman, b.rexp, *_rad_from_fraction(err))
-    return f"{mid} +/- {radius_decimal(rm, re)}"
+    b = add_rad_fraction(b, err)
+    return f"{mid} +/- {radius_decimal(b.r, b.exp)}"

@@ -25,8 +25,8 @@ exp reads the same table backwards: it writes x = k ln 2 + sum of the
 ln(1 + 2^-j) it takes out, greedily, + z with 0 <= z < 2^-r, so that
     exp x = 2^k * prod (1 + 2^-j) * e^z,
 the product by shift-adds and e^z by a Taylor series of about w/r terms,
-one product each.  exp of a ball is the hull of exp at its two endpoints,
-exp being increasing.
+one product each.  exp of a ball runs the lower chain at its lower
+endpoint and the upper chain at its upper one, exp being increasing.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .ball import (
     _endpoints_scaled,
     _from_int_interval,
     bits_of,
-    hull,
 )
 
 __all__ = ["ln", "exp", "sqrt", "ln2_ball", "ln1p_recip", "pi_ball"]
@@ -206,7 +205,7 @@ def ln(a: Ball, prec) -> Ball:
         raise DomainError("ln needs a strictly positive enclosure")
     w = _working_bits(p)
     lo, hi = _ln_dyadic(a.man, a.exp, w)
-    if a.rman:
+    if a.r:
         # |ln x - ln mid| <= radius / inf(ball) = (hi_end - lo_end) / (2 lo_end)
         pad = -(-((hi_end - lo_end) << (w - 1)) // lo_end)
         lo -= pad
@@ -234,8 +233,10 @@ def _exp_taylor(y: int, z: int, w: int) -> int:
     return s
 
 
-def _exp_dyadic(man: int, exp: int, w: int) -> tuple[int, int, int]:
-    """exp(man*2^exp) as ([lo, hi], k): value lies in [lo, hi]*2^(k-w).
+def _exp_reduce(man: int, exp: int, w: int) -> tuple[int, int, int, int, int]:
+    """Reduce x = man*2^exp to (y_lo, z_lo, y_hi, z_hi, k), where
+    exp x = 2^k y e^z, y in [y_lo, y_hi] and z in [z_lo, z_hi], all at scale
+    2^-w.
 
     With x in [x_lo, x_hi] at scale 2^-w, k = floor(x_lo / L) for the ln 2
     endpoint L that puts z_lo = x_lo - k ln 2 at its least, the upper one
@@ -265,20 +266,29 @@ def _exp_dyadic(man: int, exp: int, w: int) -> tuple[int, int, int]:
             y_hi += -(-y_hi >> j)
     if z_hi > (1 << (w - r)) + 2 * abs(k) + 2 * r + 1:
         raise AssertionError("exp argument out of the reduced range")
-    return _exp_taylor(y_lo, z_lo, w), 1 - _exp_taylor(-y_hi, z_hi, w), k
+    return y_lo, z_lo, y_hi, z_hi, k
+
+
+def _exp_dyadic(man: int, hi_man: int, exp: int, w: int) -> tuple[int, int, int]:
+    """exp on [man, hi_man]*2^exp as ([lo, hi], k): the values lie in
+    [lo, hi]*2^(k-w).
+
+    exp being increasing, the lower Taylor chain runs only at man and the
+    upper one only at hi_man; k, which does not decrease with x, is the
+    lower end's.
+    """
+    y_lo, z_lo, _, _, k = _exp_reduce(man, exp, w)
+    _, _, y_hi, z_hi, k_hi = _exp_reduce(hi_man, exp, w)
+    return _exp_taylor(y_lo, z_lo, w), (1 - _exp_taylor(-y_hi, z_hi, w)) << (k_hi - k), k
 
 
 def exp(a: Ball, prec) -> Ball:
-    """Exponential of a ball: the hull of exp at its endpoints, exp being increasing."""
+    """Exponential of a ball, from exp at its two endpoints."""
     p = bits_of(prec)
     w = _working_bits(p)
     lo_end, hi_end, e = _endpoints_scaled(a)
-    lo, hi, k = _exp_dyadic(lo_end, e, w)
-    res = _from_int_interval(lo, hi, k - w, p)
-    if a.rman:
-        lo, hi, k = _exp_dyadic(hi_end, e, w)
-        res = hull(res, _from_int_interval(lo, hi, k - w, p), p)
-    return res
+    lo, hi, k = _exp_dyadic(lo_end, hi_end, e, w)
+    return _from_int_interval(lo, hi, k - w, p)
 
 
 def sqrt(a: Ball, prec) -> Ball:

@@ -43,7 +43,7 @@ def ball_mid_str(b: Ball | None, digits: int = MID_DIGITS) -> str:
 def ball_rad_str(b: Ball | None) -> str:
     if b is None:
         return ""
-    return radius_decimal(b.rman, b.rexp)
+    return radius_decimal(b.r, b.exp)
 
 
 @dataclass(frozen=True)

@@ -663,7 +663,7 @@ def _eval_on_ball(point_fn, x: Ball, w: int, p: int, monotone: bool) -> Ball:
     lo, hi, e = _endpoints_scaled(x)
     if lo <= 0:
         raise DomainError("argument enclosure must be strictly positive")
-    if x.rman == 0:
+    if x.r == 0:
         return round_ball(point_fn(x.man, x.exp, w), p)
     a = point_fn(lo, e, w)
     b = point_fn(hi, e, w)

@@ -50,11 +50,40 @@ mids = st.integers(min_value=-(2**60), max_value=2**60)
 exps = st.integers(min_value=-80, max_value=40)
 rads = st.integers(min_value=0, max_value=2**32 - 1)
 rexps = st.integers(min_value=-120, max_value=0)
+# exponents thousands of bits apart, so that sums take the absorb branch
+far_exps = st.integers(min_value=-6000, max_value=6000)
 
 
 @st.composite
 def balls(draw):
-    return Ball(draw(mids), draw(exps), draw(rads), draw(rexps))
+    """Tight balls near 1, balls at far exponents (some with a radius
+    thousands of bits finer than the midpoint), balls whose midpoint and
+    radius are up to 400 bits long with endpoints on powers of two (where
+    rounding up leaves no slack), and wide balls, whose radius is at least
+    |midpoint| and may be far longer, so that rounding shortens the
+    midpoint."""
+    kind = draw(st.sampled_from(("tight", "far", "edge", "wide")))
+    man = draw(mids)
+    if kind == "tight":
+        return Ball(man, draw(exps), draw(rads), draw(rexps))
+    if kind == "far":
+        e = draw(far_exps)
+        return Ball(man, e, draw(rads), e + draw(st.integers(min_value=-4000, max_value=0)))
+    if kind == "edge":
+        long_bits = st.integers(min_value=0, max_value=400)
+        sign = draw(st.sampled_from((-1, 0, 1)))
+        man = sign * ((1 << draw(long_bits)) - draw(st.integers(min_value=0, max_value=1)))
+        e = draw(far_exps)
+        return Ball(man, e, (1 << draw(long_bits)) - 1, e)
+    e = draw(exps)
+    return Ball(man, e, (abs(man) << draw(st.integers(min_value=0, max_value=300))) + draw(rads), e)
+
+
+@st.composite
+def radii(draw):
+    """Nonnegative Fractions from far below one to far above it."""
+    v = draw(st.fractions(min_value=0, max_value=10**6, max_denominator=10**9))
+    return v * Fraction(2) ** draw(st.integers(min_value=-5000, max_value=40))
 
 
 def interval(b: Ball) -> tuple[Fraction, Fraction]:
@@ -83,11 +112,26 @@ def test_constructor_rejects_negative_radius():
         Ball(1, 0, -1, 0)
 
 
-def test_radius_mantissa_is_kept_short():
+def test_constructor_holds_midpoint_and_radius_exactly():
+    # the midpoint's exponent drops to the radius's when that is finer
     b = Ball(1, 0, 2**40 + 1, -80)
-    assert b.rman.bit_length() <= 32
-    # normalisation must round the radius up, never down
-    assert b.rad_fraction() >= Fraction(2**40 + 1, 2**80)
+    assert (b.man, b.exp, b.r) == (2**80, -80, 2**40 + 1)
+    assert b.rad_fraction() == Fraction(2**40 + 1, 2**80)
+    assert (b.rman, b.rexp) == (2**40 + 1, -80)
+    c = Ball(3, -10, 5, 0)
+    assert (c.man, c.exp, c.r) == (3, -10, 5 << 10)
+    assert (Ball(3, -10).rman, Ball(3, -10).rexp) == (0, 0)
+
+
+@given(balls(), balls(), st.sampled_from([53, 64, 200]))
+@settings(max_examples=300)
+def test_rounding_keeps_the_midpoint_short_and_the_radius_small(a, b, p):
+    # after any rounding at p bits: at most p + 1 midpoint bits, r <= 2^64 + 1
+    results = [add(a, b, p), sub(a, b, p), mul(a, b, p), hull(a, b, p), round_ball(a, p)]
+    if not b.contains_zero():
+        results += [recip(b, p), div(a, b, p)]
+    for c in results:
+        assert c.man.bit_length() <= p + 1 and c.r <= 2**64 + 1, (c.man, c.exp, c.r)
 
 
 def test_exact_views_roundtrip():
@@ -144,11 +188,14 @@ def test_structural_equality_and_hash():
     assert a != Ball(1, -1)
 
 
-def test_balls_are_immutable_and_picklable():
-    b = Ball(5, -3, 7, -40)
+@given(balls())
+@settings(max_examples=200)
+def test_balls_are_immutable_and_picklable(b):
     with pytest.raises(AttributeError):
         b.man = 6
-    assert pickle.loads(pickle.dumps(b)) == b
+    # sweep_2jobs sends balls between processes
+    c = pickle.loads(pickle.dumps(b))
+    assert type(c) is Ball and (c.man, c.exp, c.r) == (b.man, b.exp, b.r)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +244,25 @@ def test_sub_encloses_exact_difference(a, b):
     la, ua = interval(a)
     lb, ub = interval(b)
     assert_encloses(sub(a, b, 64), la - ub, ua - lb)
+
+
+@pytest.mark.parametrize(
+    "big, small, p",
+    [
+        # long radius, midpoint 0: rounding up leaves no room for the addend
+        (Ball(0, 0, 2**300 - 1, 0), Ball(2**250 - 1, -200), 53),
+        # a midpoint longer than p + 1 bits, the addend 2^370 below it
+        (Ball(2**999, 0, 2**871 - 1, 0), Ball(2**500 - 1, -300), 128),
+    ],
+)
+def test_absorbed_addend_stays_inside_the_sum(big, small, p):
+    # the exponents are far apart, so the small operand is absorbed into
+    # the radius of the big one; its whole magnitude must be covered
+    for a, b in ((big, small), (small, big)):
+        la, ua = interval(a)
+        lb, ub = interval(b)
+        assert_encloses(add(a, b, p), la + lb, ua + ub)
+        assert_encloses(sub(a, b, p), la - ub, ua - lb)
 
 
 @given(balls(), balls())
@@ -248,6 +314,15 @@ def test_neg_abs_scale_are_exact_set_operations(a):
     assert ab.lower() >= 0 if a.contains_zero() else ab.lower() > 0
 
 
+def test_div_keeps_its_guard_bits_at_the_precision_cap():
+    # the reciprocal takes 8 guard bits even at p = MAX_PRECISION
+    a = Ball.from_fraction(Fraction(2, 3), MAX_PRECISION + 64)
+    b = Ball.from_fraction(Fraction(7, 5), MAX_PRECISION + 64)
+    p = MAX_PRECISION
+    want = mul(a, recip(b, p + 8), p)
+    assert div(a, b, p).rad_fraction() <= want.rad_fraction()
+
+
 @given(balls(), balls())
 @settings(max_examples=200)
 def test_hull_contains_both_operands(a, b):
@@ -261,6 +336,14 @@ def test_hull_contains_both_operands(a, b):
 def test_round_ball_to_lower_precision_still_encloses(a):
     r = round_ball(a, 53)
     assert r.lower() <= a.lower() and a.upper() <= r.upper()
+
+
+@given(balls(), radii())
+@settings(max_examples=300)
+def test_add_rad_fraction_encloses_the_widened_interval(a, v):
+    g = add_rad_fraction(a, v)
+    assert g.mid_fraction() == a.mid_fraction()
+    assert_encloses(g, a.lower() - v, a.upper() + v)
 
 
 def test_add_rad_fraction_grows_radius_conservatively():

@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonicbounds.ball import Ball, DomainError, RangeError, add, compare, Order, mul
+from harmonicbounds.ball import Ball, DomainError, RangeError, add, add_rad_fraction, compare, Order, mul
 from harmonicbounds.elementary import (
     _atanh_recip_iv,
     _exp_dyadic,
@@ -157,7 +157,7 @@ def test_ln1p_recip_keeps_relative_accuracy(p):
 
 def test_ln_of_a_ball_is_padded_by_its_lipschitz_bound():
     # ln over [mid - rad, mid + rad] lies within rad / (mid - rad) of ln(mid);
-    # a radius keeps 32 bits, rounded up
+    # rounding adds at most a unit of the result's (p + 1)-bit midpoint
     mid = Ball.from_fraction(Fraction(10**12 + 39, 10**6), 192)
     wide = add(mid, Ball(0, 0, 1, -30), 192)
     b = ln(wide, 128)
@@ -238,7 +238,7 @@ def test_exp_kernel_encloses_mpmath_and_stays_narrow(w):
     r = _reductions(w)
     l2_lo, l2_hi = _ln_constants(w)[0]
     for man, e in _exp_arguments(w):
-        lo, hi, k = _exp_dyadic(man, e, w)
+        lo, hi, k = _exp_dyadic(man, man, e, w)
         assert lo <= _scaled_exp(man, e, w, k) <= hi, (w, man, e)
         assert hi - lo <= 2 * (abs(k) * (l2_hi - l2_lo) + w // r) + 12 * r + 8, (w, man, e)
 
@@ -250,8 +250,27 @@ def test_exp_of_a_ball_is_the_hull_of_its_endpoints():
         want_lo, want_hi = (oracle(mp.exp, v) for v in (ball.lower(), ball.upper()))
         assert_contains(b, want_lo, label=f"exp({float(ball.lower())})")
         assert_contains(b, want_hi, label=f"exp({float(ball.upper())})")
-        # a radius keeps 32 bits, rounded up
+        # the endpoints' spread, plus the rounding of a (p + 1)-bit midpoint
         assert b.upper() - b.lower() <= (want_hi - want_lo) * (1 + Fraction(1, 2**30)) + want_hi / 2**120
+
+
+@pytest.mark.parametrize("p", [128, 1024, 4096])
+def test_exp_of_a_ball_contains_mpmath_at_both_endpoints(p):
+    # one Taylor chain per endpoint; the last ball straddles ln 2, so its
+    # endpoints reduce by different powers of two
+    dps = p // 3 + 40
+    cases = ((Fraction(1, 3), Fraction(1, 2**40)), (Fraction(-7, 3), Fraction(1, 2 ** (p // 2))),
+             (Fraction(7, 10), Fraction(1, 100)))
+    for mid, rad in cases:
+        ball = add_rad_fraction(Ball.from_fraction(mid, p + 64), rad)
+        b = exp(ball, p)
+        want_lo, want_hi = (oracle(mp.exp, v, dps=dps) for v in (ball.lower(), ball.upper()))
+        fuzz = want_hi / 2 ** (p + 60)
+        assert_contains(b, want_lo, fuzz=fuzz, label=f"exp({float(ball.lower())})@{p}")
+        assert_contains(b, want_hi, fuzz=fuzz, label=f"exp({float(ball.upper())})@{p}")
+        # a wide ball's radius keeps 64 bits, so it may round up by 2^-62
+        slack = want_hi / 2 ** (p - 8)
+        assert b.upper() - b.lower() <= (want_hi - want_lo) * (1 + Fraction(1, 2**62)) + slack
 
 
 @pytest.mark.parametrize("p", [53, 128, 1024, 4096])

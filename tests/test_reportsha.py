@@ -37,11 +37,11 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "40a8e04b7d62d89aa4e85f61fd9a7d6c1e9101959bef9a8c3c6438dfba441db8",
+        "eadcf25871ce069719a1ad11efda5618b7367dbc4263e568e8a01593e1600381",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "32ded2c5f94cfad5ea2804c08506bd177c0c50958ab57d1308ca92e140e2de3f",
+        "1b22a4bcec26d8eb6376bfd45ba46f5c645af2e0b67729ee0cba70cf05531b93",
     ),
 }
 
