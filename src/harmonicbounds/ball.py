@@ -34,7 +34,6 @@ __all__ = [
     "EnclosureError",
     "RangeError",
     "PrecisionExhausted",
-    "CLIMB_CAP",
     "DEFAULT_PRECISION",
     "MAX_PRECISION",
     "MIN_PRECISION",
@@ -78,13 +77,11 @@ MIN_PRECISION = 53
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
 
-# The precision ladder's top rung.  Every ladder starts at the caller's
-# precision except verify.f_eval's, which starts 16 guard bits above it, so
-# the ladder may climb that far past the cap.
-CLIMB_CAP = MAX_PRECISION + 16
-
-# Internal evaluations stack guard bits on top of a caller's precision, so
-# plain-int precisions are allowed a bit past the user-facing cap.
+# Callers pass a precision in [MIN_PRECISION, MAX_PRECISION] (bits_of).  The
+# ball arithmetic and elementary run at that precision plus guard bits, up to
+# this ceiling (_bits).  The deepest chain of guard bits above a caller's
+# precision is stirling_tail's: +32, then +16 at its lgamma point, then +8
+# for pi in ln(2 pi), +56 at most, well under +512.
 _INTERNAL_CEILING = MAX_PRECISION + 512
 
 # A rounding keeps r at most 2^_RADIUS_BITS + 1, shortening the midpoint of
@@ -98,7 +95,7 @@ _ALIGN_SLACK = 64
 
 @dataclass(frozen=True)
 class Precision:
-    """Working precision in bits for ball midpoints.
+    """A caller's precision in bits for ball midpoints.
 
     The floor of 53 bits keeps every certified quantity at least as sharp
     as a double; callers normally pass plain ints and only construct this
@@ -108,29 +105,37 @@ class Precision:
     bits: int = DEFAULT_PRECISION
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, int):
-            raise TypeError(f"precision bits must be an int, got {type(self.bits).__name__}")
-        if self.bits < MIN_PRECISION:
-            raise ValueError(f"precision must be at least {MIN_PRECISION} bits, got {self.bits}")
-        if self.bits > MAX_PRECISION:
-            raise ValueError(f"precision must be at most {MAX_PRECISION} bits, got {self.bits}")
+        _checked(self.bits, MAX_PRECISION)
+
+
+def _checked(bits, top: int) -> int:
+    """bits, an int in [MIN_PRECISION, top]: the one range check."""
+    if isinstance(bits, bool) or not isinstance(bits, int):
+        raise TypeError(f"precision must be an int or Precision, got {type(bits).__name__}")
+    if not MIN_PRECISION <= bits <= top:
+        raise ValueError(f"precision must be in [{MIN_PRECISION}, {top}] bits, got {bits}")
+    return bits
 
 
 def bits_of(prec) -> int:
-    """Accept an int or a Precision and return validated bits."""
-    if type(prec) is int and MIN_PRECISION <= prec <= _INTERNAL_CEILING:
+    """A caller's precision, an int or a Precision, as bits in
+    [MIN_PRECISION, MAX_PRECISION], the range of Precision and the CLI."""
+    return _bits(prec, MAX_PRECISION)
+
+
+def _bits(prec, top: int = _INTERNAL_CEILING) -> int:
+    """Working bits for the ball arithmetic and elementary: a caller's
+    precision plus guard bits, an int or a Precision, up to top."""
+    if type(prec) is int and MIN_PRECISION <= prec <= top:
         return prec
     if isinstance(prec, Precision):
         return prec.bits
-    if isinstance(prec, int) and not isinstance(prec, bool):
-        raise ValueError(
-            f"precision must be in [{MIN_PRECISION}, {_INTERNAL_CEILING}] bits, got {prec}"
-        )
-    raise TypeError(f"precision must be an int or Precision, got {type(prec).__name__}")
+    return _checked(prec, top)
 
 
 def climb(step, w0: int):
-    """The precision ladder: run step(w) for w = w0, 2 w0, ... up to CLIMB_CAP.
+    """The precision ladder: run step(w) for w = w0, 2 w0, ... up to
+    MAX_PRECISION, where w0 is a caller's precision.
 
     step(w) returns (decision, value, deciding), where decision is None
     while the question is still open and `deciding` is the ball whose
@@ -145,12 +150,12 @@ def climb(step, w0: int):
         decision, value, deciding = step(w)
         if decision is not None:
             return decision, value, w
-        if w >= CLIMB_CAP or (
+        if w >= MAX_PRECISION or (
             prev is not None and _dyadic_cmp(deciding.r, deciding.exp + 1, prev.r, prev.exp) > 0
         ):
             return None, value, w
         prev = deciding
-        w = min(2 * w, CLIMB_CAP)
+        w = min(2 * w, MAX_PRECISION)
 
 
 class Order(Enum):
@@ -228,7 +233,7 @@ class Ball:
     @classmethod
     def from_fraction(cls, value, prec) -> "Ball":
         """Enclose an int or Fraction; radius is at most one ulp at `prec`."""
-        p = bits_of(prec)
+        p = _bits(prec)
         if isinstance(value, int):
             return _make(value, 0, 0, p)
         if not isinstance(value, Fraction):
@@ -403,16 +408,16 @@ def _add(a: Ball, bman: int, b: Ball, p: int) -> Ball:
 
 
 def add(a: Ball, b: Ball, prec) -> Ball:
-    return _add(a, b.man, b, bits_of(prec))
+    return _add(a, b.man, b, _bits(prec))
 
 
 def sub(a: Ball, b: Ball, prec) -> Ball:
-    return _add(a, -b.man, b, bits_of(prec))
+    return _add(a, -b.man, b, _bits(prec))
 
 
 def mul(a: Ball, b: Ball, prec) -> Ball:
     """One midpoint product; the radius is (|a| + ra) rb + ra |b|."""
-    p = bits_of(prec)
+    p = _bits(prec)
     am, ar, bm, br = a.man, a.r, b.man, b.r
     r = (abs(am) + ar) * br if br else 0
     if ar:
@@ -422,7 +427,7 @@ def mul(a: Ball, b: Ball, prec) -> Ball:
 
 def recip(b: Ball, prec) -> Ball:
     """Enclosure of 1/x; the input must exclude zero."""
-    p = bits_of(prec)
+    p = _bits(prec)
     m = abs(b.man)
     if m <= b.r:
         raise EnclosureError("reciprocal of an interval containing zero")
@@ -437,13 +442,13 @@ def recip(b: Ball, prec) -> Ball:
 
 
 def div(a: Ball, b: Ball, prec) -> Ball:
-    p = bits_of(prec)
+    p = _bits(prec)
     return mul(a, recip(b, min(p + 8, _INTERNAL_CEILING)), p)
 
 
 def hull(a: Ball, b: Ball, prec) -> Ball:
     """Smallest ball (at `prec`) containing both input balls."""
-    p = bits_of(prec)
+    p = _bits(prec)
     e = min(a.exp, b.exp)
     sa = a.exp - e
     sb = b.exp - e
@@ -475,7 +480,7 @@ def add_rad_fraction(a: Ball, value: Fraction) -> Ball:
 
 def round_ball(b: Ball, prec) -> Ball:
     """Re-round a ball's midpoint to `prec` bits, widening the radius."""
-    return _make(b.man, b.exp, b.r, bits_of(prec))
+    return _make(b.man, b.exp, b.r, _bits(prec))
 
 
 def compare(a: Ball, b: Ball) -> Order:

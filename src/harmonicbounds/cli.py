@@ -22,7 +22,7 @@ from decimal import Decimal
 from typing import Sequence
 
 from . import specfun
-from .ball import Ball, MAX_PRECISION, MIN_PRECISION, enclosure_str
+from .ball import Ball, DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, enclosure_str
 from .bounds import bound_ids, check_bound, target_value
 from .report import (
     VerificationReport,
@@ -34,7 +34,6 @@ from .verify import CHECK_NAMES, refinement_check, verify_all
 
 __all__ = ["build_parser", "main"]
 
-_DEFAULT_BITS = 128
 _TABLE_DIGITS = 24
 # H(n)'s denominator has about 1.44 n bits; at this n it prints in about a second
 EXACT_MAX_N = 10**5
@@ -91,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--precision",
             type=_int_at_least(MIN_PRECISION, MAX_PRECISION),
-            default=_DEFAULT_BITS,
+            default=DEFAULT_PRECISION,
             metavar="BITS",
-            help=f"working precision in bits (default {_DEFAULT_BITS})",
+            help=f"working precision in bits (default {DEFAULT_PRECISION})",
         )
 
     def add_format(p: argparse.ArgumentParser) -> None:

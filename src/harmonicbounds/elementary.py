@@ -38,9 +38,9 @@ from .ball import (
     Ball,
     DomainError,
     RangeError,
+    _bits,
     _endpoints_scaled,
     _from_int_interval,
-    bits_of,
 )
 
 __all__ = ["ln", "exp", "sqrt", "ln2_ball", "ln1p_recip", "pi_ball"]
@@ -102,7 +102,7 @@ def ln1p_recip(m: int, prec) -> Ball:
     """
     if m < 1:
         raise ValueError("ln1p_recip needs m >= 1")
-    p = bits_of(prec)
+    p = _bits(prec)
     w = _working_bits(p) + m.bit_length()
     lo, hi = _atanh_recip_iv(2 * m + 1, w)
     return _from_int_interval(lo, hi, -w, p)
@@ -182,7 +182,7 @@ def _ln_dyadic(man: int, exp: int, w: int) -> tuple[int, int]:
 
 def ln2_ball(prec) -> Ball:
     """Certified enclosure of ln 2."""
-    p = bits_of(prec)
+    p = _bits(prec)
     w = _working_bits(p)
     lo, hi = _ln_constants(w)[0]
     return _from_int_interval(lo, hi, -w, p)
@@ -190,7 +190,7 @@ def ln2_ball(prec) -> Ball:
 
 def pi_ball(prec) -> Ball:
     """Certified enclosure of pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin)."""
-    p = bits_of(prec)
+    p = _bits(prec)
     w = _working_bits(p)
     a_lo, a_hi = _atanh_recip_iv(5, w, alternate=True)
     b_lo, b_hi = _atanh_recip_iv(239, w, alternate=True)
@@ -199,7 +199,7 @@ def pi_ball(prec) -> Ball:
 
 def ln(a: Ball, prec) -> Ball:
     """Natural logarithm of a ball whose enclosure is strictly positive."""
-    p = bits_of(prec)
+    p = _bits(prec)
     lo_end, hi_end, _ = _endpoints_scaled(a)
     if lo_end <= 0:
         raise DomainError("ln needs a strictly positive enclosure")
@@ -284,7 +284,7 @@ def _exp_dyadic(man: int, hi_man: int, exp: int, w: int) -> tuple[int, int, int]
 
 def exp(a: Ball, prec) -> Ball:
     """Exponential of a ball, from exp at its two endpoints."""
-    p = bits_of(prec)
+    p = _bits(prec)
     w = _working_bits(p)
     lo_end, hi_end, e = _endpoints_scaled(a)
     lo, hi, k = _exp_dyadic(lo_end, hi_end, e, w)
@@ -293,7 +293,7 @@ def exp(a: Ball, prec) -> Ball:
 
 def sqrt(a: Ball, prec) -> Ball:
     """Square root of a nonnegative ball via integer isqrt on the endpoints."""
-    p = bits_of(prec)
+    p = _bits(prec)
     lo, hi, e = _endpoints_scaled(a)
     if lo < 0:
         raise DomainError("sqrt needs a nonnegative enclosure")

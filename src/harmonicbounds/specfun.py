@@ -490,7 +490,7 @@ def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:
     series, tail = _SERIES["psi"].sum(n, cfg.q - 1)
     corr = Fraction(1, 2 * n) - series
     ln_n = elementary.ln(Ball.from_int(n), w)
-    g = euler_gamma(w)
+    g = _euler_gamma(w, "default")
     res = add(add(ln_n, g, w), Ball.from_fraction(corr, w), p)
     return add_rad_fraction(res, tail)
 
@@ -759,9 +759,7 @@ def stirling_tail(kind: str, order: int, x, prec) -> Ball:
     p = bits_of(prec)
     w = p + 32
     xb = _as_ball(x, w)
-    lo, _hi, _e = _endpoints_scaled(xb)
-    if lo <= 0:
-        raise DomainError("argument enclosure must be strictly positive")
     count = 2 * order if kind == "F" else 2 * order + 1
-    res = sub(lgamma(xb, w), _stirling(xb, _SERIES["lgamma"].ball_sum(xb, count, w), w), p)
+    lg = _eval_on_ball(_lgamma_point, xb, w + 16, w, monotone=False)
+    res = sub(lg, _stirling(xb, _SERIES["lgamma"].ball_sum(xb, count, w), w), p)
     return res if kind == "F" else neg(res)

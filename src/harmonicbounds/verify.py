@@ -30,10 +30,9 @@ term.
 
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at, so the stages read the psi_gap, g and ln
-values the bound sweep has already cached; only f_eval, which hands a
-ball rounded to p back to its caller, works with guard bits.  Refinement
-compares the bounds' intervals for H(n) - ln n - g, the frame in which
-their targets differ by terms free of ln n and g (bounds._frame_offset).
+values the bound sweep has already cached.  Refinement compares the
+bounds' intervals for H(n) - ln n - g, the frame in which their targets
+differ by terms free of ln n and g (bounds._frame_offset).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .ball import (
     mul,
     neg,
     recip,
-    round_ball,
     scale2,
     sub,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "equality_witnesses",
     "verify_all",
 ]
-
-_GUARD = 16
 
 DEFAULT_G_GRID: tuple[int, ...] = (3, 4, 5, 10, 50, 100)
 
@@ -171,9 +167,11 @@ def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ba
 
 @lru_cache(maxsize=64)
 def _f_int(n: int, w: int) -> Ball:
-    """f(n) = 1/(ln n + 1/(2n) - psi(n+1)) - 12 n^2 at integer n."""
-    den, ww = _positive_den(lambda ww: specfun.psi_gap(n, ww), w, f"f denominator at n={n}")
-    return sub(recip(den, ww), Ball.from_int(12 * n * n), ww)
+    """f(n) = 1/(ln n + 1/(2n) - psi(n+1)) - 12 n^2 at integer n.  The
+    denominator is certainly positive at every w: at n at or above the
+    shift threshold it is a sum with relative error, and below it, it
+    exceeds 2^-22 with a radius near 2^-(w+12)."""
+    return sub(recip(specfun.psi_gap(n, w), w), Ball.from_int(12 * n * n), w)
 
 
 def _gap(x, w: int) -> Ball:
@@ -193,12 +191,10 @@ def _gap(x, w: int) -> Ball:
 def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
     """Enclosure of f at an integer n >= 1 or a positive ball argument."""
     p = bits_of(prec)
-    w = p + _GUARD
     if not isinstance(x, Ball):
-        return round_ball(_f_int(specfun.check_index(x), w), p)
-    den, ww = _positive_den(lambda ww: _gap(x, ww), w, "f denominator")
-    sq = mul(Ball.from_int(12), mul(x, x, ww), ww)
-    return round_ball(sub(recip(den, ww), sq, ww), p)
+        return _f_int(specfun.check_index(x), p)
+    den, w = _positive_den(lambda w: _gap(x, w), p, "f denominator")
+    return sub(recip(den, w), mul(Ball.from_int(12), mul(x, x, w), w), w)
 
 
 def _f_closed_form(n: int, w: int) -> Ball:
@@ -614,6 +610,7 @@ def _symbolic_identities() -> list[tuple[str, bool]]:
 
 def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
     """Algebraic plus numeric certification of every declared equality case."""
+    p = bits_of(prec)
     rep = VerificationReport()
     for bound_id, ok in _symbolic_identities():
         rep.append(CheckRecord(
@@ -624,7 +621,7 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
     for spec in catalog():
         for side, points in (("lower", spec.lower_equalities), ("upper", spec.upper_equalities)):
             for n in sorted(points):
-                chk = check_bound(spec.bound_id, n, prec)
+                chk = check_bound(spec.bound_id, n, p)
                 rep.append(CheckRecord(
                     check="equality_numeric",
                     params=(("bound", spec.bound_id), ("side", side), ("n", n)),

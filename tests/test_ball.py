@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicbounds.ball import (
-    CLIMB_CAP,
     DEFAULT_PRECISION,
     MAX_PRECISION,
     MIN_PRECISION,
@@ -23,6 +22,7 @@ from harmonicbounds.ball import (
     EnclosureError,
     Order,
     Precision,
+    _bits,
     add,
     add_rad_fraction,
     abs_ball,
@@ -216,10 +216,13 @@ def test_precision_dataclass_validates():
 def test_bits_of_accepts_ints_and_precision():
     assert bits_of(Precision(256)) == 256
     assert bits_of(53) == 53
-    # plain ints get headroom past the public cap for internal guard bits
-    assert bits_of(MAX_PRECISION + 512) == MAX_PRECISION + 512
+    assert bits_of(MAX_PRECISION) == MAX_PRECISION
+    with pytest.raises(ValueError, match=f"got {MAX_PRECISION + 1}"):
+        bits_of(MAX_PRECISION + 1)
+    # working bits get headroom past the callers' cap for guard bits
+    assert _bits(MAX_PRECISION + 512) == MAX_PRECISION + 512
     with pytest.raises(ValueError):
-        bits_of(MAX_PRECISION + 513)
+        _bits(MAX_PRECISION + 513)
     with pytest.raises(ValueError):
         bits_of(52)
     with pytest.raises(TypeError):
@@ -457,4 +460,4 @@ def test_climb_stops_when_doubling_does_not_halve_the_radius():
     assert climb(lambda w: (None, w, Ball(0, 0, 1, -10)), 128) == (None, 256, 256)
     # a radius halved by every doubling is progress, up to the cap
     halving = lambda w: (None, w, Ball(0, 0, 1, -(w // 128).bit_length()))
-    assert climb(halving, 128) == (None, CLIMB_CAP, CLIMB_CAP)
+    assert climb(halving, 128) == (None, MAX_PRECISION, MAX_PRECISION)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicbounds import bounds
-from harmonicbounds.ball import Ball, Order, add_rad_fraction, compare, neg, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, Order, add_rad_fraction, compare, neg, sub
 from harmonicbounds.bounds import (
     EQUALITY_RADIUS,
     TARGETS,
@@ -253,6 +253,9 @@ def test_every_bound_passes_past_two_to_the_128():
 def test_every_bound_returns_a_verdict_at_ten_to_the_400():
     for bound_id in bound_ids():
         assert isinstance(check_bound(bound_id, 10**400).verdict, Verdict), bound_id
+    # main stays open up to the top of the ladder, the callers' own cap
+    main = check_bound("main", 10**400)
+    assert main.verdict is Verdict.UNDECIDED and main.precision_bits == MAX_PRECISION
 
 
 @pytest.mark.parametrize(

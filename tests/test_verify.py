@@ -15,8 +15,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from harmonicbounds import specfun, verify
-from harmonicbounds.ball import Ball, sub
+from harmonicbounds import bounds, specfun, verify
+from harmonicbounds.ball import MAX_PRECISION, Ball, sub
 from harmonicbounds.report import Verdict
 from harmonicbounds.specfun import PrecisionExhausted
 from harmonicbounds.verify import (
@@ -100,7 +100,7 @@ def test_f_eval_negative_denominator_raises_at_once(monkeypatch):
     from harmonicbounds import verify
 
     monkeypatch.setattr(verify, "_gap", lambda x, w: Ball.from_int(-1))
-    with pytest.raises(PrecisionExhausted, match="negative at 144 bits"):
+    with pytest.raises(PrecisionExhausted, match="negative at 128 bits"):
         f_eval(Ball(4, 0), 128)
 
 
@@ -545,3 +545,38 @@ def test_verify_all_refuses_a_bare_string_of_checks():
 def test_verify_all_exit_code_zero_when_green():
     rep = verify_all(5, 128, checks=("bounds", "equality"))
     assert rep.exit_code() == 0
+
+
+def test_every_public_function_takes_the_cap_and_refuses_one_bit_more():
+    # one range for callers: each public function of specfun, bounds and
+    # verify works at MAX_PRECISION, guard bits and ladder included, and
+    # refuses MAX_PRECISION + 1 up front, naming the precision it was given
+    x = Fraction(7, 2)
+    calls = {
+        "psi_gap": lambda p: specfun.psi_gap(10, p),
+        "digamma": lambda p: specfun.digamma(x, p),
+        "trigamma": lambda p: specfun.trigamma(x, p),
+        "lgamma": lambda p: specfun.lgamma(x, p),
+        "stirling_tail": lambda p: specfun.stirling_tail("F", 2, x, p),
+        "euler_gamma": lambda p: specfun.euler_gamma(p),
+        "euler_gamma_alt": lambda p: specfun.euler_gamma(p, "alt"),
+        "alternating_tail": lambda p: specfun.alternating_tail(10, p),
+        "harmonic_em": lambda p: specfun.harmonic_em(10, specfun.EmConfig(precision=p)),
+        "target_value": lambda p: bounds.target_value("H", 10, p),
+        "evaluate_bound": lambda p: bounds.evaluate_bound("main", 10, p),
+        "check_bound": lambda p: bounds.check_bound("main", 10, p),
+        "f_eval_int": lambda p: f_eval(10, p),
+        "f_eval_ball": lambda p: f_eval(Ball(7, -1), p),
+        "sharpness_main": lambda p: sharpness_main(3, p),
+        "g_positivity": lambda p: g_positivity(None, p),
+        "epsilon_window": lambda p: epsilon_window(1, p),
+        "refinement_check": lambda p: refinement_check(2, p),
+        "alt_tail_constants": lambda p: alt_tail_constants(2, p),
+        "cm_spotcheck": lambda p: cm_spotcheck("F", 2, range(1, 9), 0, p),
+        "equality_witnesses": lambda p: equality_witnesses(p),
+        "verify_all": lambda p: verify_all(3, p),
+    }
+    for name, call in calls.items():
+        assert call(MAX_PRECISION) is not None, name
+        with pytest.raises(ValueError, match=str(MAX_PRECISION + 1)):
+            call(MAX_PRECISION + 1)
