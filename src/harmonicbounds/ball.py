@@ -238,21 +238,7 @@ class Ball:
             return _make(value, 0, 0, p)
         if not isinstance(value, Fraction):
             raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-        num, den = value.numerator, value.denominator
-        if num == 0:
-            return cls(0, 0)
-        if den & (den - 1) == 0:  # already dyadic
-            return _make(num, 1 - den.bit_length(), 0, p)
-        sign = 1 if num > 0 else -1
-        a = abs(num)
-        shift = p + 1 + den.bit_length() - a.bit_length()
-        if shift < 0:
-            shift = 0
-        q, r = divmod(a << shift, den)
-        if r == 0:
-            return _make(sign * q, -shift, 0, p)
-        # true value in (q, q+1) * 2^-shift: centre on the half-integer
-        return _make(sign * (2 * q + 1), -shift - 1, 1, p)
+        return _quotient(value.numerator, value.denominator, p)
 
     # -- views ---------------------------------------------------------------
 
@@ -324,6 +310,25 @@ def _dyadic_fraction(m: int, e: int) -> Fraction:
     if e >= 0:
         return Fraction(m << e, 1)
     return Fraction(m, 1 << -e)
+
+
+def _quotient(num: int, den: int, p: int) -> Ball:
+    """Enclose num/den, den > 0 and not necessarily coprime to num, with a
+    radius of at most one ulp at p bits: one division, no gcd."""
+    if num == 0:
+        return _ball(0, 0, 0)
+    if den & (den - 1) == 0:  # already dyadic
+        return _make(num, 1 - den.bit_length(), 0, p)
+    sign = 1 if num > 0 else -1
+    a = abs(num)
+    shift = p + 1 + den.bit_length() - a.bit_length()
+    if shift < 0:
+        shift = 0
+    q, r = divmod(a << shift, den)
+    if r == 0:
+        return _make(sign * q, -shift, 0, p)
+    # true value in (q, q+1) * 2^-shift: centre on the half-integer
+    return _make(sign * (2 * q + 1), -shift - 1, 1, p)
 
 
 def _make(man: int, exp: int, r: int, prec: int) -> Ball:

@@ -67,6 +67,7 @@ from .ball import (
     scale2,
     sub,
     _dyadic_cmp,
+    _quotient,
 )
 from .report import CheckRecord, Verdict
 
@@ -348,7 +349,7 @@ def _recip_2n(n: int, a: Const, p: int) -> Ball:
     """1/(2n + a): Franel, Young, Toth and the alternating tail."""
     if isinstance(a, Fraction):
         q = a.denominator
-        return Ball.from_fraction(Fraction(q, 2 * n * q + a.numerator), p)
+        return _quotient(q, 2 * n * q + a.numerator, p)
     return recip(add(Ball.from_int(2 * n), a(p), p), p)
 
 
@@ -356,7 +357,7 @@ def _recip_24_square(n: int, a: Const, p: int) -> Ball:
     """1/(24 (n + a)^2): DeTemple and Chen."""
     if isinstance(a, Fraction):
         q = a.denominator
-        return Ball.from_fraction(Fraction(q * q, 24 * (n * q + a.numerator) ** 2), p)
+        return _quotient(q * q, 24 * (n * q + a.numerator) ** 2, p)
     s = add(Ball.from_int(n), a(p), p)
     return recip(mul(Ball.from_int(24), mul(s, s, p), p), p)
 
@@ -365,7 +366,7 @@ def _neg_recip_12_square(n: int, a: Const, p: int) -> Ball:
     """-1/(12 n^2 + A): the quadratic window of the main theorem."""
     if isinstance(a, Fraction):
         q = a.denominator
-        return Ball.from_fraction(Fraction(-q, 12 * n * n * q + a.numerator), p)
+        return _quotient(-q, 12 * n * n * q + a.numerator, p)
     return neg(recip(add(Ball.from_int(12 * n * n), a(p), p), p))
 
 
@@ -417,7 +418,7 @@ class Side:
 
 
 def _franel_lower(n: int, p: int) -> Ball:
-    return Ball.from_fraction(Fraction(4 * n - 1, 8 * n * n), p)
+    return _quotient(4 * n - 1, 8 * n * n, p)
 
 
 def _odd_lower(n: int, p: int) -> Ball:
