@@ -58,7 +58,6 @@ from .ball import (
     Ball,
     DEFAULT_PRECISION,
     add,
-    add_rad_fraction,
     bits_of,
     climb,
     mul,
@@ -232,8 +231,7 @@ def _ln_expm1_recip(np1: int, w: int) -> Ball:
     Summed as 1/(2 np1) - ln np1 plus specfun's convergent expm1 series, so
     it keeps its accuracy at every np1, where e^(1/np1) - 1 would cancel.
     """
-    acc, tail = specfun._SERIES["expm1"].at(np1, w)
-    s = add_rad_fraction(Ball.from_fraction(acc + Fraction(1, 2 * np1), w), tail)
+    s = add(specfun._SERIES["expm1"].at(np1, 0, w), _half_recip(np1, w), w)
     return sub(s, _ln_int(np1, w), w)
 
 

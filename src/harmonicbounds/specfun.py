@@ -13,21 +13,20 @@ Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
 remainder functions and ln(e^(1/x) - 1).  All of them read one kind of
 Bernoulli series (`_Series`): term k is c_k x^-(2k+s) with c_k = B_2k over
-the kind's divisors, with one exact coefficient table, one term-count rule,
-from a float bound on |B_2k| (DLMF 24.9.8), and one error radius, the
-magnitude of the first omitted term.  Every
-argument at which a series is summed to the working precision is an
-integer or a dyadic rational a/2^f, because ball functions are evaluated
-at their endpoints.  At an integer or a short dyadic (f <= 8) the sum is
-exact, in integers, and rounded to a ball once; at a longer endpoint, such
-as that of a ball rounded to the working precision, the exact integers
-would grow by about 2f bits a term, so the sum runs by Horner's rule in
-ball arithmetic over the coefficients rounded to the working precision
-(`_Series.ball_sum`), the one routine also behind `stirling_tail`'s
-few-term prefix at its ball argument.  `_Series.truncation` gives the
-first K terms as an exact polynomial in 1/x, with the sign of the first
-omitted term, which is the side of it on which the series lies; `verify`
-derives its envelopes and its lower bound on g from it.
+the kind's divisors, with one term-count rule, from a float bound on
+|B_2k| (DLMF 24.9.8), and one error radius, the magnitude of the first
+omitted term.  Every argument at which a series is summed to the working
+precision is an integer or a dyadic rational, because ball functions are
+evaluated at their endpoints, and one integer kernel (`_Series.enclose`)
+sums it there: Horner's rule in fixed point over the coefficients floored
+to a fixed number of fraction bits, returned as one ball with the first
+omitted term inside its radius, so no Fraction grows with x's length or
+the term count.  `_Series.ball_sum` rounds the same integers to balls for
+`stirling_tail`'s few-term prefix at its ball argument.
+`_Series.truncation` gives the first K terms as an exact polynomial in
+1/x, with the sign of the first omitted term, which is the side of it on
+which the series lies; `verify` derives its envelopes and its lower bound
+on g from it.
 
 That radius holds at every truncation length, for two reasons:
 - psi, psi' and ln Gamma: the series are asymptotic and diverge, but the
@@ -64,8 +63,6 @@ from . import elementary
 from .ball import (
     Ball,
     DomainError,
-    PrecisionExhausted,
-    _dyadic_fraction,
     _endpoints_scaled,
     _from_int_interval,
     add,
@@ -203,12 +200,10 @@ class _Series:
     """A Bernoulli series whose term k >= 1 is c_k x^-(2k+s), with c_k equal
     to B_2k over the product of divisors(k).
 
-    It grows on demand under one lock and keeps, per k, the exact c_k as
-    a numerator over the lcm L_k of the denominators of c_1..c_k (each
-    built once per process), and c_k as a ball at each working precision
-    asked, rounded from that table.  The term count reads no coefficient:
-    it comes from a float bound on |B_2k|.  The first omitted term is one
-    Fraction per x, built straight from B_2k.
+    It grows on demand under one lock and keeps, per number f of fraction
+    bits asked, the integers floor(c_k 2^f), rounded from the exact c_k.
+    The term count reads no coefficient: it comes from a float bound on
+    |B_2k|.
 
     A kind that converges (expm1, for x >= 1) has terms that shrink at
     every k; the others diverge, and their terms shrink only up to k of
@@ -219,10 +214,7 @@ class _Series:
         self.s = s
         self._divisors = divisors
         self._converges = converges
-        self._nums: list[int] = []  # c_k * L_k at index k - 1
-        self._steps: list[int] = []  # L_k / L_(k-1) at index k - 1
-        self._lcm = 1  # L_k for the longest k built
-        self._balls: dict[int, list[Ball]] = {}
+        self._fixed: dict[int, list[int]] = {}  # f -> floor(c_k 2^f) at index k - 1
         self._logc: dict[int, float] = {}  # _lower's bound at h = 0, per k probed
         self._lock = threading.Lock()
 
@@ -230,16 +222,14 @@ class _Series:
         """The exact coefficient c_k."""
         return bernoulli_number(2 * k) / math.prod(self._divisors(k))
 
-    def _table(self, count: int) -> tuple[list[int], list[int]]:
-        """The numerators c_k L_k and the steps L_k / L_(k-1), k <= count."""
+    def _ints(self, f: int, count: int) -> list[int]:
+        """floor(c_k 2^f) for k = 1..count."""
         with self._lock:
-            for k in range(len(self._nums) + 1, count + 1):
+            ints = self._fixed.setdefault(f, [])
+            for k in range(len(ints) + 1, count + 1):
                 c = self.coeff(k)
-                lcm = math.lcm(self._lcm, c.denominator)
-                self._nums.append(c.numerator * (lcm // c.denominator))
-                self._steps.append(lcm // self._lcm)
-                self._lcm = lcm
-            return self._nums[:count], self._steps[:count]
+                ints.append((c.numerator << f) // c.denominator)
+            return ints[:count]
 
     def truncation(self, count: int) -> tuple[Poly, int]:
         """The first count terms as a polynomial in u = 1/x, and the sign of
@@ -250,18 +240,6 @@ class _Series:
         for k in range(1, count + 1):
             coeffs[2 * k + self.s] = self.coeff(k)
         return Poly(coeffs), 1 if self.coeff(count + 1) > 0 else -1
-
-    def balls(self, w: int, count: int) -> list[Ball]:
-        """Ball coefficients c_1..c_count at working bits w."""
-        nums, steps = self._table(count)
-        with self._lock:
-            coeffs = self._balls.setdefault(w, [])
-            if len(coeffs) < count:
-                den = math.prod(steps[: len(coeffs)])
-                for k in range(len(coeffs), count):
-                    den *= steps[k]
-                    coeffs.append(Ball.from_fraction(Fraction(nums[k], den), w))
-            return coeffs[:count]
 
     def _lower(self, k: int, h) -> float:
         """A lower bound L on log2 of term k at x = 2^h, read without B_2k.
@@ -321,54 +299,59 @@ class _Series:
             raise AssertionError("asymptotic series cannot reach target precision")
         return reach - 1
 
-    def tail(self, count: int, x) -> Fraction:
-        """|c_(count+1)| x^-(2 count + 2 + s), the first omitted term.
+    def _omitted(self, count: int, a: int, d: int, f: int) -> int:
+        """The first omitted term |c_(count+1)| x^-e, e = 2 count + 2 + s,
+        at x = a/2^d, in units of 2^-f, rounded up.
 
-        At an x with a denominator above 2^64 it is the term at x rounded
-        down to 64 significant bits: no smaller, the exponent e being
-        positive, larger by a factor below 1 + e 2^-62, and built from
-        powers of 64-bit integers in place of the denominator's length.
+        It is taken at x rounded down to 64 significant bits: no smaller,
+        e being positive, larger by a factor below 1 + e 2^-62, and built
+        from powers of a 64-bit integer in place of x's full length.
         """
-        k = count + 1
-        b, e = bernoulli_number(2 * k), 2 * k + self.s
-        if x.denominator >> 64:
-            j = max(0, 64 - x.numerator.bit_length() + x.denominator.bit_length())
-            x = Fraction((x.numerator << j) // x.denominator, 1 << j)
-        num = abs(b.numerator) * x.denominator**e
-        return Fraction(num, b.denominator * math.prod(self._divisors(k)) * x.numerator**e)
+        k, e = count + 1, 2 * count + 2 + self.s
+        drop = max(0, min(d, a.bit_length() - 64))
+        b = bernoulli_number(2 * k)
+        num = abs(b.numerator) << (f + (d - drop) * e)
+        return -(-num // (b.denominator * math.prod(self._divisors(k)) * (a >> drop) ** e))
 
-    def sum(self, x, count: int) -> tuple[Fraction, Fraction]:
-        """sum_{k=1}^{count} c_k x^-(2k+s) at a rational x = a/d, and its tail.
+    def enclose(self, man: int, exp: int, count: int, w: int) -> Ball:
+        """The whole series at x = man 2^exp >= 1 as a ball at w bits: its
+        first count terms, with the first omitted term in the radius.
 
-        The sum is one Horner polynomial in a^2, term k weighted by d^2k,
-        over L_count, so a single gcd reduces it.  Each step also scales by
-        L_k / L_(k-1), a small integer, so the numbers stay as small as
-        count needs, whatever longer sums ran before.
+        With x = a/2^d, Horner's rule in 1/x^2 runs in fixed point at
+        f = w + 32 fraction bits, A_j = floor(c_j 2^f) + floor(A_(j+1)
+        2^2d / a^2).  Each floor is exact, so A_1 is never above the true
+        value and, x being >= 1, less than 2 count units below it.  The
+        2 + s factors 1/x that follow are each one floor of A 2^(d+b)/a,
+        b being the bit length of x's integer part, with f raised by b:
+        the error stays relative to the value, and at most doubles and
+        gains a unit per factor since 2^b/x < 2.  So the sum lies above A
+        by less than (2 count + 2) 2^(2+s) units.
         """
-        a, d = x.numerator, x.denominator
-        nums, steps = self._table(count)
-        acc, a2, d2, dk = 0, a * a, d * d, 1
-        for c, r in zip(nums, steps):
-            dk *= d2
-            acc = acc * (a2 * r) + c * dk
-        # sum = acc d^s / (L a^(2 count + s)); the exponent of a is negative
-        # only for an empty lgamma sum, where acc = 0
-        num = acc * d ** max(self.s, 0)
-        den = math.prod(steps) * a ** max(2 * count + self.s, 0) * d ** max(-self.s, 0)
-        return Fraction(num, den), self.tail(count, x)
+        a, d = (man << exp, 0) if exp > 0 else (man, -exp)
+        f, a2, acc = w + 32, a * a, 0
+        for c in reversed(self._ints(f, count)):
+            acc = c + ((acc << 2 * d) // a2)
+        b = (a >> d).bit_length()
+        for _ in range(2 + self.s):
+            acc = (acc << (d + b)) // a
+            f += b
+        t = self._omitted(count, a, d, f)
+        return _from_int_interval(acc - t, acc + ((2 * count + 2) << (2 + self.s)) + t, -f, w)
 
     def ball_sum(self, x: Ball, count: int, w: int) -> Ball:
         """The first count terms at a ball x: Horner's rule over the
         coefficients at w bits in 1/x^2, times 1/x^(2+s)."""
+        f = w + 32
+        coeffs = [_from_int_interval(c, c + 1, -f, w) for c in self._ints(f, count)]
         inv = recip(x, w)
-        acc = _horner(self.balls(w, count), mul(inv, inv, w), w)
+        acc = _horner(coeffs, mul(inv, inv, w), w)
         for _ in range(2 + self.s):  # term k is c_k x^-2(k-1) x^-(2+s)
             acc = mul(acc, inv, w)
         return acc
 
-    def at(self, x: int, w: int) -> tuple[Fraction, Fraction]:
-        """The series at an integer x >= 1 summed to 2^-(w+6), and its tail."""
-        return self.sum(x, self.terms(_log2_lower(x, 0), w + 6))
+    def at(self, man: int, exp: int, w: int) -> Ball:
+        """The series at x = man 2^exp >= 1, summed to 2^-(w+6), as a ball."""
+        return self.enclose(man, exp, self.terms(_log2_lower(man, exp), w + 6), w)
 
 
 # kind -> its series, each with what it completes:
@@ -487,12 +470,10 @@ def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:
     cfg = config or EmConfig()
     p = bits_of(cfg.precision)
     w = p + 16
-    series, tail = _SERIES["psi"].sum(n, cfg.q - 1)
-    corr = Fraction(1, 2 * n) - series
+    series = _SERIES["psi"].enclose(n, 0, cfg.q - 1, w)
+    corr = sub(Ball.from_fraction(Fraction(1, 2 * n), w), series, w)
     ln_n = elementary.ln(Ball.from_int(n), w)
-    g = _euler_gamma(w, "default")
-    res = add(add(ln_n, g, w), Ball.from_fraction(corr, w), p)
-    return add_rad_fraction(res, tail)
+    return add(add(ln_n, _euler_gamma(w, "default"), w), corr, p)
 
 
 _GAMMA_POLICIES = ("default", "alt")
@@ -524,11 +505,10 @@ def _euler_gamma(p: int, policy: str) -> Ball:
     n = 1 << k
     w = p + 16
     psi = _SERIES["psi"]
-    series, tail = psi.sum(n, psi.terms(k, p + 10))
-    acc = add(_shift_ball(1, 0, n, 1, w), Ball.from_fraction(series - Fraction(1, 2 * n), w), w)
+    series = sub(psi.enclose(n, 0, psi.terms(k, p + 10), w), Ball(1, -k - 1), w)
+    acc = add(_shift_ball(1, 0, n, 1, w), series, w)
     ln_n = mul(elementary.ln2_ball(w), Ball.from_int(k), w)
-    res = sub(acc, ln_n, p)
-    return add_rad_fraction(res, tail)
+    return sub(acc, ln_n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -576,29 +556,6 @@ def _horner(coeffs, u: Ball, w: int) -> Ball:
     return s
 
 
-# fraction bits of the longest dyadic at which the series is summed exactly
-_EXACT_SUM_BITS = 8
-
-
-def _series_at(kind: str, nman: int, nexp: int, w: int) -> tuple[Ball, Fraction]:
-    """The series of `kind` at N = nman 2^nexp as a ball, and its tail.
-
-    At N = a/2^f the exact sum's integers grow by about 2 log2 a bits a
-    term, so it is taken, and rounded once, only where f <= 8 (integers,
-    1/2, 12345/64, ...).  A longer endpoint, such as one of a ball rounded
-    to w bits, runs Horner's rule over the coefficients rounded to w bits,
-    whose cost does not depend on f.  The exact sum is the faster of the
-    two up to f of about 24 at 1040 bits and about 8 at 4128 bits.
-    """
-    series = _SERIES[kind]
-    count = series.terms(_log2_lower(nman, nexp), w + 6)
-    x = _dyadic_fraction(nman, nexp)
-    if x.denominator <= 1 << _EXACT_SUM_BITS:
-        acc, tail = series.sum(x, count)
-        return Ball.from_fraction(acc, w), tail
-    return series.ball_sum(Ball(nman, nexp), count, w), series.tail(count, x)
-
-
 def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
     """sum_{j=0}^{m-1} (x+j)^-s at x = xman 2^nexp > 0, nexp <= 0, as a
     ball: what the recurrences of psi (s = 1) and psi' (s = 2) carry from x
@@ -614,26 +571,24 @@ def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
 
 def _digamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    series, tail = _series_at("psi", nman, nexp, w)
     nball = Ball(nman, nexp)
     res = sub(elementary.ln(nball, w), scale2(recip(nball, w), -1), w)
-    res = sub(res, series, w)
+    res = sub(res, _SERIES["psi"].at(nman, nexp, w), w)
     if m:
         # psi(x) = psi(x+m) - sum_{j=0}^{m-1} 1/(x+j)
         res = sub(res, _shift_ball(xman, nexp, m, 1, w), w)
-    return add_rad_fraction(res, tail)
+    return res
 
 
 def _trigamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    series, tail = _series_at("psi1", nman, nexp, w)
     inv_n = recip(Ball(nman, nexp), w)
     res = add(inv_n, scale2(mul(inv_n, inv_n, w), -1), w)
-    res = add(res, series, w)
+    res = add(res, _SERIES["psi1"].at(nman, nexp, w), w)
     if m:
         # psi'(x) = psi'(x+m) + sum_{j=0}^{m-1} 1/(x+j)^2
         res = add(res, _shift_ball(xman, nexp, m, 2, w), w)
-    return add_rad_fraction(res, tail)
+    return res
 
 
 def _stirling(x: Ball, series: Ball, w: int) -> Ball:
@@ -647,8 +602,7 @@ def _stirling(x: Ball, series: Ball, w: int) -> Ball:
 
 def _lgamma_point(man: int, exp: int, w: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    series, tail = _series_at("lgamma", nman, nexp, w)
-    res = _stirling(Ball(nman, nexp), series, w)
+    res = _stirling(Ball(nman, nexp), _SERIES["lgamma"].at(nman, nexp, w), w)
     if m:
         # ln Gamma(x) = ln Gamma(N) - ln(x (x+1) ... (x+m-1)), exact product
         f = -nexp
@@ -656,7 +610,7 @@ def _lgamma_point(man: int, exp: int, w: int) -> Ball:
         for i in range(m):
             prod *= xman + (i << f)
         res = sub(res, elementary.ln(Ball(prod, nexp * m), w), w)
-    return add_rad_fraction(res, tail)
+    return res
 
 
 def _eval_on_ball(point_fn, x: Ball, w: int, p: int, monotone: bool) -> Ball:
@@ -700,17 +654,11 @@ def lgamma(x, prec) -> Ball:
 
 
 @lru_cache(maxsize=32)
-def _threshold_series(w: int) -> tuple[Ball, Fraction]:
-    """The gap series at the shift threshold N, less 1/(2N), and its tail.
-
-    Every n below N shares it, so it is summed once per working precision.
-    At 1040 bits it takes about 0.26 ms once the coefficient table is
-    built, about as long as all the rest of a psi_gap at n < N (0.06 to
-    0.36 ms; best of 30, 2-core VM, CPython 3.11).
-    """
+def _threshold_series(w: int) -> Ball:
+    """The gap series at the shift threshold N, less 1/(2N).  Every n below
+    N shares it, so it is summed once per working precision."""
     big = _shift_threshold(w)
-    acc, tail = _SERIES["psi"].at(big, w)
-    return Ball.from_fraction(acc - Fraction(1, 2 * big), w), tail
+    return sub(_SERIES["psi"].at(big, 0, w), Ball.from_fraction(Fraction(1, 2 * big), w), w)
 
 
 def psi_gap(n: int, prec) -> Ball:
@@ -733,14 +681,11 @@ def _psi_gap(n: int, p: int) -> Ball:
     w = p + 16
     big = _shift_threshold(w)
     if n >= big:
-        acc, tail = _SERIES["psi"].at(n, w)
-        return add_rad_fraction(Ball.from_fraction(acc, p), tail)
-    series, tail = _threshold_series(w)
+        return round_ball(_SERIES["psi"].at(n, 0, w), p)
     # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
-    res = add(_shift_ball(n + 1, 0, big - n, 1, w), series, w)
+    res = add(_shift_ball(n + 1, 0, big - n, 1, w), _threshold_series(w), w)
     res = add(Ball.from_fraction(Fraction(1, 2 * n), w), res, w)
-    res = add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
-    return add_rad_fraction(res, tail)
+    return add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
 
 
 def stirling_tail(kind: str, order: int, x, prec) -> Ball:

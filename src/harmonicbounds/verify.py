@@ -54,7 +54,6 @@ from .ball import (
     bits_of,
     climb,
     compare,
-    div,
     mul,
     neg,
     recip,
@@ -198,23 +197,15 @@ def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
 
 
 def _f_closed_form(n: int, w: int) -> Ball:
-    """Closed forms of f(1), f(2), f(3) as expressions in g, ln 2, ln 3."""
-    g = specfun.euler_gamma(w)
+    """f(n) = 1/(ln n + g + 1/(2n) - H(n)) - 12 n^2 with H(n) exact, for n
+    = 2 and 3; f(1) is the catalog's A."""
     if n == 1:
         return _F_AT_ONE.value(w)
-    if n == 2:
-        l2 = elementary.ln2_ball(w)
-        s = add(mul(Ball.from_int(48), g, w), mul(Ball.from_int(48), l2, w), w)
-        num = mul(Ball.from_int(4), sub(s, Ball.from_int(61), w), w)
-        den = sub(Ball.from_int(5), add(mul(Ball.from_int(4), g, w), mul(Ball.from_int(4), l2, w), w), w)
-        return div(num, den, w)
-    if n == 3:
-        l3 = elementary.ln(Ball.from_int(3), w)
-        s = add(mul(Ball.from_int(108), g, w), mul(Ball.from_int(108), l3, w), w)
-        num = mul(Ball.from_int(3), sub(s, Ball.from_int(181), w), w)
-        den = sub(Ball.from_int(5), add(mul(Ball.from_int(3), g, w), mul(Ball.from_int(3), l3, w), w), w)
-        return div(num, den, w)
-    raise ValueError("closed forms are recorded only for n in {1, 2, 3}")
+    if n not in (2, 3):
+        raise ValueError("closed forms are recorded only for n in {1, 2, 3}")
+    rest = Ball.from_fraction(Fraction(1, 2 * n) - specfun.harmonic_exact(n), w)
+    gap = add(add(elementary.ln(Ball.from_int(n), w), specfun.euler_gamma(w), w), rest, w)
+    return sub(recip(gap, w), Ball.from_int(12 * n * n), w)
 
 
 # f(1), f(2), f(3) to the four digits printed; f(1)'s are A's, from the catalog

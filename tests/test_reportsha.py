@@ -37,11 +37,11 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "eadcf25871ce069719a1ad11efda5618b7367dbc4263e568e8a01593e1600381",
+        "ce5e67f959587150a0567014310fb36b5a10ee7a1f0b6bbb5e1b493f97d6378e",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "1b22a4bcec26d8eb6376bfd45ba46f5c645af2e0b67729ee0cba70cf05531b93",
+        "d203799ad6aa7d7283e89fec4e64cc1d3ac571c5eec778740b468411addee137",
     ),
 }
 

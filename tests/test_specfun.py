@@ -95,11 +95,11 @@ def test_bernoulli_numbers_match_the_defining_recurrence():
 
 
 def _ladder_top() -> int:
-    """Largest k whose B_2k psi_gap reads at the 4112-bit cap: the first
-    omitted term at the shift threshold of the 4128-bit working precision."""
+    """Largest k whose B_2k psi_gap reads at the 4096-bit cap: the first
+    omitted term at the shift threshold of its 4112 working bits."""
     from harmonicbounds.specfun import _SERIES, _log2_lower, _shift_threshold
 
-    w = 4128
+    w = 4112
     return _SERIES["psi"].terms(_log2_lower(_shift_threshold(w), 0), w + 6) + 1
 
 
@@ -284,12 +284,20 @@ def test_euler_gamma_digits_and_radius():
             assert g.rad_fraction() <= Fraction(1, 2 ** (p - 1)), (p, policy)
 
 
-def test_euler_gamma_policies_agree_and_differ_in_derivation():
+def test_euler_gamma_policies_agree_and_differ_in_derivation(monkeypatch):
+    from harmonicbounds import specfun
+
+    shift_ball = specfun._shift_ball
+    sums = []
+    monkeypatch.setattr(
+        specfun, "_shift_ball", lambda *args: sums.append(args[2]) or shift_ball(*args)
+    )
+    specfun._euler_gamma.cache_clear()
     a = euler_gamma(256, "default")
     b = euler_gamma(256, "alt")
     assert compare(a, b) is Order.OVERLAPPING
-    # distinct derivations should not produce structurally identical balls
-    assert a != b
+    # distinct derivations: each policy sums H(2^k) at its own k
+    assert len(sums) == 2 and sums[0] != sums[1], sums
     with pytest.raises(ValueError):
         euler_gamma(256, "fastest")
 
@@ -464,33 +472,33 @@ def test_digamma_family_at_1024_bits_against_mpmath(x):
         assert b.rad_fraction() < abs(want) / 2**1000, name
 
 
-def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
+def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
     from harmonicbounds import specfun
 
     seen = []
-
-    def record(name):
-        method = getattr(specfun._Series, name)
-        return lambda self, *args: seen.append(name) or method(self, *args)
-
-    for name in ("sum", "balls"):
-        monkeypatch.setattr(specfun._Series, name, record(name))
+    enclose = specfun._Series.enclose
+    monkeypatch.setattr(
+        specfun._Series,
+        "enclose",
+        lambda self, *args: seen.append("enclose") or enclose(self, *args),
+    )
     # the shift below the threshold (121 at 1024 bits) is in fixed point at
     # every x, whatever side the series takes
     shift_ball = specfun._shift_ball
     monkeypatch.setattr(
         specfun, "_shift_ball", lambda *args: seen.append("shift") or shift_ball(*args)
     )
-    for x, want, shifted in (
-        (Fraction(121), "sum", False),
-        (Fraction(12345, 64), "sum", False),
-        (Fraction(2**16 + 1, 2**8), "sum", False),
-        (Fraction(2**17 + 1, 2**9), "balls", False),
-        (Fraction(1), "sum", True),
-        (Fraction(1, 2), "sum", True),
-        (Fraction(2**8 + 1, 2**8), "sum", True),
-        (Fraction(2**9 + 1, 2**9), "balls", True),
-        (Fraction(1, 3), "balls", True),
+    # integers, short and long dyadics, and a ball with a radius (1/3)
+    for x, shifted in (
+        (Fraction(121), False),
+        (Fraction(12345, 64), False),
+        (Fraction(2**16 + 1, 2**8), False),
+        (Fraction(2**17 + 1, 2**9), False),
+        (Fraction(1), True),
+        (Fraction(1, 2), True),
+        (Fraction(2**8 + 1, 2**8), True),
+        (Fraction(2**9 + 1, 2**9), True),
+        (Fraction(1, 3), True),
     ):
         for fn in (digamma, trigamma, lgamma):
             seen.clear()
@@ -499,7 +507,7 @@ def test_series_is_summed_exactly_only_at_short_dyadics(monkeypatch):
             # its hull at a ball with a radius (1/3) by digamma's slope
             dyadic = x.denominator & (x.denominator - 1) == 0
             shift = shifted and (fn is not lgamma or not dyadic)
-            assert seen and set(seen) == {want} | ({"shift"} if shift else set()), (
+            assert seen and set(seen) == {"enclose"} | ({"shift"} if shift else set()), (
                 fn.__name__, x,
             )
 
@@ -592,12 +600,36 @@ def test_psi_gap_matches_direct_composition():
         psi_gap(0, 128)
 
 
-def test_psi_gap_radius_is_cancellation_free():
+@pytest.mark.parametrize(
+    "n", [10**4, 10**20, 10**100, 10**400], ids=["1e4", "1e20", "1e100", "1e400"]
+)
+def test_psi_gap_radius_is_cancellation_free(n):
     # the naive difference of two O(ln n) balls at 128 bits has absolute
     # radius ~2^-120; the gap evaluator must do relatively better than that
-    # on a quantity of size ~1/(12 n^2)
-    g = psi_gap(10**4, 128)
+    # on a quantity of size ~1/(12 n^2), however small that is
+    g = psi_gap(n, 128)
     assert g.rad_fraction() < g.mid_fraction() * Fraction(1, 2**100)
+
+
+@pytest.mark.parametrize("p", [128, 1024])
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**400], ids=["1e3", "1e6", "1e400"])
+def test_psi_gap_above_the_threshold_builds_no_fraction(monkeypatch, n, p):
+    # once the Bernoulli and coefficient tables are warm, the series is
+    # summed in integers: no Fraction is built, however large n is
+    from harmonicbounds import specfun
+
+    assert n >= specfun._shift_threshold(p + 16)
+    want = psi_gap(n, p)
+    specfun._psi_gap.cache_clear()
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)
+    )
+    got = psi_gap(n, p)
+    monkeypatch.undo()
+    assert built == []
+    assert got == want
 
 
 # kind -> (s, the divisors of B_2k in c_k)
@@ -636,28 +668,36 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
     # psi_gap at 128 and 1024 bits works at 144 and 1040 bits; below the
     # shift threshold it sums the series at the threshold itself; digamma,
     # trigamma and log-gamma sum them at dyadic points.  Every kind is
-    # checked against its coefficient written out here.
+    # checked against its coefficient written out here: the kernel's ball
+    # holds the per-term sum plus and minus the first omitted term, and is
+    # no wider than the kernel's bound.
     from harmonicbounds.specfun import _SERIES, _shift_threshold
 
     for w in (144, 1040):
-        x = _shift_threshold(w) if n == "threshold" else n
+        x = Fraction(_shift_threshold(w) if n == "threshold" else n)
+        man, exp = x.numerator, 1 - x.denominator.bit_length()
+        f = w + 32
         for kind, (s, _) in _KINDS.items():
             series = _SERIES[kind]
             count = series.terms(_log2_lower_of(x), w + 6)
             c = [_coeff(kind, k) for k in range(1, count + 2)]
-            acc = Fraction(0)
-            for k in range(1, count + 1):
-                acc += c[k - 1] / Fraction(x) ** (2 * k + s)
-            tail = abs(c[count]) / Fraction(x) ** (2 * count + 2 + s)
-            assert series.sum(x, count) == (acc, tail), (kind, w)
+            acc = sum((c[k - 1] / x ** (2 * k + s) for k in range(1, count + 1)), Fraction(0))
+            tail = abs(c[count]) / x ** (2 * count + 2 + s)
+            got = series.enclose(man, exp, count, w)
+            assert got.lower() <= acc - tail and acc + tail <= got.upper(), (kind, w)
+            # (2 count + 2) 2^(2+s) units of 2^-F for the floors, F being f
+            # raised by x's integer bit length per factor 1/x, the tail
+            # rounded up to a unit on each side, and the rounding to w bits
+            units = ((2 * count + 2) << (2 + s)) + 2
+            bound = Fraction(units, 2 ** (f + (2 + s) * int(x).bit_length() + 1))
+            assert got.rad_fraction() <= bound + tail + abs(acc) / 2 ** (w - 1), (kind, w)
             # a shorter count after a longer one reads the same table
-            first = c[0] / Fraction(x) ** (2 + s)
-            assert series.sum(x, 1) == (first, abs(c[1]) / Fraction(x) ** (4 + s))
+            first = series.enclose(man, exp, 1, w)
+            second = abs(c[1]) / x ** (4 + s)
+            assert first.lower() <= c[0] / x ** (2 + s) - second, (kind, w)
+            assert c[0] / x ** (2 + s) + second <= first.upper(), (kind, w)
             assert [series.coeff(k) for k in range(1, count + 1)] == c[:count], (kind, w)
-            # the ball coefficients, for endpoints with long fractions, are
-            # rounded from that table
-            expected = [Ball.from_fraction(c[k], w) for k in range(count)]
-            assert series.balls(w, count) == expected, (kind, w)
+            assert series._ints(f, count) == [math.floor(ck * 2**f) for ck in c[:count]]
 
 
 @pytest.mark.parametrize("x", [Fraction(7, 2), Fraction(7), Fraction(1000)], ids=str)
@@ -678,23 +718,31 @@ def test_truncations_lie_on_their_stated_side(x):
                 t = poly(1 / x)
                 miss = value - mp.mpf(t.numerator) / t.denominator
                 assert mp.sign(miss) == side, (kind, count)
-                # and no further off than the first omitted term
-                first = _SERIES[kind].tail(count, x)
-                assert abs(miss) < mp.mpf(first.numerator) / first.denominator, (kind, count)
+                # and no further off than the first omitted term, as the
+                # kernel rounds it up to a unit of 2^-256
+                d = x.denominator.bit_length() - 1
+                first = _SERIES[kind]._omitted(count, x.numerator, d, 256)
+                assert abs(miss) < mp.mpf(first) / 2**256, (kind, count)
 
 
 def test_tail_at_a_long_dyadic_bounds_the_first_omitted_term():
     # 121 + 1/3 rounded to 1040 fraction bits, as a ball endpoint would be
     from harmonicbounds.specfun import _SERIES
 
-    x = Fraction((364 << 1040) // 3, 1 << 1040)
+    a, d = (364 << 1040) // 3, 1040
+    x = Fraction(a, 1 << d)
+    drop = a.bit_length() - 64
+    x64 = Fraction(a >> drop, 1 << (d - drop))  # x rounded down to 64 significant bits
     for kind, (s, _) in _KINDS.items():
         for count in (1, 5, 260):
             e = 2 * count + 2 + s
             exact = abs(_coeff(kind, count + 1)) / x**e
-            got = _SERIES[kind].tail(count, x)
+            # fraction bits enough that a unit is below 2^-120 of the term
+            f = 120 + exact.denominator.bit_length() - exact.numerator.bit_length()
+            units = _SERIES[kind]._omitted(count, a, d, f)
+            got = Fraction(units, 2**f)
             assert exact <= got <= exact * (1 + Fraction(e, 2**62)), (kind, count)
-            assert got.denominator.bit_length() < exact.denominator.bit_length() // 8
+            assert units == math.ceil(abs(_coeff(kind, count + 1)) / x64**e * 2**f), (kind, count)
 
 
 def _term(kind: str, k: int, x) -> Fraction:

@@ -16,9 +16,8 @@ import mpmath as mp
 import pytest
 
 from harmonicbounds import bounds, specfun, verify
-from harmonicbounds.ball import MAX_PRECISION, Ball, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, PrecisionExhausted, sub
 from harmonicbounds.report import Verdict
-from harmonicbounds.specfun import PrecisionExhausted
 from harmonicbounds.verify import (
     CHECK_NAMES,
     DEFAULT_G_GRID,

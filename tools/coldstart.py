@@ -34,7 +34,13 @@ def _exp(p: int) -> str:
 def _sums(w: int) -> str:
     # every series kind summed at the shift threshold of working precision
     # w: the Bernoulli table and each kind's coefficient table grow to there
-    return f"[k.at(s._shift_threshold({w}), {w}) for k in s._SERIES.values()]"
+    return f"[k.at(s._shift_threshold({w}), 0, {w}) for k in s._SERIES.values()]"
+
+
+def _digamma_long(p: int) -> str:
+    # digamma at 364/3 rounded to p bits: the series at an endpoint with a
+    # p-bit fraction, whose fixed-point sum carries the coefficients' length
+    return f"s.digamma(s.Ball.from_fraction(s.Fraction(364, 3), {p}), {p})"
 
 
 # (label, statement run once with `s` bound to harmonicbounds.specfun)
@@ -54,6 +60,8 @@ ITEMS = (
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
     ("_threshold_series(144)", "s._threshold_series(144)"),
     ("_threshold_series(1040)", "s._threshold_series(1040)"),
+    ("digamma at 364/3 rounded to 1024 bits, 1024 bits", _digamma_long(1024)),
+    ("digamma at 364/3 rounded to 4096 bits, 4096 bits", _digamma_long(4096)),
 )
 
 _CHILD = """\
