@@ -13,15 +13,18 @@ Certified layer: Euler--Maclaurin evaluation of the harmonic numbers, the
 Euler--Mascheroni constant, digamma/trigamma/log-gamma, the Stirling
 remainder functions and ln(e^(1/x) - 1).  All of them read one kind of
 Bernoulli series (`_Series`): term k is c_k x^-(2k+s) with c_k = B_2k over
-the kind's divisors, with one term-count rule, from a float bound on
-|B_2k| (DLMF 24.9.8), and one error radius, the magnitude of the first
-omitted term.  Every argument at which a series is summed to the working
-precision is an integer or a dyadic rational, because ball functions are
-evaluated at their endpoints, and one integer kernel (`_Series.enclose`)
-sums it there: Horner's rule in fixed point over the coefficients floored
-to a fixed number of fraction bits, returned as one ball with the first
-omitted term inside its radius, so no Fraction grows with x's length or
-the term count.  `_Series.ball_sum` rounds the same integers to balls for
+the kind's divisors, with one term-count rule, a scan over a float bound
+on |B_2k| (DLMF 24.9.8) that stops where the bound reaches the target or
+stops falling, and one error radius, the magnitude of the first omitted
+term.  `_Series.at` holds the layer's one memo of series values, so the
+points below the shift threshold share one sum there.  Every argument at
+which a series is summed to the working precision is an integer or a
+dyadic rational, because ball functions are evaluated at their
+endpoints, and one integer kernel (`_Series.enclose`) sums it there:
+Horner's rule in fixed point over the coefficients floored to a fixed
+number of fraction bits, returned as one ball with the first omitted term
+inside its radius, so no Fraction grows with x's length or the term
+count.  `_Series.ball_sum` rounds the same integers to balls for
 `stirling_tail`'s few-term prefix at its ball argument.
 `_Series.truncation` gives the first K terms as an exact polynomial in
 1/x, with the sign of the first omitted term, which is the side of it on
@@ -33,11 +36,12 @@ That radius holds at every truncation length, for two reasons:
   remainders are completely monotonic, so each lies between zero and the
   first omitted term (DLMF 5.11(ii)); the test-suite spot-checks this.
 - expm1, ln((e^t - 1)/t) - t/2 = sum B_2k t^2k / (2k (2k)!) at t = 1/x:
-  the series converges for t < 2 pi.  Its terms alternate in sign with
-  B_2k, and |c_(k+1) / c_k| = k/(k+1) zeta(2k+2)/zeta(2k) / (2 pi)^2 is
-  below (2 pi)^-2, so for x >= 1 each term is less than 1/39 of the one
-  before.  The remainder of such an alternating series lies between zero
-  and the first omitted term; no monotonicity argument is needed.
+  the series has radius of convergence 2 pi in t.  Its terms alternate
+  in sign with B_2k, and |c_(k+1) / c_k| = k/(k+1) zeta(2k+2)/zeta(2k)
+  / (2 pi)^2 is below (2 pi)^-2, so for x >= 1 each term is less than
+  1/39 of the one before.  The remainder of such an alternating series
+  lies between zero and the first omitted term; no monotonicity argument
+  is needed.
 
 Arguments below the shift threshold are pushed up by the recurrences
 psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
@@ -203,17 +207,13 @@ class _Series:
     It grows on demand under one lock and keeps, per number f of fraction
     bits asked, the integers floor(c_k 2^f), rounded from the exact c_k.
     The term count reads no coefficient: it comes from a float bound on
-    |B_2k|.
-
-    A kind that converges (expm1, for x >= 1) has terms that shrink at
-    every k; the others diverge, and their terms shrink only up to k of
-    about pi x.
+    |B_2k|, and stops where that bound reaches the target or stops falling.
+    `at` holds the layer's one memo of series values.
     """
 
-    def __init__(self, s: int, divisors, converges: bool = False) -> None:
+    def __init__(self, s: int, divisors) -> None:
         self.s = s
         self._divisors = divisors
-        self._converges = converges
         self._fixed: dict[int, list[int]] = {}  # f -> floor(c_k 2^f) at index k - 1
         self._logc: dict[int, float] = {}  # _lower's bound at h = 0, per k probed
         self._lock = threading.Lock()
@@ -259,28 +259,6 @@ class _Series:
             self._logc[k] = logc
         return logc - (2 * k + self.s) * h
 
-    def _reach(self, h, target: int) -> int | None:
-        """Smallest k >= 2 whose term's lower bound is <= 2^-target, or None
-        if a divergent kind has none up to pi 2^h - 1.
-
-        Up to there the lower bound decreases with k for every kind, and
-        for a convergent kind at every k, so a galloping search followed by
-        bisection finds it.
-        """
-        top = math.inf if self._converges else math.floor(math.pi * 2.0 ** min(h, 64.0)) - 1
-        lo = k = 2
-        while self._lower(k, h) > -target:
-            if k >= top:
-                return None
-            lo, k = k + 1, min(2 * k, top)
-        while lo < k:
-            mid = (lo + k) // 2
-            if self._lower(mid, h) <= -target:
-                k = mid
-            else:
-                lo = mid + 1
-        return k
-
     def terms(self, h, target: int) -> int:
         """Smallest count >= 1 whose first omitted term's bound `_lower` is
         <= 2^-(target+2), h being a lower bound on log2 x.
@@ -289,15 +267,19 @@ class _Series:
         count > 1, above 2^-(target+1) at x = 2^h: no kept term is far
         below the target.  It reads no Bernoulli number.
 
-        The asymptotic kinds diverge: their terms shrink only until k is of
-        order pi*x, so if none gets to the target the shift threshold was
-        chosen too small -- a programming error, not a runtime condition,
-        hence the assertion.
+        One scan from k = 2 stops where the bound first reaches the target,
+        or where it stops falling.  The asymptotic kinds diverge: their
+        terms shrink only until k is of order pi*x, so if none gets to the
+        target the shift threshold was chosen too small -- a programming
+        error, not a runtime condition, hence the assertion.
         """
-        reach = self._reach(h, target + 2)
-        if reach is None:
-            raise AssertionError("asymptotic series cannot reach target precision")
-        return reach - 1
+        k, low = 2, self._lower(2, h)
+        while low > -(target + 2):
+            nxt = self._lower(k + 1, h)
+            if nxt >= low:
+                raise AssertionError("asymptotic series cannot reach target precision")
+            k, low = k + 1, nxt
+        return k - 1
 
     def _omitted(self, count: int, a: int, d: int, f: int) -> int:
         """The first omitted term |c_(count+1)| x^-e, e = 2 count + 2 + s,
@@ -349,8 +331,13 @@ class _Series:
             acc = mul(acc, inv, w)
         return acc
 
+    @lru_cache(maxsize=64)
     def at(self, man: int, exp: int, w: int) -> Ball:
-        """The series at x = man 2^exp >= 1, summed to 2^-(w+6), as a ball."""
+        """The series at x = man 2^exp >= 1, summed to 2^-(w+6), as a ball.
+
+        Memoised: every psi, psi' and ln Gamma point below the shift
+        threshold, and psi_gap, sum the series at the threshold itself, so
+        they share one sum per (kind, threshold, w)."""
         return self.enclose(man, exp, self.terms(_log2_lower(man, exp), w + 6), w)
 
 
@@ -363,7 +350,7 @@ _SERIES = {
     "psi": _Series(0, lambda k: (2 * k,)),
     "psi1": _Series(1, lambda k: ()),
     "lgamma": _Series(-1, lambda k: (2 * k, 2 * k - 1)),
-    "expm1": _Series(0, lambda k: (2 * k, math.factorial(2 * k)), converges=True),
+    "expm1": _Series(0, lambda k: (2 * k, math.factorial(2 * k))),
 }
 
 
@@ -455,8 +442,8 @@ class EmConfig:
     precision: int = 128
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or not 1 <= self.q <= 50:
-            raise ValueError("EmConfig.q must be an integer in [1, 50]")
+        if check_index(self.q, 1, "q") > 50:
+            raise ValueError("q must be <= 50")
         bits_of(self.precision)
 
 
@@ -653,14 +640,6 @@ def lgamma(x, prec) -> Ball:
     return _eval_on_ball(_lgamma_point, _as_ball(x, w), w, p, monotone=False)
 
 
-@lru_cache(maxsize=32)
-def _threshold_series(w: int) -> Ball:
-    """The gap series at the shift threshold N, less 1/(2N).  Every n below
-    N shares it, so it is summed once per working precision."""
-    big = _shift_threshold(w)
-    return sub(_SERIES["psi"].at(big, 0, w), Ball.from_fraction(Fraction(1, 2 * big), w), w)
-
-
 def psi_gap(n: int, prec) -> Ball:
     """Enclosure of ln n + 1/(2n) - psi(n+1) for integer n >= 1.
 
@@ -683,7 +662,8 @@ def _psi_gap(n: int, p: int) -> Ball:
     if n >= big:
         return round_ball(_SERIES["psi"].at(n, 0, w), p)
     # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
-    res = add(_shift_ball(n + 1, 0, big - n, 1, w), _threshold_series(w), w)
+    series = sub(_SERIES["psi"].at(big, 0, w), Ball.from_fraction(Fraction(1, 2 * big), w), w)
+    res = add(_shift_ball(n + 1, 0, big - n, 1, w), series, w)
     res = add(Ball.from_fraction(Fraction(1, 2 * n), w), res, w)
     return add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
 

@@ -326,6 +326,13 @@ def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, 
     return tuple(sub(v, t, w) if side > 0 else sub(t, v, w) for t, side in ordered)
 
 
+def _grid_point(x):
+    """A grid entry, once it is not a bool, which would stand for 0 or 1."""
+    if isinstance(x, bool):
+        raise TypeError("grid points must be numbers, got bool")
+    return x
+
+
 def _as_point(x) -> tuple[str, Ball | None, Fraction | None]:
     """Normalize a grid entry to (label, ball-or-None, rational-or-None).
     The label is a rational's value or a ball's exact midpoint and radius,
@@ -355,7 +362,8 @@ def _g_direct(x, w: int) -> Ball:
 
 def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify g > 0 on the grid, plus the rational-envelope chain behind it."""
-    points = [_as_point(x) for x in (grid if grid is not None else DEFAULT_G_GRID)]
+    entries = grid if grid is not None else DEFAULT_G_GRID
+    points = [_as_point(_grid_point(x)) for x in entries]
     if not points:
         raise ValueError("grid must be non-empty")
     if len({label for label, _, _ in points}) < len(points):
@@ -413,7 +421,6 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
 # the fourth-order error window
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _epsilon(n: int, w: int) -> Ball:
     """120 n^4 (H(n) - ln n - g - 1/(2n) + 1/(12 n^2))."""
     inner = sub(Ball.from_fraction(Fraction(1, 12 * n * n), w), specfun.psi_gap(n, w), w)
@@ -520,7 +527,7 @@ def cm_spotcheck(
     prec=DEFAULT_PRECISION,
 ) -> VerificationReport:
     """Finite-difference sign signature of the Stirling remainders."""
-    pts = [Fraction(x) for x in grid]
+    pts = [Fraction(_grid_point(x)) for x in grid]
     if len(pts) < 8:
         raise ValueError("grid must have at least 8 points")
     if any(b <= a for a, b in zip(pts, pts[1:])):

@@ -156,7 +156,7 @@ def test_kept_term_bounds_equal_the_formula_they_keep():
     from harmonicbounds import specfun
 
     for kind, series in specfun._SERIES.items():
-        fresh = specfun._Series(series.s, series._divisors, series._converges)
+        fresh = specfun._Series(series.s, series._divisors)
         for k in range(1, 2000, 1 if kind != "expm1" else 13):
             logc = math.lgamma(2 * k + 1) / specfun._LN2 - 2 * k * specfun._LOG2_2PI
             for d in series._divisors(k):
@@ -336,6 +336,11 @@ def test_em_config_validation():
         EmConfig(q=51)
     with pytest.raises(ValueError):
         EmConfig(precision=52)
+    # a bool would sum with q = 1, and a float is not a count either
+    with pytest.raises(TypeError, match="q must be an int"):
+        EmConfig(q=True)
+    with pytest.raises(TypeError, match="q must be an int"):
+        EmConfig(q=5.0)
     assert EmConfig().q == 5
 
 
@@ -502,6 +507,8 @@ def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
     ):
         for fn in (digamma, trigamma, lgamma):
             seen.clear()
+            # a memoised sum would sum nothing, so no kernel would be seen
+            specfun._Series.at.cache_clear()
             fn(x, 1024)
             # ln Gamma carries an exact product, not the shift sum, but pads
             # its hull at a ball with a radius (1/3) by digamma's slope
@@ -512,12 +519,39 @@ def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
             )
 
 
+def test_points_below_the_threshold_share_one_series_sum(monkeypatch):
+    # every integer below the shift threshold (121 at 1024 bits) sums its
+    # series at the threshold itself, and psi_gap sums psi's series there too
+    from harmonicbounds import specfun
+
+    sums = []
+    enclose = specfun._Series.enclose
+    monkeypatch.setattr(
+        specfun._Series, "enclose", lambda self, *args: sums.append(self) or enclose(self, *args)
+    )
+    specfun._Series.at.cache_clear()
+    specfun._psi_gap.cache_clear()
+    for x in range(1, 21):
+        lgamma(x, 1024)
+    assert sums == [specfun._SERIES["lgamma"]]
+    sums.clear()
+    for x in range(1, 21):
+        digamma(x, 1024)
+        trigamma(x, 1024)
+    assert sums == [specfun._SERIES["psi"], specfun._SERIES["psi1"]]
+    sums.clear()
+    for n in range(1, 21):
+        psi_gap(n, 1024)
+    assert sums == []
+
+
 @pytest.mark.parametrize("fn", [psi_gap, digamma, trigamma])
 def test_shift_below_the_threshold_sums_no_exact_fraction(monkeypatch, fn):
     from harmonicbounds import specfun
 
     want = fn(1, 1024)
     specfun._psi_gap.cache_clear()
+    specfun._Series.at.cache_clear()
     monkeypatch.setattr(specfun, "_tree_sum", _refuse)
     assert fn(1, 1024) == want
 
@@ -620,7 +654,9 @@ def test_psi_gap_above_the_threshold_builds_no_fraction(monkeypatch, n, p):
 
     assert n >= specfun._shift_threshold(p + 16)
     want = psi_gap(n, p)
+    # both memos cleared, so the series is summed again, not read back
     specfun._psi_gap.cache_clear()
+    specfun._Series.at.cache_clear()
     built = []
     new = Fraction.__new__
     monkeypatch.setattr(

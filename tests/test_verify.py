@@ -221,6 +221,9 @@ def test_g_positivity_keys_each_grid_point_once():
     # 3 and Fraction(3) are one point, whose records would share their keys
     with pytest.raises(ValueError, match="distinct"):
         g_positivity((3, Fraction(3), 4.0), 128)
+    # a bool is no grid point, though it would read as 0 or 1
+    with pytest.raises(TypeError, match="bool"):
+        g_positivity((3, True), 128)
     # balls are labelled by their exact midpoint and radius, so two that
     # agree to many digits keep distinct keys; rationals keep their values
     a, b = Ball(3 * 2**40 + 1, -40), Ball(3 * 2**39 + 1, -39)
@@ -407,6 +410,8 @@ def test_cm_spotcheck_validation():
         cm_spotcheck("F", 2, list(reversed(good)), 2, 128)  # decreasing
     with pytest.raises(ValueError):
         cm_spotcheck("H", 2, good, 2, 128)  # unknown kind
+    with pytest.raises(TypeError, match="bool"):
+        cm_spotcheck("F", 2, [True, *range(2, 10)], 1, 128)  # True is not the point 1
 
 
 # ---------------------------------------------------------------------------

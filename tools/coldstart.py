@@ -58,8 +58,9 @@ ITEMS = (
     ("pi_ball(4096)", "s.pi_ball(4096)"),
     ("euler_gamma(128)", "s.euler_gamma(128)"),
     ("euler_gamma(1024)", "s.euler_gamma(1024)"),
-    ("_threshold_series(144)", "s._threshold_series(144)"),
-    ("_threshold_series(1040)", "s._threshold_series(1040)"),
+    # expm1's term count at x = 2 and 4120 bits scans to k = 564 and
+    # builds _lower's bound for every k on the way
+    ("expm1 term count at x = 2, target 4120 bits", "s._SERIES['expm1'].terms(1.0, 4120)"),
     ("digamma at 364/3 rounded to 1024 bits, 1024 bits", _digamma_long(1024)),
     ("digamma at 364/3 rounded to 4096 bits, 4096 bits", _digamma_long(4096)),
 )
