@@ -100,8 +100,10 @@ def ln1p_recip(m: int, prec) -> Ball:
     The series runs at scale 2^-(w + bit length of m), so the error is
     relative to the value, which lies in (1/(2m), 1/m].
     """
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"m must be an int, got {type(m).__name__}")
     if m < 1:
-        raise ValueError("ln1p_recip needs m >= 1")
+        raise ValueError("m must be >= 1")
     p = _bits(prec)
     w = _working_bits(p) + m.bit_length()
     lo, hi = _atanh_recip_iv(2 * m + 1, w)

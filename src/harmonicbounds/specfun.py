@@ -16,11 +16,12 @@ Bernoulli series (`_Series`): term k is c_k x^-(2k+s) with c_k = B_2k over
 the kind's divisors, with one term-count rule, a scan over a float bound
 on |B_2k| (DLMF 24.9.8) that stops where the bound reaches the target or
 stops falling, and one error radius, the magnitude of the first omitted
-term.  `_Series.at` holds the layer's one memo of series values, so the
-points below the shift threshold share one sum there.  Every argument at
-which a series is summed to the working precision is an integer or a
-dyadic rational, because ball functions are evaluated at their
-endpoints, and one integer kernel (`_Series.enclose`) sums it there:
+term.  `_Series.at` memoises the sum at the shift threshold, which every
+point below the threshold shares; `_psi_gap` and
+`bounds._ln_expm1_recip` memoise the sums they read one layer up.  Every
+argument at which a series is summed to the working precision is an
+integer or a dyadic rational, because ball functions are evaluated at
+their endpoints, and one integer kernel (`_Series.enclose`) sums it there:
 Horner's rule in fixed point over the coefficients floored to a fixed
 number of fraction bits, returned as one ball with the first omitted term
 inside its radius, so no Fraction grows with x's length or the term
@@ -208,7 +209,8 @@ class _Series:
     bits asked, the integers floor(c_k 2^f), rounded from the exact c_k.
     The term count reads no coefficient: it comes from a float bound on
     |B_2k|, and stops where that bound reaches the target or stops falling.
-    `at` holds the layer's one memo of series values.
+    `at` memoises the sum at the shift threshold, which every point below
+    the threshold shares.
     """
 
     def __init__(self, s: int, divisors) -> None:

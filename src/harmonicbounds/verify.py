@@ -173,14 +173,11 @@ def _f_int(n: int, w: int) -> Ball:
     return sub(recip(specfun.psi_gap(n, w), w), Ball.from_int(12 * n * n), w)
 
 
-def _gap(x, w: int) -> Ball:
-    """ln x + 1/(2x) - psi(x+1) at a positive ball or rational x; psi_gap
-    at a positive integer."""
-    if not isinstance(x, Ball):
-        x = Fraction(x)
-        if x.denominator == 1 and x >= 1:
-            return specfun.psi_gap(int(x), w)
-        x = Ball.from_fraction(x, w)
+def _gap(x: Ball, w: int) -> Ball:
+    """ln x + 1/(2x) - psi(x+1) at a positive ball x; at an exact positive
+    integer, psi_gap, the cancellation-free series."""
+    if x.is_exact and (n := x.mid_fraction()).denominator == 1 and n >= 1:
+        return specfun.psi_gap(int(n), w)
     lnx = elementary.ln(x, w)
     half = recip(scale2(x, 1), w)
     psi = specfun.digamma(add(x, Ball.from_int(1), w), w)
@@ -312,11 +309,9 @@ def _g_shifted(psi1_low: Poly, gap_high: Poly) -> tuple[tuple[int, ...], bool]:
     return tuple(int(c) for c in shifted.coeffs), not any(bound[:7])
 
 
-def _at(poly: Poly, x, w: int) -> Ball:
-    """poly(1/x): exact and rounded once at a rational x, by ball Horner at a ball."""
-    if isinstance(x, Ball):
-        return specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], recip(x, w), w)
-    return Ball.from_fraction(poly(1 / Fraction(x)), w)
+def _at(poly: Poly, x: Ball, w: int) -> Ball:
+    """poly(1/x) by ball Horner."""
+    return specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], recip(x, w), w)
 
 
 def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, ...]:
@@ -333,30 +328,24 @@ def _grid_point(x):
     return x
 
 
-def _as_point(x) -> tuple[str, Ball | None, Fraction | None]:
-    """Normalize a grid entry to (label, ball-or-None, rational-or-None).
+def _as_point(x) -> tuple[str, Callable[[int], Ball], Fraction]:
+    """Normalize a grid entry to (label, x_at, base): x_at(w) is its ball at
+    w bits, exact at an int or a dyadic, and base its rational lower bound.
     The label is a rational's value or a ball's exact midpoint and radius,
     so two grid entries share it only when they are the same point."""
     if isinstance(x, Ball):
-        return f"[{x.mid_fraction()} +/- {x.rad_fraction()}]", x, None
+        return f"[{x.mid_fraction()} +/- {x.rad_fraction()}]", lambda w: x, x.lower()
     xf = Fraction(x)
-    return str(x) if isinstance(x, int) else str(xf), None, xf
+    return (str(x) if isinstance(x, int) else str(xf)), lambda w: Ball.from_fraction(xf, w), xf
 
 
-def _g_direct(x, w: int) -> Ball:
+def _g_direct(x: Ball, w: int) -> Ball:
     """g(x) = psi'(x+1) - 1/x + 1/(2x^2) - 24 x (ln x + 1/(2x) - psi(x+1))^2."""
-    if isinstance(x, Ball):
-        t = specfun.trigamma(add(x, Ball.from_int(1), w), w)
-        invx = recip(x, w)
-        corr = sub(scale2(mul(invx, invx, w), -1), invx, w)
-        gap = _gap(x, w)
-        tail = mul(mul(Ball.from_int(24), x, w), mul(gap, gap, w), w)
-        return sub(add(t, corr, w), tail, w)
-    xf = Fraction(x)
-    t = specfun.trigamma(xf + 1, w)
-    corr = Ball.from_fraction(Fraction(1, 2) / xf**2 - 1 / xf, w)
-    gap = _gap(xf, w)
-    tail = mul(Ball.from_fraction(24 * xf, w), mul(gap, gap, w), w)
+    t = specfun.trigamma(add(x, Ball.from_int(1), w), w)
+    invx = recip(x, w)
+    corr = sub(scale2(mul(invx, invx, w), -1), invx, w)
+    gap = _gap(x, w)
+    tail = mul(mul(Ball.from_int(24), x, w), mul(gap, gap, w), w)
     return sub(add(t, corr, w), tail, w)
 
 
@@ -382,8 +371,22 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         margin=None, precision_bits=0,
     ))
 
-    for label, xball, xfrac in points:
-        base = xfrac if xfrac is not None else xball.lower()
+    def psi_sides(x: Ball, w: int) -> tuple[Ball, ...]:
+        # psi's truncations are ln x less those of ln x - psi, on the other side
+        lnx = elementary.ln(x, w)
+        truncs = [(sub(lnx, _at(e, x, w), w), -side) for e, side in psi]
+        return _sides(specfun.digamma(x, w), truncs, w)
+
+    # each claim at a point, as the differences at its ball x that must be > 0
+    claims = (
+        ("g_direct", lambda x, w: (_g_direct(x, w),)),
+        ("psi_envelope", psi_sides),
+        ("psi1_envelope", lambda x, w: _sides(
+            specfun.trigamma(x, w), [(_at(e, x, w), side) for e, side in psi1], w,
+        )),
+        ("gap_envelope", lambda x, w: _sides(_gap(x, w), [(_at(gap_high, x, w), -1)], w)),
+    )
+    for label, x_at, base in points:
         if base < 3:
             raise ValueError("grid points must be >= 3")
 
@@ -395,25 +398,10 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
             verdict=Verdict.PASS if value > 0 else Verdict.FAIL,
             margin=Ball.from_fraction(value, 64), precision_bits=0,
         ))
-
-        arg = xball if xball is not None else base
-        at = (("x", label),)
-        rep.append(_certify("g_direct", at, lambda w, arg=arg: (_g_direct(arg, w),), p))
-
-        def psi_sides(ww: int, arg=arg) -> tuple[Ball, ...]:
-            # psi's truncations are ln x less those of ln x - psi, on the other side
-            a = arg if isinstance(arg, Ball) else Ball.from_fraction(arg, ww)
-            lnx = elementary.ln(a, ww)
-            truncs = [(sub(lnx, _at(e, arg, ww), ww), -side) for e, side in psi]
-            return _sides(specfun.digamma(arg, ww), truncs, ww)
-
-        rep.append(_certify("psi_envelope", at, psi_sides, p))
-        rep.append(_certify("psi1_envelope", at, lambda w, arg=arg: _sides(
-            specfun.trigamma(arg, w), [(_at(e, arg, w), side) for e, side in psi1], w,
-        ), p))
-        rep.append(_certify("gap_envelope", at, lambda w, arg=arg: _sides(
-            _gap(arg, w), [(_at(gap_high, arg, w), -1)], w,
-        ), p))
+        for check, sides in claims:
+            rep.append(_certify(
+                check, (("x", label),), lambda w, s=sides, x_at=x_at: s(x_at(w), w), p,
+            ))
     return rep
 
 

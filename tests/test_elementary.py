@@ -155,6 +155,18 @@ def test_ln1p_recip_keeps_relative_accuracy(p):
         ln1p_recip(0, p)
 
 
+@pytest.mark.parametrize("m", [True, 2.5, Fraction(3)])
+def test_ln1p_recip_refuses_a_non_int_index(m):
+    # True would read as 1 and return ln 2; a float has no bit_length
+    with pytest.raises(TypeError, match="m must be an int"):
+        ln1p_recip(m, 128)
+
+
+def test_ln1p_recip_refuses_an_index_below_one():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        ln1p_recip(-3, 128)
+
+
 def test_ln_of_a_ball_is_padded_by_its_lipschitz_bound():
     # ln over [mid - rad, mid + rad] lies within rad / (mid - rad) of ln(mid);
     # rounding adds at most a unit of the result's (p + 1)-bit midpoint

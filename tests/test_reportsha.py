@@ -37,11 +37,11 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "ce5e67f959587150a0567014310fb36b5a10ee7a1f0b6bbb5e1b493f97d6378e",
+        "f72d71b8512594fe73aced3850236bea968ffd3a47a08d32e7deca37e537bac8",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "d203799ad6aa7d7283e89fec4e64cc1d3ac571c5eec778740b468411addee137",
+        "8e5fe7b21cd7ffaae1e332f2c500cdb6f5f747fe1367e6b2a4797c484f2af5cc",
     ),
 }
 

@@ -16,7 +16,7 @@ import mpmath as mp
 import pytest
 
 from harmonicbounds import bounds, specfun, verify
-from harmonicbounds.ball import MAX_PRECISION, Ball, PrecisionExhausted, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, Order, PrecisionExhausted, compare, sub
 from harmonicbounds.report import Verdict
 from harmonicbounds.verify import (
     CHECK_NAMES,
@@ -31,7 +31,7 @@ from harmonicbounds.verify import (
     sharpness_main,
     verify_all,
 )
-from helpers import assert_contains, assert_in_window, exact_fraction
+from helpers import assert_contains, assert_in_window, exact_fraction, oracle
 
 # 40-digit closed-form values of f at 1, 2, 3 (independent derivation)
 F1_DIGITS = Fraction("0.9507399991338845653085511242778686100007")
@@ -215,6 +215,37 @@ def test_g_direct_margin_matches_leading_asymptotics():
 def test_g_positivity_accepts_rational_and_ball_points():
     rep = g_positivity((3, Fraction(7, 2), Ball(4, 0, 1, -100)), 128)
     assert _all_green(rep)
+
+
+def test_g_positivity_at_a_non_dyadic_rational_point():
+    # 10/3 has no exact ball: it is evaluated as a ball of one-ulp radius at
+    # every rung, and g_direct's margin still encloses g(10/3)
+    x = Fraction(10, 3)
+    rep = g_positivity((Fraction(7, 2), x), 128)
+    assert _all_green(rep)
+    _, x_at, base = verify._as_point(x)
+    assert base == x
+    for rec in rep.records:
+        if rec.params == (("x", "10/3"),) and rec.precision_bits:
+            b = x_at(rec.precision_bits)
+            assert b.rman == 1 and b.contains(x)
+    want = oracle(
+        lambda v: mp.psi(1, v + 1) - 1 / v + 1 / (2 * v * v)
+        - 24 * v * (mp.ln(v) + 1 / (2 * v) - mp.digamma(v + 1)) ** 2,
+        x, dps=40,
+    )
+    rec = next(r for r in rep.records if r.check == "g_direct" and r.params == (("x", "10/3"),))
+    assert_contains(rec.margin, want, fuzz=Fraction(1, 10**36), label="g(10/3)")
+
+
+@pytest.mark.parametrize("n", [5, 500])
+def test_f_eval_at_an_exact_integer_ball_reads_psi_gap(n):
+    # n = 5 and 500 lie on either side of the 128-bit shift threshold (177);
+    # an exact integer ball takes the cancellation-free psi_gap series, so
+    # f keeps the precision it has at the int n
+    b = f_eval(Ball.from_int(n), 128)
+    assert compare(b, f_eval(n, 128)) is Order.OVERLAPPING
+    assert b.rad_fraction() < Fraction(1, 2**100)
 
 
 def test_g_positivity_keys_each_grid_point_once():
