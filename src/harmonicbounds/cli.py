@@ -58,6 +58,10 @@ def _int_at_least(least: int, most: int | None = None):
         try:
             value = int(text)
         except ValueError:
+            # int() refuses a numeral only past the interpreter's digit limit
+            if text.strip().lstrip("+-").isdecimal():
+                limit = sys.get_int_max_str_digits()
+                raise argparse.ArgumentTypeError(f"has more than {limit} digits") from None
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}")
@@ -146,7 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_int_at_least(1),
         default=1,
-        help="worker processes for the bound sweep (default 1)",
+        help="worker processes for the bound stage, the only stage that fans "
+        "out; it does so only at max-n >= 4*jobs where fork exists, with at "
+        "most one worker per core (default 1)",
     )
     add_format(p)
     add_precision(p)

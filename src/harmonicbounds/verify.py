@@ -10,6 +10,11 @@ decrease toward 1, that the Stirling remainders look completely monotonic
 under finite differencing, and that every declared equality case reduces
 to an exact algebraic identity.
 
+_STAGES is the one list of these stages: it maps each stage name, in report
+order, to the function that yields its records, and CHECK_NAMES is its
+keys.  verify_all runs the selected stages from it, each once, in that
+order.  Only the bound sweep fans out over worker processes.
+
 Every check yields a CheckRecord with a verdict, a margin enclosure and
 the precision that decided it.  Each inequality is stated as certified
 difference balls that must all be > 0, and its verdict is their sign as
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -87,17 +93,6 @@ __all__ = [
 ]
 
 DEFAULT_G_GRID: tuple[int, ...] = (3, 4, 5, 10, 50, 100)
-
-CHECK_NAMES: tuple[str, ...] = (
-    "bounds",
-    "sharpness",
-    "g_positivity",
-    "epsilon",
-    "refinement",
-    "alt_tail",
-    "cm",
-    "equality",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -623,36 +618,46 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
 
 def _bounds_chunk(args: tuple[int, int, int]) -> list[CheckRecord]:
     n_lo, n_hi, p = args
-    ids = bound_ids()
-    out = []
-    for n in range(n_lo, n_hi):
-        for bid in ids:
-            out.append(check_bound(bid, n, p).record())
-    return out
+    return [check_bound(bid, n, p).record() for n in range(n_lo, n_hi) for bid in bound_ids()]
 
 
 def _sweep_bounds(max_n: int, p: int, jobs: int) -> list[CheckRecord]:
-    if jobs > 1 and max_n >= 4 * jobs:
-        chunk = -(-max_n // (4 * jobs))
-        args = [
-            (lo, min(lo + chunk, max_n + 1), p)
-            for lo in range(1, max_n + 1, chunk)
-        ]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            with ctx.Pool(processes=jobs) as pool:
-                parts = pool.map(_bounds_chunk, args)
-            records = [r for part in parts for r in part]
-        else:
-            records = _bounds_chunk((1, max_n + 1, p))
+    """The catalog at every n in [1, max_n], in catalog order, then by n.
+    The n-chunks go through a forked pool of at most one worker per core
+    when that leaves two or more workers, max_n is at least 4 per worker
+    and fork exists, and through the builtin map otherwise; one stable sort
+    then restores catalog order, so the records do not depend on the
+    worker count."""
+    jobs = min(jobs, os.cpu_count() or 1)
+    chunk = -(-max_n // (4 * jobs))
+    args = [(lo, min(lo + chunk, max_n + 1), p) for lo in range(1, max_n + 1, chunk)]
+    if jobs > 1 and max_n >= 4 * jobs and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+            parts = pool.map(_bounds_chunk, args)
     else:
-        records = _bounds_chunk((1, max_n + 1, p))
+        parts = map(_bounds_chunk, args)
+    records = [r for part in parts for r in part]
     index = {bid: i for i, bid in enumerate(bound_ids())}
-    records.sort(key=lambda r: (index[r.params_dict()["id"]], r.params_dict()["n"]))
+    records.sort(key=lambda r: index[r.params_dict()["id"]])
     return records
+
+
+# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records
+_STAGES: dict[str, Callable[[int, int, int], list[CheckRecord]]] = {
+    "bounds": _sweep_bounds,
+    "sharpness": lambda max_n, p, jobs: sharpness_main(max_n, p).records,
+    "g_positivity": lambda max_n, p, jobs: g_positivity(None, p).records,
+    "epsilon": lambda max_n, p, jobs: epsilon_window(max_n, p).records,
+    "refinement": lambda max_n, p, jobs: refinement_check(max_n, p).records,
+    "alt_tail": lambda max_n, p, jobs: alt_tail_constants(max_n, p).records,
+    "cm": lambda max_n, p, jobs: [
+        r for kind, order in (("F", 2), ("G", 1))
+        for r in cm_spotcheck(kind, order, range(1, 21), 4, p).records
+    ],
+    "equality": lambda max_n, p, jobs: equality_witnesses(p).records,
+}
+
+CHECK_NAMES: tuple[str, ...] = tuple(_STAGES)
 
 
 def verify_all(
@@ -661,11 +666,11 @@ def verify_all(
     checks: Iterable[str] | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
-    """Run the catalog sweep plus every auxiliary verification.
+    """Run the selected stages of _STAGES, each once and in its order.
 
-    Results are deterministic for fixed arguments regardless of jobs: the
-    bound sweep fans out over worker processes and reassembles in catalog
-    order, and all other checks run serially in a fixed sequence.
+    Results are deterministic for fixed arguments regardless of jobs: only
+    the bound sweep fans out over worker processes, and it reassembles in
+    catalog order; every other stage runs serially.
     """
     specfun.check_index(max_n, 3, "max_n")
     specfun.check_index(jobs, 1, "jobs")
@@ -680,22 +685,7 @@ def verify_all(
     p = bits_of(prec)
 
     rep = VerificationReport()
-    if "bounds" in selected:
-        rep.extend(_sweep_bounds(max_n, p, jobs))
-    if "sharpness" in selected:
-        rep.extend(sharpness_main(max_n, p).records)
-    if "g_positivity" in selected:
-        rep.extend(g_positivity(None, p).records)
-    if "epsilon" in selected:
-        rep.extend(epsilon_window(max_n, p).records)
-    if "refinement" in selected:
-        rep.extend(refinement_check(max_n, p).records)
-    if "alt_tail" in selected:
-        rep.extend(alt_tail_constants(max_n, p).records)
-    if "cm" in selected:
-        grid = list(range(1, 21))
-        rep.extend(cm_spotcheck("F", 2, grid, 4, p).records)
-        rep.extend(cm_spotcheck("G", 1, grid, 4, p).records)
-    if "equality" in selected:
-        rep.extend(equality_witnesses(p).records)
+    for name, stage in _STAGES.items():
+        if name in selected:
+            rep.extend(stage(max_n, p, jobs))
     return rep

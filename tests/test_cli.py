@@ -110,6 +110,26 @@ def test_eval_rejects_bad_n():
         assert exc.value.code == 2
 
 
+# CPython's limit on the digits int() reads from a string
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="no int digit limit")
+
+
+@needs_digit_limit
+def test_bounds_takes_n_with_as_many_digits_as_the_limit(capsys):
+    code, _, err = run_cli(capsys, "bounds", "1" + "0" * (INT_DIGITS - 1))
+    assert code != 2, err
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["bounds", "eval"])
+def test_n_past_the_digit_limit_is_refused_without_echoing_it(capsys, command):
+    code, _, err = run_cli(capsys, command, "1" + "0" * INT_DIGITS)
+    assert code == 2
+    assert f"has more than {INT_DIGITS} digits" in err
+    assert "0" * 100 not in err
+
+
 def test_eval_rejects_out_of_range_precision():
     for bad in ("52", "4097", "-1", "big"):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,9 @@ deterministic sweep.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.pool
+import os
 import re
 from collections import Counter
 from fractions import Fraction
@@ -516,6 +519,60 @@ def test_verify_all_is_deterministic_across_job_counts():
     a = verify_all(20, 128, jobs=1).to_json()
     b = verify_all(20, 128, jobs=2).to_json()
     assert a == b
+
+
+def test_verify_all_runs_each_selected_stage_once_in_check_names_order():
+    a = verify_all(5, 128, checks=("equality", "bounds", "bounds")).to_json()
+    b = verify_all(5, 128, checks=("bounds", "equality")).to_json()
+    assert a == b
+
+
+def test_verify_all_without_fork_sweeps_in_process(monkeypatch):
+    # the probe reports no fork, so no pool may be built
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started without fork")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+    assert verify_all(20, 128, jobs=2).to_json() == verify_all(20, 128, jobs=1).to_json()
+
+
+def test_verify_all_starts_at_most_one_worker_per_core(monkeypatch):
+    # a fake fork context records the pool size and maps in-process, so
+    # the test starts no process whatever jobs asks for
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return list(map(fn, args))
+
+    class FakeContext:
+        Pool = FakePool
+
+    def get_context(method):
+        assert method == "fork"
+        return FakeContext()
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = verify_all(20, 128, checks=("bounds",)).to_json()
+    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
+    assert sizes == [2]
+
+    # one core leaves one worker, which runs in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
+    assert sizes == [2]
 
 
 def test_verify_all_decides_every_claim_at_the_callers_precision():
