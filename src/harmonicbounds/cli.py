@@ -62,7 +62,9 @@ def _int_at_least(least: int, most: int | None = None):
             if text.strip().lstrip("+-").isdecimal():
                 limit = sys.get_int_max_str_digits()
                 raise argparse.ArgumentTypeError(f"has more than {limit} digits") from None
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            # echo short text whole, long text cut, so the error stays short
+            shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+            raise argparse.ArgumentTypeError(f"not an integer: {shown}")
         if value < least:
             raise argparse.ArgumentTypeError(f"must be >= {least}")
         if most is not None and value > most:

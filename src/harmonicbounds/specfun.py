@@ -49,11 +49,14 @@ psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
 applied, so the series is only ever used where its terms decay far below
 the working precision.  The sum those recurrences carry, 1/x + ... +
 1/(x+m-1) or its squares, is one fixed-point helper (`_shift_ball`) for
-digamma, trigamma and psi_gap at every x: each term is floored to a fixed
-number of fraction bits and the floors are carried as the radius, so no
-Fraction grows with m.  The same helper sums H(2^k) for gamma.  ln Gamma
-carries an exact product instead, and its Stirling formula is one helper
-(`_stirling`) for lgamma and stirling_tail.
+trigamma and psi_gap at every x: each term is floored to a fixed number
+of fraction bits and the floors are carried as the radius, so no Fraction
+grows with m.  The same helper sums H(2^k) for gamma.  One point function
+(`_gap_point`) holds the shifted formula for gap(x) = ln x + 1/(2x) -
+psi(x+1), free of cancellation: psi_gap reads it at an int or at a ball's
+endpoints, gap being decreasing, and digamma reads it as psi(x) = ln x -
+1/(2x) - gap(x).  ln Gamma carries an exact product instead, and its
+Stirling formula is one helper (`_stirling`) for lgamma and stirling_tail.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import elementary
 from .ball import (
@@ -558,15 +561,31 @@ def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
     return _from_int_interval(total, total + m, -f, w)
 
 
-def _digamma_point(man: int, exp: int, w: int) -> Ball:
+def _gap_point(man: int, exp: int, w: int, p: int) -> Ball:
+    """gap(x) = ln x + 1/(2x) - psi(x+1) at x = man 2^exp > 0, summed at w
+    bits and rounded to p.
+
+    At or above the shift threshold it is psi's series S(x) alone.  Below
+    it, with N = x + m, psi(x+1) = psi(N+1) - (1/(x+1) + ... + 1/N) and
+    psi(N+1) = ln N + 1/(2N) - S(N) give ln(x/N) + 1/(2x) - 1/(2N) + S(N)
+    plus that sum, so ln x never cancels against psi(x+1).
+    """
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
-    nball = Ball(nman, nexp)
-    res = sub(elementary.ln(nball, w), scale2(recip(nball, w), -1), w)
-    res = sub(res, _SERIES["psi"].at(nman, nexp, w), w)
-    if m:
-        # psi(x) = psi(x+m) - sum_{j=0}^{m-1} 1/(x+j)
-        res = sub(res, _shift_ball(xman, nexp, m, 1, w), w)
-    return res
+    psi = _SERIES["psi"]
+    if not m:
+        return round_ball(psi.at(xman, nexp, w), p)
+    one = 1 << -nexp  # x = xman / one and N = nman / one
+    series = sub(psi.at(nman, nexp, w), Ball.from_fraction(Fraction(one, 2 * nman), w), w)
+    res = add(_shift_ball(xman + one, nexp, m, 1, w), series, w)
+    res = add(Ball.from_fraction(Fraction(one, 2 * xman), w), res, w)
+    return add(elementary.ln(Ball.from_fraction(Fraction(xman, nman), w), w), res, p)
+
+
+def _digamma_point(man: int, exp: int, w: int) -> Ball:
+    # psi(x) = psi(x+1) - 1/x = ln x - 1/(2x) - gap(x)
+    x = Ball(man, exp)
+    res = sub(elementary.ln(x, w), scale2(recip(x, w), -1), w)
+    return sub(res, _gap_point(man, exp, w, w), w)
 
 
 def _trigamma_point(man: int, exp: int, w: int) -> Ball:
@@ -642,32 +661,37 @@ def lgamma(x, prec) -> Ball:
     return _eval_on_ball(_lgamma_point, _as_ball(x, w), w, p, monotone=False)
 
 
-def psi_gap(n: int, prec) -> Ball:
-    """Enclosure of ln n + 1/(2n) - psi(n+1) for integer n >= 1.
+def psi_gap(x, prec) -> Ball:
+    """Enclosure of gap(x) = ln x + 1/(2x) - psi(x+1) at an int x >= 1 or a
+    strictly positive ball.
 
-    This difference is of order 1/(12 n^2); evaluating it through the
-    asymptotic series directly avoids the catastrophic cancellation of
-    subtracting two O(ln n) enclosures.  For n below the shift threshold
-    the series is applied at a shifted integer N with the correction
-    1/(n+1) + ... + 1/N carried along in fixed point (`_shift_ball`),
-    leaving ln(n/N) as the only transcendental.
-    The cost depends on the precision, not on n; results are memoised per
-    (n, precision).
+    gap is of order 1/(12 x^2); `_gap_point` sums it through psi's series,
+    shifted up to the threshold below it with the correction 1/(x+1) + ...
+    + 1/N in fixed point (`_shift_ball`), leaving ln(x/N) as the only
+    transcendental, so it avoids the cancellation of subtracting two
+    O(ln x) enclosures.  The cost depends on the precision, not on x; int
+    results are memoised per (x, precision).
+
+    gap is strictly decreasing on (0, inf): its derivative is 1/x - 1/(2x^2)
+    - psi'(x+1) = 1/x + 1/(2x^2) - psi'(x), which is negative because
+    psi'(x) > 1/x + 1/(2x^2) (H. Alzer, Math. Comp. 66 (1997); DLMF 5.15).
+    So a ball is enclosed by the hull of its endpoints' values.
+
+    The enclosure never contains zero, so its reciprocal exists: at or
+    above the threshold it is psi's series, whose floors `enclose` keeps
+    relative to the value and whose first omitted term is below the first
+    kept one, and below it the value exceeds gap at the threshold, above
+    2^-22 even at 4096 bits, while the radius is near 2^-(p+12).
     """
-    return _psi_gap(check_index(n), bits_of(prec))
+    if not isinstance(x, Ball):
+        return _psi_gap(check_index(x), bits_of(prec))
+    p = bits_of(prec)
+    return _eval_on_ball(partial(_gap_point, p=p), x, p + 16, p, monotone=True)
 
 
 @lru_cache(maxsize=1024)
 def _psi_gap(n: int, p: int) -> Ball:
-    w = p + 16
-    big = _shift_threshold(w)
-    if n >= big:
-        return round_ball(_SERIES["psi"].at(n, 0, w), p)
-    # psi(n+1) = psi(N+1) - (1/(n+1) + ... + 1/N)
-    series = sub(_SERIES["psi"].at(big, 0, w), Ball.from_fraction(Fraction(1, 2 * big), w), w)
-    res = add(_shift_ball(n + 1, 0, big - n, 1, w), series, w)
-    res = add(Ball.from_fraction(Fraction(1, 2 * n), w), res, w)
-    return add(elementary.ln(Ball.from_fraction(Fraction(n, big), w), w), res, p)
+    return _gap_point(n, 0, p + 16, p)
 
 
 def stirling_tail(kind: str, order: int, x, prec) -> Ball:

@@ -33,6 +33,11 @@ positivity bounds g from below, are derived from the truncated series in
 specfun._SERIES, each envelope's side from the sign of the first omitted
 term.
 
+This module computes no gap ln x + 1/(2x) - psi(x+1) itself: f, g and the
+gap envelope read specfun.psi_gap at an int or a ball, free of
+cancellation and never containing zero, so f_eval evaluates once at the
+caller's precision and does not climb.
+
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at, so the stages read the psi_gap, g and ln
 values the bound sweep has already cached.  Refinement compares the
@@ -55,7 +60,6 @@ from .ball import (
     Ball,
     DEFAULT_PRECISION,
     Order,
-    PrecisionExhausted,
     add,
     bits_of,
     climb,
@@ -149,43 +153,19 @@ _F_AT_ONE = _sharp("main", "lower_shift")
 _F_LIMIT = _sharp("main", "upper_shift")
 
 
-def _positive_den(den_at: Callable[[int], Ball], w0: int, what: str) -> tuple[Ball, int]:
-    """Climb the precision ladder until f's denominator den_at(w) is certainly positive."""
-    verdict, den, w = climb(lambda w: judge((den_at(w),)), w0)
-    if verdict is Verdict.FAIL:
-        raise PrecisionExhausted(f"{what} is negative at {w} bits")
-    if verdict is not Verdict.PASS:
-        raise PrecisionExhausted(f"{what} straddles zero even at {w} bits")
-    return den, w
-
-
 @lru_cache(maxsize=64)
-def _f_int(n: int, w: int) -> Ball:
-    """f(n) = 1/(ln n + 1/(2n) - psi(n+1)) - 12 n^2 at integer n.  The
-    denominator is certainly positive at every w: at n at or above the
-    shift threshold it is a sum with relative error, and below it, it
-    exceeds 2^-22 with a radius near 2^-(w+12)."""
-    return sub(recip(specfun.psi_gap(n, w), w), Ball.from_int(12 * n * n), w)
-
-
-def _gap(x: Ball, w: int) -> Ball:
-    """ln x + 1/(2x) - psi(x+1) at a positive ball x; at an exact positive
-    integer, psi_gap, the cancellation-free series."""
-    if x.is_exact and (n := x.mid_fraction()).denominator == 1 and n >= 1:
-        return specfun.psi_gap(int(n), w)
-    lnx = elementary.ln(x, w)
-    half = recip(scale2(x, 1), w)
-    psi = specfun.digamma(add(x, Ball.from_int(1), w), w)
-    return sub(add(lnx, half, w), psi, w)
+def _f(x: int | Ball, w: int) -> Ball:
+    """f(x) = 1/(ln x + 1/(2x) - psi(x+1)) - 12 x^2 at an int x >= 1 or a
+    positive ball.  psi_gap's enclosure of the denominator never contains
+    zero, so f is evaluated once, at w bits."""
+    xb = Ball.from_int(x) if isinstance(x, int) else x
+    return sub(recip(specfun.psi_gap(x, w), w), mul(Ball.from_int(12), mul(xb, xb, w), w), w)
 
 
 def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
     """Enclosure of f at an integer n >= 1 or a positive ball argument."""
     p = bits_of(prec)
-    if not isinstance(x, Ball):
-        return _f_int(specfun.check_index(x), p)
-    den, w = _positive_den(lambda w: _gap(x, w), p, "f denominator")
-    return sub(recip(den, w), mul(Ball.from_int(12), mul(x, x, w), w), w)
+    return _f(x if isinstance(x, Ball) else specfun.check_index(x), p)
 
 
 def _f_closed_form(n: int, w: int) -> Ball:
@@ -217,25 +197,25 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     rep = VerificationReport()
 
     for n in (1, 2, 3):
-        verdict, margin = _overlap_verdict(_f_int(n, p), _f_closed_form(n, p), p)
+        verdict, margin = _overlap_verdict(_f(n, p), _f_closed_form(n, p), p)
         rep.append(CheckRecord(
             check="f_value", params=(("n", n),),
             verdict=verdict, margin=margin, precision_bits=p,
         ))
         rep.append(_certify(
             "f_digits", (("n", n),),
-            lambda w, n=n: _inside(_f_int(n, w), *_F_DIGITS[n], w), p,
+            lambda w, n=n: _inside(_f(n, w), *_F_DIGITS[n], w), p,
         ))
 
     for n in range(1, max_n + 1):
         rep.append(_certify(
             "f_below_limit", (("n", n),),
-            lambda w, n=n: (sub(_F_LIMIT.value(w), _f_int(n, w), w),), p,
+            lambda w, n=n: (sub(_F_LIMIT.value(w), _f(n, w), w),), p,
         ))
         if n < max_n:
             rep.append(_certify(
                 "f_monotone", (("n", n),),
-                lambda w, n=n: (sub(_f_int(n + 1, w), _f_int(n, w), w),), p,
+                lambda w, n=n: (sub(_f(n + 1, w), _f(n, w), w),), p,
             ))
 
     samples = [n for n in _GAP_SAMPLES if n <= max_n]
@@ -244,8 +224,8 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
         rep.append(_certify(
             "f_gap_decreasing", (("n", a), ("next", b)),
             lambda w, a=a, b=b: (sub(
-                sub(_F_LIMIT.value(w), _f_int(a, w), w),
-                sub(_F_LIMIT.value(w), _f_int(b, w), w),
+                sub(_F_LIMIT.value(w), _f(a, w), w),
+                sub(_F_LIMIT.value(w), _f(b, w), w),
                 w,
             ),),
             p,
@@ -257,7 +237,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
             "f_limit_close", (("n", 1000),),
             lambda w: (sub(
                 Ball.from_fraction(Fraction(1, 10**6), w),
-                sub(_F_LIMIT.value(w), _f_int(1000, w), w),
+                sub(_F_LIMIT.value(w), _f(1000, w), w),
                 w,
             ),),
             p,
@@ -316,11 +296,15 @@ def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, 
     return tuple(sub(v, t, w) if side > 0 else sub(t, v, w) for t, side in ordered)
 
 
-def _grid_point(x):
-    """A grid entry, once it is not a bool, which would stand for 0 or 1."""
-    if isinstance(x, bool):
+def _grid(entries: Iterable) -> list:
+    """A grid's entries, once the grid is not a str, whose characters would
+    read as points, and no entry is a bool, which would stand for 0 or 1."""
+    if isinstance(entries, str):
+        raise TypeError("grid must be a collection of points, not a str")
+    points = list(entries)
+    if any(isinstance(x, bool) for x in points):
         raise TypeError("grid points must be numbers, got bool")
-    return x
+    return points
 
 
 def _as_point(x) -> tuple[str, Callable[[int], Ball], Fraction]:
@@ -339,7 +323,7 @@ def _g_direct(x: Ball, w: int) -> Ball:
     t = specfun.trigamma(add(x, Ball.from_int(1), w), w)
     invx = recip(x, w)
     corr = sub(scale2(mul(invx, invx, w), -1), invx, w)
-    gap = _gap(x, w)
+    gap = specfun.psi_gap(x, w)
     tail = mul(mul(Ball.from_int(24), x, w), mul(gap, gap, w), w)
     return sub(add(t, corr, w), tail, w)
 
@@ -347,7 +331,7 @@ def _g_direct(x: Ball, w: int) -> Ball:
 def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify g > 0 on the grid, plus the rational-envelope chain behind it."""
     entries = grid if grid is not None else DEFAULT_G_GRID
-    points = [_as_point(_grid_point(x)) for x in entries]
+    points = [_as_point(x) for x in _grid(entries)]
     if not points:
         raise ValueError("grid must be non-empty")
     if len({label for label, _, _ in points}) < len(points):
@@ -379,7 +363,7 @@ def g_positivity(grid: Sequence | None = None, prec=DEFAULT_PRECISION) -> Verifi
         ("psi1_envelope", lambda x, w: _sides(
             specfun.trigamma(x, w), [(_at(e, x, w), side) for e, side in psi1], w,
         )),
-        ("gap_envelope", lambda x, w: _sides(_gap(x, w), [(_at(gap_high, x, w), -1)], w)),
+        ("gap_envelope", lambda x, w: _sides(specfun.psi_gap(x, w), [(_at(gap_high, x, w), -1)], w)),
     )
     for label, x_at, base in points:
         if base < 3:
@@ -510,7 +494,7 @@ def cm_spotcheck(
     prec=DEFAULT_PRECISION,
 ) -> VerificationReport:
     """Finite-difference sign signature of the Stirling remainders."""
-    pts = [Fraction(_grid_point(x)) for x in grid]
+    pts = [Fraction(x) for x in _grid(grid)]
     if len(pts) < 8:
         raise ValueError("grid must have at least 8 points")
     if any(b <= a for a, b in zip(pts, pts[1:])):

@@ -130,6 +130,23 @@ def test_n_past_the_digit_limit_is_refused_without_echoing_it(capsys, command):
     assert "0" * 100 not in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "eval"])
+def test_a_long_non_numeral_is_refused_without_echoing_it(capsys, command):
+    # a 1, an underscore and 5000 zeros is no plain numeral: the error
+    # shows its first characters and its length, not the whole text
+    text = "1_" + "0" * 5000
+    code, _, err = run_cli(capsys, command, text)
+    assert code == 2
+    assert "not an integer: '1_000" in err and "(5002 characters)" in err
+    assert "0" * 100 not in err and len(err) < 1000
+
+
+def test_a_short_non_numeral_is_echoed_whole(capsys):
+    code, _, err = run_cli(capsys, "bounds", "abc")
+    assert code == 2
+    assert "not an integer: 'abc'" in err
+
+
 def test_eval_rejects_out_of_range_precision():
     for bad in ("52", "4097", "-1", "big"):
         with pytest.raises(SystemExit) as exc:

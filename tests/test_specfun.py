@@ -634,6 +634,44 @@ def test_psi_gap_matches_direct_composition():
         psi_gap(0, 128)
 
 
+def _gap_oracle(x) -> Fraction:
+    return oracle(lambda v: mp.ln(v) + 1 / (2 * v) - mp.digamma(v + 1), x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        Ball.from_fraction(Fraction(7, 2), 128),
+        Ball.from_fraction(Fraction(10, 3), 128),  # a one-ulp ball
+        Ball(4, 0, 1, -5),  # [4 - 1/32, 4 + 1/32]
+    ],
+    ids=["7/2", "10/3", "4+-1/32"],
+)
+def test_psi_gap_at_a_ball_contains_gap_at_each_of_its_points(x):
+    # gap decreases on (0, inf), so the hull of its endpoints' values
+    # holds it at every point between them
+    lo, hi = x.lower(), x.upper()
+    got = psi_gap(x, 128)
+    assert got.is_positive()
+    for k in range(5):
+        point = lo + (hi - lo) * k / 4
+        assert_contains(got, _gap_oracle(point), label=f"gap({point})")
+
+
+@pytest.mark.parametrize("p", [128, 1024])
+def test_psi_gap_at_an_exact_integer_ball_equals_the_int_result(p):
+    # the shift threshold is 18 at 128 bits and 121 at 1024, so both sides
+    # of it are covered at both precisions
+    for n in (*range(1, 200), 500, 10**6):
+        assert psi_gap(Ball.from_int(n), p) == psi_gap(n, p)
+
+
+def test_psi_gap_refuses_a_ball_that_reaches_zero():
+    for x in (Ball(0, 0), Ball(1, 0, 1, 0), Ball(1, -4, 1, -3)):
+        with pytest.raises(DomainError):
+            psi_gap(x, 128)
+
+
 @pytest.mark.parametrize(
     "n", [10**4, 10**20, 10**100, 10**400], ids=["1e4", "1e20", "1e100", "1e400"]
 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.pool
 import os
-import re
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import mpmath as mp
 import pytest
 
 from harmonicbounds import bounds, specfun, verify
-from harmonicbounds.ball import MAX_PRECISION, Ball, Order, PrecisionExhausted, compare, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, Order, compare, sub
 from harmonicbounds.report import Verdict
 from harmonicbounds.verify import (
     CHECK_NAMES,
@@ -87,23 +86,14 @@ def test_f_argument_validation():
         f_eval(2.5, 128)
 
 
-def test_f_eval_wide_ball_stops_climbing():
-    # on [4 - 1/32, 4 + 1/32] the denominator's enclosure straddles zero
-    # at every precision: the ladder must stop well below the cap
-    with pytest.raises(PrecisionExhausted) as exc:
-        f_eval(Ball(4, 0, 1, -5), 128)
-    bits = re.search(r"(\d+) bits", str(exc.value))
-    assert bits is not None and int(bits.group(1)) < 1024
-
-
-def test_f_eval_negative_denominator_raises_at_once(monkeypatch):
-    # a certainly negative denominator is judged at the first rung, and
-    # the message says it is negative rather than undecided
-    from harmonicbounds import verify
-
-    monkeypatch.setattr(verify, "_gap", lambda x, w: Ball.from_int(-1))
-    with pytest.raises(PrecisionExhausted, match="negative at 128 bits"):
-        f_eval(Ball(4, 0), 128)
+def test_f_eval_encloses_f_on_a_wide_ball():
+    # on [4 - 1/32, 4 + 1/32] psi_gap's enclosure of the denominator stays
+    # positive, so f is enclosed at once, with no precision ladder
+    b = f_eval(Ball(4, 0, 1, -5), 128)
+    for x, want in ((Fraction(127, 32), "1.173137"), (Fraction(129, 32), "1.173915")):
+        f_x = oracle(lambda v: 1 / (mp.ln(v) + 1 / (2 * v) - mp.digamma(v + 1)) - 12 * v * v, x)
+        assert abs(f_x - Fraction(want)) < Fraction(1, 10**6)
+        assert_contains(b, f_x, label=f"f({x})")
 
 
 def test_f_asymptotic_gap_constant():
@@ -243,7 +233,7 @@ def test_g_positivity_at_a_non_dyadic_rational_point():
 
 @pytest.mark.parametrize("n", [5, 500])
 def test_f_eval_at_an_exact_integer_ball_reads_psi_gap(n):
-    # n = 5 and 500 lie on either side of the 128-bit shift threshold (177);
+    # n = 5 and 500 lie on either side of the 128-bit shift threshold (18);
     # an exact integer ball takes the cancellation-free psi_gap series, so
     # f keeps the precision it has at the int n
     b = f_eval(Ball.from_int(n), 128)
@@ -258,6 +248,9 @@ def test_g_positivity_keys_each_grid_point_once():
     # a bool is no grid point, though it would read as 0 or 1
     with pytest.raises(TypeError, match="bool"):
         g_positivity((3, True), 128)
+    # a str is no grid, though its characters would read as the points 3, 4, 5
+    with pytest.raises(TypeError, match="not a str"):
+        g_positivity("345", 128)
     # balls are labelled by their exact midpoint and radius, so two that
     # agree to many digits keep distinct keys; rationals keep their values
     a, b = Ball(3 * 2**40 + 1, -40), Ball(3 * 2**39 + 1, -39)
@@ -446,6 +439,8 @@ def test_cm_spotcheck_validation():
         cm_spotcheck("H", 2, good, 2, 128)  # unknown kind
     with pytest.raises(TypeError, match="bool"):
         cm_spotcheck("F", 2, [True, *range(2, 10)], 1, 128)  # True is not the point 1
+    with pytest.raises(TypeError, match="not a str"):
+        cm_spotcheck("F", 2, "123456789", 1, 128)  # nine characters, not nine points
 
 
 # ---------------------------------------------------------------------------
