@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "Ball",
@@ -501,6 +502,12 @@ def compare(a: Ball, b: Ball) -> Order:
 # decimal rendering (exact integer algorithms; no float round-trips)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _pow10(k: int) -> int:
+    """10^k, memoised: a whole report renders its margins with a few dozen k."""
+    return 10**k
+
+
 def _decimal_digits(a: int, exp: int, sig: int, up: bool = False) -> tuple[int, int]:
     """Return (D, t): D has `sig` digits, a*2^exp ~= D * 10^(t-sig+1), rounded
     half-even, or upward if `up`."""
@@ -509,17 +516,17 @@ def _decimal_digits(a: int, exp: int, sig: int, up: bool = False) -> tuple[int, 
     for _ in range(4):
         pow10 = t - sig + 1
         num = a << max(exp, 0) if exp >= 0 else a
-        num *= 10 ** max(-pow10, 0)
-        den = (1 << max(-exp, 0)) * 10 ** max(pow10, 0)
+        num *= _pow10(max(-pow10, 0))
+        den = (1 << max(-exp, 0)) * _pow10(max(pow10, 0))
         q, r = divmod(num, den)
         if up:
             q += r > 0
         elif 2 * r > den or (2 * r == den and q & 1):
             q += 1
-        if q >= 10**sig:
+        if q >= _pow10(sig):
             t += 1
             continue
-        if q < 10 ** (sig - 1):
+        if q < _pow10(sig - 1):
             t -= 1
             continue
         return q, t

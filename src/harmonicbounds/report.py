@@ -3,6 +3,19 @@
 All rendering goes through the exact dyadic-to-decimal conversion in the
 ball module, so a report is byte-identical across runs and across job
 counts: no floats, no locale, no dict-ordering surprises.
+
+`VerificationReport.to_json` writes exactly the bytes of
+`json.dumps(obj, indent=2)`, but not through it: with `indent` set,
+CPython's `json` runs its pure-Python encoder, which cost more than
+certifying the report.  Each record is one f-string in the fixed key
+order, with `indent=2`'s whitespace, every string escaped by
+`json.encoder.encode_basestring_ascii` and every int written by
+`int.__repr__`, as `json` does.  A record whose check is not exactly a
+`str`, whose precision is not exactly an `int`, or whose params hold a key
+that is not exactly a `str` or a value that is not exactly an `int` or a
+`str` (a bool, a float, None, an `IntEnum`, a list) is written by
+`json.dumps(record.to_json_obj(), indent=2)` instead, indented to its
+place, so its bytes are `json`'s by construction.
 """
 
 from __future__ import annotations
@@ -10,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _str
 
 from .ball import Ball, dyadic_decimal, radius_decimal
 
@@ -69,6 +83,24 @@ class CheckRecord:
             "precision_bits": self.precision_bits,
         }
 
+    def _json_text(self) -> str:
+        """This record as an element of the report's "records" list: the
+        bytes `json.dumps(self.to_json_obj(), indent=2)` writes there."""
+        params, m = self.params_dict(), self.margin
+        items = [
+            f"        {_str(k)}: {_str(v) if type(v) is str else int.__repr__(v)}"
+            for k, v in params.items() if type(k) is str and type(v) in (int, str)
+        ]
+        if len(items) < len(params) or not (type(self.check) is str and type(self.precision_bits) is int):
+            return "    " + json.dumps(self.to_json_obj(), indent=2).replace("\n", "\n    ")
+        items = "{\n" + ",\n".join(items) + "\n      }" if items else "{}"
+        return (
+            f'    {{\n      "check": {_str(self.check)},\n      "params": {items},\n'
+            f'      "verdict": {_str(self.verdict.value)},\n'
+            f'      "margin_mid": {_str(ball_mid_str(m))},\n      "margin_rad": {_str(ball_rad_str(m))},\n'
+            f'      "precision_bits": {int.__repr__(self.precision_bits)}\n    }}'
+        )
+
 
 @dataclass
 class VerificationReport:
@@ -105,11 +137,12 @@ class VerificationReport:
         return 0
 
     def to_json(self) -> str:
-        obj = {
-            "summary": self.summary(),
-            "records": [r.to_json_obj() for r in self.records],
-        }
-        return json.dumps(obj, indent=2)
+        """`json.dumps({"summary": ..., "records": [...]}, indent=2)`, record
+        by record through `CheckRecord._json_text`."""
+        summary = ",\n".join(f"    {_str(k)}: {v}" for k, v in self.summary().items())
+        records = ",\n".join(r._json_text() for r in self.records)
+        records = f"[\n{records}\n  ]" if records else "[]"
+        return f'{{\n  "summary": {{\n{summary}\n  }},\n  "records": {records}\n}}'
 
     def to_csv_rows(self) -> list[list[str]]:
         head = ["check", "params", "verdict", "margin_mid", "margin_rad", "precision_bits"]

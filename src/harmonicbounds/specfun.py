@@ -17,7 +17,7 @@ the kind's divisors, with one term-count rule, a scan over a float bound
 on |B_2k| (DLMF 24.9.8) that stops where the bound reaches the target or
 stops falling, and one error radius, the magnitude of the first omitted
 term.  `_Series.at` memoises the sum at the shift threshold, which every
-point below the threshold shares; `_psi_gap` and
+point below the threshold shares; `_psi_gap`, `_psi_gap_ball` and
 `bounds._ln_expm1_recip` memoise the sums they read one layer up.  Every
 argument at which a series is summed to the working precision is an
 integer or a dyadic rational, because ball functions are evaluated at
@@ -669,8 +669,9 @@ def psi_gap(x, prec) -> Ball:
     shifted up to the threshold below it with the correction 1/(x+1) + ...
     + 1/N in fixed point (`_shift_ball`), leaving ln(x/N) as the only
     transcendental, so it avoids the cancellation of subtracting two
-    O(ln x) enclosures.  The cost depends on the precision, not on x; int
-    results are memoised per (x, precision).
+    O(ln x) enclosures.  The cost depends on the precision, not on x;
+    results are memoised per (x, precision), a ball by its exact (man, exp,
+    r), so two representations of one interval never share an entry.
 
     gap is strictly decreasing on (0, inf): its derivative is 1/x - 1/(2x^2)
     - psi'(x+1) = 1/x + 1/(2x^2) - psi'(x), which is negative because
@@ -685,13 +686,18 @@ def psi_gap(x, prec) -> Ball:
     """
     if not isinstance(x, Ball):
         return _psi_gap(check_index(x), bits_of(prec))
-    p = bits_of(prec)
-    return _eval_on_ball(partial(_gap_point, p=p), x, p + 16, p, monotone=True)
+    return _psi_gap_ball(x.man, x.exp, x.r, bits_of(prec))
 
 
 @lru_cache(maxsize=1024)
 def _psi_gap(n: int, p: int) -> Ball:
     return _gap_point(n, 0, p + 16, p)
+
+
+@lru_cache(maxsize=64)
+def _psi_gap_ball(man: int, exp: int, r: int, p: int) -> Ball:
+    """psi_gap at the ball (man, exp, r), rebuilt exactly as it was given."""
+    return _eval_on_ball(partial(_gap_point, p=p), Ball(man, exp, r, exp), p + 16, p, monotone=True)
 
 
 def stirling_tail(kind: str, order: int, x, prec) -> Ball:

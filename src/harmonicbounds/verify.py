@@ -284,9 +284,15 @@ def _g_shifted(psi1_low: Poly, gap_high: Poly) -> tuple[tuple[int, ...], bool]:
     return tuple(int(c) for c in shifted.coeffs), not any(bound[:7])
 
 
+@lru_cache(maxsize=64)
+def _coeff_balls(poly: Poly, w: int) -> tuple[Ball, ...]:
+    """poly's coefficients rounded to balls at w bits, once per (poly, w)."""
+    return tuple(Ball.from_fraction(c, w) for c in poly.coeffs)
+
+
 def _at(poly: Poly, x: Ball, w: int) -> Ball:
     """poly(1/x) by ball Horner."""
-    return specfun._horner([Ball.from_fraction(c, w) for c in poly.coeffs], recip(x, w), w)
+    return specfun._horner(_coeff_balls(poly, w), recip(x, w), w)
 
 
 def _sides(v: Ball, truncations: list[tuple[Ball, int]], w: int) -> tuple[Ball, ...]:

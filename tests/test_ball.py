@@ -8,7 +8,9 @@ independent oracle.
 
 from __future__ import annotations
 
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -423,6 +425,71 @@ def test_radius_decimal_ceiling_property(rman, rexp):
     assert printed >= exact
     # and not absurdly loose: within one decimal order of magnitude
     assert printed <= 10 * exact
+
+
+def _decimal_reference(man: int, exp: int, sig: int, up: bool) -> Fraction:
+    """|man|*2^exp rounded to `sig` significant digits in exact arithmetic:
+    half-even, or upward if `up`."""
+    x = abs(Fraction(man) * Fraction(2) ** exp)
+    t = len(str(x.numerator // x.denominator)) - 1 if x >= 1 else 0
+    while Fraction(10) ** t > x:
+        t -= 1
+    unit = Fraction(10) ** (t - sig + 1)
+    q, rem = divmod(x, unit)
+    if up:
+        q += rem > 0
+    elif 2 * rem > unit or (2 * rem == unit and q % 2):
+        q += 1
+    return q * unit  # q = 10^sig renders as 10^(sig-1) at t + 1: the same value
+
+
+def _decimal_cases():
+    rng = random.Random(20100)
+    for _ in range(3000):
+        man = rng.getrandbits(rng.randint(1, 300)) or 1
+        yield rng.choice((man, -man)), rng.randint(-700, 700), rng.randint(1, 40)
+    # one ulp either side of a power of ten, and on it where that is dyadic
+    for _ in range(400):
+        k, bits = rng.randint(-60, 60), rng.randint(8, 200)
+        exp = math.floor(k * math.log2(10)) - bits
+        near = Fraction(10) ** k / Fraction(2) ** exp
+        man = near.numerator // near.denominator
+        for m in (man - 1, man, man + 1):
+            yield m, exp, rng.randint(1, 40)
+
+
+def _tie_cases():
+    """Exact ties (D + 1/2)*10^j at each sig, D even and odd: 2D + 1 is an
+    odd multiple of 5^-j, so that the tie is dyadic when j < 0."""
+    rng = random.Random(2010)
+    for sig in range(1, 41):
+        for j in (-3, -1, 0, 2, 5):
+            five = 5 ** max(-j, 0)
+            lo, hi = -(-(2 * 10 ** (sig - 1) + five) // (2 * five)), (2 * 10**sig - five) // (2 * five)
+            for i in {lo, hi, rng.randint(lo, hi), rng.randint(lo, hi)} if lo <= hi else ():
+                # (2D + 1)/2 * 10^j = (2i + 1) 5^j' 2^(j - 1), j' = max(j, 0)
+                yield (2 * i + 1) * 5 ** max(j, 0), j - 1, sig
+
+
+@pytest.mark.parametrize("cases", [_decimal_cases, _tie_cases])
+def test_decimal_kernel_matches_exact_rounding(cases):
+    for man, exp, sig in cases():
+        text = dyadic_decimal(man, exp, sig)
+        want = _decimal_reference(man, exp, sig, up=False)
+        assert Fraction(text) == (-want if man < 0 else want), (man, exp, sig)
+        rad = Fraction(radius_decimal(abs(man), exp))
+        assert rad == _decimal_reference(man, exp, 2, up=True), (man, exp)
+
+
+def test_pow10_memo_holds_a_whole_report():
+    from harmonicbounds import ball
+    from harmonicbounds.verify import verify_all
+
+    ball._pow10.cache_clear()
+    verify_all(25, 1024).to_json()
+    info = ball._pow10.cache_info()
+    # every distinct power fits, so a report never evicts one it needs again
+    assert 0 < info.misses <= info.maxsize == 64 and info.hits > info.misses
 
 
 def test_enclosure_str_format():

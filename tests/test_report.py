@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+from enum import IntEnum
+
+import pytest
 
 from harmonicbounds.ball import Ball
 from harmonicbounds.report import (
@@ -96,3 +99,51 @@ def test_render_table_alignment():
     assert set(lines[1]) <= {"-", " "}
     assert lines[2].startswith("value")
     assert render_table([]) == ""
+
+
+def _dumps(rep: VerificationReport) -> str:
+    """The report as json itself writes it: the reference for to_json."""
+    obj = {"summary": rep.summary(), "records": [r.to_json_obj() for r in rep.records]}
+    return json.dumps(obj, indent=2)
+
+
+class _Kind(IntEnum):
+    ONE = 1
+
+
+_ODD_PARAMS = [
+    (("s", 'say "hi"'),),
+    (("s", "back\\slash"),),
+    (("s", "tab\tbell\x07"),),
+    (("s", "γ ≈ 0.577 😀"),),
+    (('key "quoted"\\', 1),),
+    (("flag", True),),
+    (("x", 0.5),),
+    (("x", None),),
+    (("x", [1, [2, "three"]]),),
+    ((7, "int key"),),
+    (("kind", _Kind.ONE),),
+    (("n", 1), ("n", 2), ("id", "dup")),
+    (),
+]
+
+
+@pytest.mark.parametrize("params", _ODD_PARAMS)
+def test_to_json_matches_json_dumps_on_odd_params(params):
+    odd = CheckRecord("odd", params, Verdict.PASS, Ball(3, -2, 1, -9), 128)
+    rep = VerificationReport([_rec("a", Verdict.PASS), odd, _rec("b", Verdict.FAIL, None)])
+    assert rep.to_json() == _dumps(rep)
+
+
+def test_to_json_matches_json_dumps_on_every_check_and_on_edge_reports():
+    from harmonicbounds.verify import verify_all
+
+    full = verify_all(20, 128)  # every stage, all 21 check families
+    assert len({r.check for r in full.records}) == 21
+    # so every record takes the template, not the fallback
+    assert all(type(v) in (int, str) for r in full.records for _, v in r.params)
+    empty_params = CheckRecord("bare", (), Verdict.UNDECIDED, None, 64)
+    # a check name that is a str subclass and a bool precision take the fallback
+    odd_fields = CheckRecord(Verdict.PASS, (("n", 1),), Verdict.PASS, None, True)
+    for rep in (full, VerificationReport(), VerificationReport([empty_params, odd_fields])):
+        assert rep.to_json() == _dumps(rep)
