@@ -22,10 +22,10 @@ domain inputs raise instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "Ball",
@@ -94,19 +94,19 @@ _RADIUS_BITS = 64
 _ALIGN_SLACK = 64
 
 
-@dataclass(frozen=True)
-class Precision:
+class Precision(NamedTuple("Precision", [("bits", int)])):
     """A caller's precision in bits for ball midpoints.
 
     The floor of 53 bits keeps every certified quantity at least as sharp
     as a double; callers normally pass plain ints and only construct this
-    when they want the validation.
+    when they want the validation.  An immutable named tuple, checked on
+    construction and again on unpickling.
     """
 
-    bits: int = DEFAULT_PRECISION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _checked(self.bits, MAX_PRECISION)
+    def __new__(cls, bits: int = DEFAULT_PRECISION):
+        return super().__new__(cls, _checked(bits, MAX_PRECISION))
 
 
 def _checked(bits, top: int) -> int:

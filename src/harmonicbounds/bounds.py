@@ -48,10 +48,9 @@ where g is the Euler--Mascheroni constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Collection, Sequence, Union
+from typing import Callable, Collection, NamedTuple, Sequence, Union
 
 from . import elementary, specfun
 from .ball import (
@@ -124,8 +123,7 @@ def judge(
     return Verdict.EQUALITY if equal else Verdict.PASS, lowest, lowest
 
 
-@dataclass(frozen=True)
-class TargetValue:
+class TargetValue(NamedTuple):
     """A named quantity that bounds in the catalog enclose."""
 
     target_id: str
@@ -145,8 +143,7 @@ TARGETS: dict[str, TargetValue] = {
 }
 
 
-@dataclass(frozen=True)
-class SharpConstant:
+class SharpConstant(NamedTuple):
     """A best-possible constant and the decimal window it must lie in."""
 
     name: str
@@ -159,8 +156,7 @@ class SharpConstant:
 Const = Union[Fraction, Callable[[int], Ball]]
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """One two-sided bound at every n >= 1: target, sides, equality sets.
 
     Each side is a Side, except for the three with no constant to declare
@@ -189,8 +185,7 @@ class BoundSpec:
         )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Result of checking one bound at one n."""
 
     bound_id: str
@@ -398,8 +393,7 @@ _CONST_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """One side of a bound: a family of expressions in n taken at a constant,
     and the decimal window in which the catalog declares that constant best
     possible (None where it is not)."""

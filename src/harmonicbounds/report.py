@@ -4,6 +4,10 @@ All rendering goes through the exact dyadic-to-decimal conversion in the
 ball module, so a report is byte-identical across runs and across job
 counts: no floats, no locale, no dict-ordering surprises.
 
+A `CheckRecord` is an immutable named tuple: it is iterable, indexable
+and has a `len`, and it equals a plain tuple of the same fields.  A
+`VerificationReport` is a plain class whose `records` list grows in place.
+
 `VerificationReport.to_json` writes exactly the bytes of
 `json.dumps(obj, indent=2)`, but not through it: with `indent` set,
 CPython's `json` runs its pure-Python encoder, which cost more than
@@ -21,9 +25,9 @@ place, so its bytes are `json`'s by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _str
+from typing import NamedTuple
 
 from .ball import Ball, dyadic_decimal, radius_decimal
 
@@ -60,8 +64,7 @@ def ball_rad_str(b: Ball | None) -> str:
     return radius_decimal(b.r, b.exp)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one verification step."""
 
     check: str
@@ -102,11 +105,17 @@ class CheckRecord:
         )
 
 
-@dataclass
 class VerificationReport:
     """Ordered collection of check records with verdict bookkeeping."""
 
-    records: list[CheckRecord] = field(default_factory=list)
+    def __init__(self, records: list[CheckRecord] | None = None) -> None:
+        self.records = [] if records is None else records
+
+    def __eq__(self, other):
+        return self.records == other.records if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(records={self.records!r})"
 
     def append(self, record: CheckRecord) -> None:
         self.records.append(record)

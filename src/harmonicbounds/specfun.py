@@ -63,9 +63,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from . import elementary
 from .ball import (
@@ -435,21 +435,21 @@ def _half_ln_2pi(w: int) -> Ball:
 # Euler--Maclaurin: harmonic numbers and the Euler--Mascheroni constant
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmConfig:
+class EmConfig(NamedTuple("EmConfig", [("q", int), ("precision", int)])):
     """Order and precision for Euler--Maclaurin harmonic evaluation.
 
     q is the number of the first omitted Bernoulli term: the correction sum
     runs over B_2, ..., B_{2(q-1)} and the radius is |B_{2q}|/(2q n^{2q}).
+    An immutable named tuple, checked on construction and on unpickling.
     """
 
-    q: int = 5
-    precision: int = 128
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if check_index(self.q, 1, "q") > 50:
+    def __new__(cls, q: int = 5, precision: int = 128):
+        if check_index(q, 1, "q") > 50:
             raise ValueError("q must be <= 50")
-        bits_of(self.precision)
+        bits_of(precision)
+        return super().__new__(cls, q, precision)
 
 
 def harmonic_em(n: int, config: EmConfig | None = None) -> Ball:

@@ -13,7 +13,8 @@ to an exact algebraic identity.
 _STAGES is the one list of these stages: it maps each stage name, in report
 order, to the function that yields its records, and CHECK_NAMES is its
 keys.  verify_all runs the selected stages from it, each once, in that
-order.  Only the bound sweep fans out over worker processes.
+order.  Only the bound sweep fans out over worker processes, and
+multiprocessing is imported only when it does.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
 the precision that decided it.  Each inequality is stated as certified
@@ -35,8 +36,11 @@ term.
 
 This module computes no gap ln x + 1/(2x) - psi(x+1) itself: f, g and the
 gap envelope read specfun.psi_gap at an int or a ball, free of
-cancellation and never containing zero, so f_eval evaluates once at the
-caller's precision and does not climb.
+cancellation and never containing zero, so f_eval evaluates once and
+does not climb.  Its radius is absolute, and f = 1/gap(n) - 12 n^2 loses
+about 4 log2 n bits to it, so f_eval at an int n works at p + 4
+bit_length(n) bits, capped at MAX_PRECISION, and rounds to p; the stages
+call _f at p directly.
 
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at, so the stages read the psi_gap, g and ln
@@ -48,9 +52,7 @@ differ by terms free of ln n and g (bounds._frame_offset).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -59,6 +61,7 @@ from . import elementary, specfun
 from .ball import (
     Ball,
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     Order,
     add,
     bits_of,
@@ -67,6 +70,7 @@ from .ball import (
     mul,
     neg,
     recip,
+    round_ball,
     scale2,
     sub,
 )
@@ -133,8 +137,8 @@ def _anchor(
     """value_at(w) at n = 1 meets its closed form `exact` and lies inside window."""
     agree, diff = _overlap_verdict(value_at(w0), exact, w0)
     rec = _certify(check, (("n", 1),), lambda w: _inside(value_at(w), *window, w), w0)
-    return replace(
-        rec, verdict=rec.verdict if agree is Verdict.PASS else Verdict.FAIL,
+    return rec._replace(
+        verdict=rec.verdict if agree is Verdict.PASS else Verdict.FAIL,
         margin=min((diff, rec.margin), key=Ball.mid_fraction),
     )
 
@@ -163,9 +167,18 @@ def _f(x: int | Ball, w: int) -> Ball:
 
 
 def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
-    """Enclosure of f at an integer n >= 1 or a positive ball argument."""
+    """Enclosure of f at an integer n >= 1 or a positive ball argument.
+
+    psi_gap's radius is absolute, so 1/gap(n) - 12 n^2 loses about
+    4 log2 n bits: at an int n, f is evaluated at p + 4 bit_length(n)
+    bits, capped at MAX_PRECISION, and rounded to p.  Past n of about
+    2^((MAX_PRECISION - p)/4) the cap bites and the enclosure widens again.
+    """
     p = bits_of(prec)
-    return _f(x if isinstance(x, Ball) else specfun.check_index(x), p)
+    if isinstance(x, Ball):
+        return _f(x, p)
+    n = specfun.check_index(x)
+    return round_ball(_f(n, min(p + 4 * n.bit_length(), MAX_PRECISION)), p)
 
 
 def _f_closed_form(n: int, w: int) -> Ball:
@@ -621,11 +634,15 @@ def _sweep_bounds(max_n: int, p: int, jobs: int) -> list[CheckRecord]:
     jobs = min(jobs, os.cpu_count() or 1)
     chunk = -(-max_n // (4 * jobs))
     args = [(lo, min(lo + chunk, max_n + 1), p) for lo in range(1, max_n + 1, chunk)]
-    if jobs > 1 and max_n >= 4 * jobs and "fork" in multiprocessing.get_all_start_methods():
-        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-            parts = pool.map(_bounds_chunk, args)
-    else:
-        parts = map(_bounds_chunk, args)
+    parts = map(_bounds_chunk, args)
+    if jobs > 1 and max_n >= 4 * jobs:
+        # imported here, not at the top: it costs several milliseconds,
+        # which every single-process run would otherwise pay at start-up
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+                parts = pool.map(_bounds_chunk, args)
     records = [r for part in parts for r in part]
     index = {bid: i for i, bid in enumerate(bound_ids())}
     records.sort(key=lambda r: index[r.params_dict()["id"]])

@@ -8,6 +8,7 @@ including the precision-doubling ladder.
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import mpmath as mp
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harmonicbounds import bounds
-from harmonicbounds.ball import MAX_PRECISION, Ball, Order, add_rad_fraction, compare, neg, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, Order, Precision, add_rad_fraction, compare, neg, sub
 from harmonicbounds.bounds import (
     EQUALITY_RADIUS,
     TARGETS,
@@ -30,6 +31,7 @@ from harmonicbounds.bounds import (
 from harmonicbounds.elementary import ln, ln2_ball
 from harmonicbounds.report import Verdict
 from harmonicbounds.specfun import (
+    EmConfig,
     alternating_partial,
     alternating_tail,
     euler_gamma,
@@ -463,3 +465,36 @@ def test_check_bound_is_deterministic():
 def test_every_catalog_bound_holds_at_random_n(bound_id, n):
     chk = check_bound(bound_id, n)
     assert chk.verdict in (Verdict.PASS, Verdict.EQUALITY)
+
+
+# ---------------------------------------------------------------------------
+# records and specs: immutable, and unchanged by a pickle round trip
+# ---------------------------------------------------------------------------
+
+def test_records_and_specs_refuse_assignment():
+    spec = catalog_map()["main"]
+    chk = check_bound("main", 7)
+    for obj, field in (
+        (chk.record(), "verdict"),
+        (chk, "margin"),
+        (spec, "lower"),
+        (spec.lower, "const"),
+        (spec.sharp_constants[0], "window_lo"),
+        (TARGETS["H"], "description"),
+        (Precision(256), "bits"),
+        (EmConfig(q=7), "q"),
+    ):
+        before = getattr(obj, field)
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        assert getattr(obj, field) is before
+
+
+def test_records_and_configs_survive_a_pickle_round_trip():
+    chk = check_bound("main", 7)
+    rec = chk.record()
+    assert isinstance(rec.margin, Ball)
+    for obj in (rec, chk, Precision(256), EmConfig(q=7)):
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj) and back == obj

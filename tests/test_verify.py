@@ -96,6 +96,15 @@ def test_f_eval_encloses_f_on_a_wide_ball():
         assert_contains(b, f_x, label=f"f({x})")
 
 
+@pytest.mark.parametrize("n", [10**30, 10**200], ids=["1e30", "1e200"])
+def test_f_eval_stays_sharp_at_a_large_int(n):
+    # psi_gap's radius is absolute, and 1/gap(n) - 12 n^2 cancels about
+    # 4 log2 n bits of it; f_eval works that much above the caller's bits
+    b = f_eval(n, 128)
+    assert b.rad_fraction() < Fraction(1, 2**100)
+    assert abs(b.mid_fraction() - Fraction(6, 5)) < Fraction(1, 10**20)
+
+
 def test_f_asymptotic_gap_constant():
     # 6/5 - f(n) behaves like (79/175) / n^2; check the constant to 1%
     d = sub(Ball.from_fraction(Fraction(6, 5), 160), f_eval(1000, 160), 160)

@@ -1,10 +1,14 @@
-"""First-call cost of each process-wide table or constant in specfun and elementary.
+"""Import cost of the package, and first-call cost of each process-wide table.
 
 Usage: python3 tools/coldstart.py
 
 Every harmonic-bounds invocation starts in a fresh interpreter, so the
-tables that specfun builds once per process are paid again by every run.
-This script times the first call of each in a fresh interpreter of its
+import and the tables that specfun builds once per process are paid
+again by every run.  The first line is the time a fresh interpreter
+takes to import bounds, report and verify and build the catalog: the
+benchmark's setup_s without the interpreter's own start-up, timed, as
+the benchmark times it, after the package is byte-compiled.  Then the
+script times the first call of each table in a fresh interpreter of its
 own (after the import, which is not timed) and prints one line per item,
 in milliseconds.  It imports the package from the src/ next to it and
 needs nothing beyond the standard library.
@@ -12,6 +16,7 @@ needs nothing beyond the standard library.
 
 from __future__ import annotations
 
+import compileall
 import os
 import subprocess
 import sys
@@ -65,6 +70,16 @@ ITEMS = (
     ("digamma at 364/3 rounded to 4096 bits, 4096 bits", _digamma_long(4096)),
 )
 
+IMPORT_LABEL = "import bounds, report and verify, and build the catalog"
+
+_IMPORT = """\
+import time
+t = time.perf_counter()
+from harmonicbounds import bounds, report, verify
+bounds.catalog()
+print(time.perf_counter() - t)
+"""
+
 _CHILD = """\
 import time
 from harmonicbounds import specfun as s
@@ -74,18 +89,32 @@ print(time.perf_counter() - t)
 """
 
 
-def first_call(stmt: str) -> float:
-    """Seconds taken by `stmt` as the first call in a fresh interpreter."""
+def fresh(code: str) -> str:
+    """What `code` prints, run in a fresh interpreter with src/ on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD.format(stmt=stmt)],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True, timeout=600,
     )
-    return float(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+def import_time() -> float:
+    """Seconds a fresh interpreter takes to import the package and build the catalog."""
+    return float(fresh(_IMPORT).strip().splitlines()[-1])
+
+
+def first_call(stmt: str) -> float:
+    """Seconds taken by `stmt` as the first call in a fresh interpreter."""
+    return float(fresh(_CHILD.format(stmt=stmt)).strip().splitlines()[-1])
 
 
 def main() -> None:
+    # byte-compiled first, as the benchmark does, so that the import line
+    # does not time the compiler where bytecode is not written back
+    compileall.compile_dir(str(SRC / "harmonicbounds"), quiet=1)
+    print(f"{1000 * import_time():9.1f} ms  {IMPORT_LABEL}", flush=True)
     for label, stmt in ITEMS:
         print(f"{1000 * first_call(stmt):9.1f} ms  {label}", flush=True)
 
