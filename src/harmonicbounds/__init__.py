@@ -25,7 +25,6 @@ from .ball import (
     EnclosureError,
     Order,
     Precision,
-    PrecisionExhausted,
     RangeError,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "EnclosureError",
     "Order",
     "Precision",
-    "PrecisionExhausted",
     "RangeError",
     "Rational",
     "__version__",

@@ -34,7 +34,6 @@ __all__ = [
     "DomainError",
     "EnclosureError",
     "RangeError",
-    "PrecisionExhausted",
     "DEFAULT_PRECISION",
     "MAX_PRECISION",
     "MIN_PRECISION",
@@ -68,10 +67,6 @@ class EnclosureError(ArithmeticError):
 
 class RangeError(OverflowError):
     """A result magnitude exceeds what this representation will model."""
-
-
-class PrecisionExhausted(RuntimeError):
-    """Raised when the precision ladder hit its cap without a decision."""
 
 
 MIN_PRECISION = 53

@@ -17,15 +17,15 @@ the kind's divisors, with one term-count rule, a scan over a float bound
 on |B_2k| (DLMF 24.9.8) that stops where the bound reaches the target or
 stops falling, and one error radius, the magnitude of the first omitted
 term.  `_Series.at` memoises the sum at the shift threshold, which every
-point below the threshold shares; `_psi_gap`, `_psi_gap_ball` and
-`bounds._ln_expm1_recip` memoise the sums they read one layer up.  Every
-argument at which a series is summed to the working precision is an
-integer or a dyadic rational, because ball functions are evaluated at
-their endpoints, and one integer kernel (`_Series.enclose`) sums it there:
-Horner's rule in fixed point over the coefficients floored to a fixed
-number of fraction bits, returned as one ball with the first omitted term
-inside its radius, so no Fraction grows with x's length or the term
-count.  `_Series.ball_sum` rounds the same integers to balls for
+point below the threshold shares; `_psi_gap`, one table for ints and
+balls alike, and `bounds._ln_expm1_recip` memoise the sums they read one
+layer up.  Every argument at which a series is summed to the working
+precision is an integer or a dyadic rational, because ball functions are
+evaluated at their endpoints, and one integer kernel (`_Series.enclose`)
+sums it there: Horner's rule in fixed point over the coefficients floored
+to a fixed number of fraction bits, returned as one ball with the first
+omitted term inside its radius, so no Fraction grows with x's length or
+the term count.  `_Series.ball_sum` rounds the same integers to balls for
 `stirling_tail`'s few-term prefix at its ball argument.
 `_Series.truncation` gives the first K terms as an exact polynomial in
 1/x, with the sign of the first omitted term, which is the side of it on
@@ -53,10 +53,11 @@ trigamma and psi_gap at every x: each term is floored to a fixed number
 of fraction bits and the floors are carried as the radius, so no Fraction
 grows with m.  The same helper sums H(2^k) for gamma.  One point function
 (`_gap_point`) holds the shifted formula for gap(x) = ln x + 1/(2x) -
-psi(x+1), free of cancellation: psi_gap reads it at an int or at a ball's
-endpoints, gap being decreasing, and digamma reads it as psi(x) = ln x -
-1/(2x) - gap(x).  ln Gamma carries an exact product instead, and its
-Stirling formula is one helper (`_stirling`) for lgamma and stirling_tail.
+psi(x+1), free of cancellation: psi_gap reads it at a ball's endpoints,
+gap being decreasing, and at an int n as the exact ball (n, 0, 0), and
+digamma reads it as psi(x) = ln x - 1/(2x) - gap(x).  ln Gamma carries an
+exact product instead, and its Stirling formula is one helper
+(`_stirling`) for lgamma and stirling_tail.
 """
 
 from __future__ import annotations
@@ -670,8 +671,9 @@ def psi_gap(x, prec) -> Ball:
     + 1/N in fixed point (`_shift_ball`), leaving ln(x/N) as the only
     transcendental, so it avoids the cancellation of subtracting two
     O(ln x) enclosures.  The cost depends on the precision, not on x;
-    results are memoised per (x, precision), a ball by its exact (man, exp,
-    r), so two representations of one interval never share an entry.
+    results are memoised in one table per (man, exp, r, precision), an int
+    n being the exact ball (n, 0, 0), so an int and its exact ball share an
+    entry while two representations of one interval never do.
 
     gap is strictly decreasing on (0, inf): its derivative is 1/x - 1/(2x^2)
     - psi'(x+1) = 1/x + 1/(2x^2) - psi'(x), which is negative because
@@ -684,19 +686,15 @@ def psi_gap(x, prec) -> Ball:
     kept one, and below it the value exceeds gap at the threshold, above
     2^-22 even at 4096 bits, while the radius is near 2^-(p+12).
     """
-    if not isinstance(x, Ball):
-        return _psi_gap(check_index(x), bits_of(prec))
-    return _psi_gap_ball(x.man, x.exp, x.r, bits_of(prec))
+    if isinstance(x, Ball):
+        return _psi_gap(x.man, x.exp, x.r, bits_of(prec))
+    return _psi_gap(check_index(x), 0, 0, bits_of(prec))
 
 
 @lru_cache(maxsize=1024)
-def _psi_gap(n: int, p: int) -> Ball:
-    return _gap_point(n, 0, p + 16, p)
-
-
-@lru_cache(maxsize=64)
-def _psi_gap_ball(man: int, exp: int, r: int, p: int) -> Ball:
-    """psi_gap at the ball (man, exp, r), rebuilt exactly as it was given."""
+def _psi_gap(man: int, exp: int, r: int, p: int) -> Ball:
+    """psi_gap at the ball (man, exp, r), rebuilt exactly as it was given;
+    an int n is the exact ball (n, 0, 0)."""
     return _eval_on_ball(partial(_gap_point, p=p), Ball(man, exp, r, exp), p + 16, p, monotone=True)
 
 

@@ -37,10 +37,11 @@ term.
 This module computes no gap ln x + 1/(2x) - psi(x+1) itself: f, g and the
 gap envelope read specfun.psi_gap at an int or a ball, free of
 cancellation and never containing zero, so f_eval evaluates once and
-does not climb.  Its radius is absolute, and f = 1/gap(n) - 12 n^2 loses
-about 4 log2 n bits to it, so f_eval at an int n works at p + 4
-bit_length(n) bits, capped at MAX_PRECISION, and rounds to p; the stages
-call _f at p directly.
+does not climb.  Its radius is absolute, and f = 1/gap(x) - 12 x^2 loses
+about 4 log2 x bits to it, so f_eval reads an int n as the exact ball
+(n, 0, 0) and works at p + 4 t bits, t the bit length of the argument's
+upper end, capped at MAX_PRECISION, and rounds to p.  The stages call _f
+at p directly.
 
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at, so the stages read the psi_gap, g and ln
@@ -143,9 +144,13 @@ def _anchor(
     )
 
 
+# the catalog's specs by id, taken once: catalog_map() builds a new dict per call
+_SPECS = catalog_map()
+
+
 def _sharp(bound_id: str, name: str) -> SharpConstant:
     """A constant the catalog declares best possible, with its window."""
-    return next(c for c in catalog_map()[bound_id].sharp_constants if c.name == name)
+    return next(c for c in _SPECS[bound_id].sharp_constants if c.name == name)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +174,18 @@ def _f(x: int | Ball, w: int) -> Ball:
 def f_eval(x, prec=DEFAULT_PRECISION) -> Ball:
     """Enclosure of f at an integer n >= 1 or a positive ball argument.
 
-    psi_gap's radius is absolute, so 1/gap(n) - 12 n^2 loses about
-    4 log2 n bits: at an int n, f is evaluated at p + 4 bit_length(n)
-    bits, capped at MAX_PRECISION, and rounded to p.  Past n of about
-    2^((MAX_PRECISION - p)/4) the cap bites and the enclosure widens again.
+    An int n is the exact ball (n, 0, 0), and one rule serves both: with t
+    the bit length of the argument's upper end, floored at 0, f is
+    evaluated at p + 4 t bits, capped at MAX_PRECISION, and rounded to p.
+    psi_gap's radius is absolute, so 1/gap(x) - 12 x^2 loses about 4 log2 x
+    bits to it.  Past x of about 2^((MAX_PRECISION - p)/4) the cap bites
+    and the enclosure widens again.
     """
     p = bits_of(prec)
-    if isinstance(x, Ball):
-        return _f(x, p)
-    n = specfun.check_index(x)
-    return round_ball(_f(n, min(p + 4 * n.bit_length(), MAX_PRECISION)), p)
+    if not isinstance(x, Ball):
+        x = Ball.from_int(specfun.check_index(x))
+    t = max(0, (x.man + x.r).bit_length() + x.exp)
+    return round_ball(_f(x, min(p + 4 * t, MAX_PRECISION)), p)
 
 
 def _f_closed_form(n: int, w: int) -> Ball:
@@ -440,7 +447,7 @@ _REFINED_IDS = ("chen", "toth_sharp", "detemple", "franel", "young")
 @lru_cache(maxsize=16)
 def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
     """A bound's interval for H(n) - ln n - g."""
-    spec = catalog_map()[bound_id]
+    spec = _SPECS[bound_id]
     r = _frame_offset(spec.target, n, w)
     return add(spec.lower(n, w), r, w), add(spec.upper(n, w), r, w)
 

@@ -143,6 +143,17 @@ def test_arctan_kernel_contains_mpmath_within_two_ulps(w):
         assert lo <= want <= hi and hi - lo <= 2, (w, q)
 
 
+def test_atanh_kernel_upper_end_holds_its_per_term_ulps():
+    # 2 atanh(1/q) = ln((q+1)/(q-1)); at q = 18255 and w = 152 the floored
+    # terms fall short of it by almost all n + 1 ulps, so an upper end
+    # without them misses the value (found by a scan over odd q <= 40001)
+    q, w = 18255, 152
+    lo, hi = _atanh_recip_iv(q, w)
+    with mp.workprec(w + 100):
+        want = mp.log(mp.mpf(q + 1) / (q - 1)) * mp.mpf(2) ** w
+    assert lo <= want <= hi
+
+
 @pytest.mark.parametrize("p", [128, 1024])
 def test_ln1p_recip_keeps_relative_accuracy(p):
     for m in (1, 3, 2**64 + 1, 10**300 + 7):

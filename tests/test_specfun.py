@@ -666,6 +666,19 @@ def test_psi_gap_at_an_exact_integer_ball_equals_the_int_result(p):
         assert psi_gap(Ball.from_int(n), p) == psi_gap(n, p)
 
 
+@pytest.mark.parametrize("p", [128, 1024])
+def test_psi_gap_at_an_int_and_its_exact_ball_reads_one_memo_entry(p):
+    # an int n is keyed as the exact ball (n, 0, 0), so the ball hits the
+    # entry the int made
+    from harmonicbounds import specfun
+
+    for n in (5, 500, 10**30):
+        psi_gap(n, p)
+        hits = specfun._psi_gap.cache_info().hits
+        psi_gap(Ball.from_int(n), p)
+        assert specfun._psi_gap.cache_info().hits == hits + 1, n
+
+
 def test_psi_gap_refuses_a_ball_that_reaches_zero():
     for x in (Ball(0, 0), Ball(1, 0, 1, 0), Ball(1, -4, 1, -3)):
         with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ import mpmath as mp
 import pytest
 
 from harmonicbounds import bounds, specfun, verify
-from harmonicbounds.ball import MAX_PRECISION, Ball, Order, compare, sub
+from harmonicbounds.ball import MAX_PRECISION, Ball, sub
 from harmonicbounds.report import Verdict
 from harmonicbounds.verify import (
     CHECK_NAMES,
@@ -101,6 +101,17 @@ def test_f_eval_stays_sharp_at_a_large_int(n):
     # psi_gap's radius is absolute, and 1/gap(n) - 12 n^2 cancels about
     # 4 log2 n bits of it; f_eval works that much above the caller's bits
     b = f_eval(n, 128)
+    assert b.rad_fraction() < Fraction(1, 2**100)
+    assert abs(b.mid_fraction() - Fraction(6, 5)) < Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize(
+    "x", [Ball.from_int(10**30), Ball(2**101 + 1, -1)], ids=["1e30", "2^100+1/2"]
+)
+def test_f_eval_stays_sharp_at_a_large_ball(x):
+    # the rule at an int holds at a ball: f_eval works 4 bits above the
+    # caller's per bit of the ball's upper end
+    b = f_eval(x, 128)
     assert b.rad_fraction() < Fraction(1, 2**100)
     assert abs(b.mid_fraction() - Fraction(6, 5)) < Fraction(1, 10**20)
 
@@ -240,14 +251,15 @@ def test_g_positivity_at_a_non_dyadic_rational_point():
     assert_contains(rec.margin, want, fuzz=Fraction(1, 10**36), label="g(10/3)")
 
 
-@pytest.mark.parametrize("n", [5, 500])
-def test_f_eval_at_an_exact_integer_ball_reads_psi_gap(n):
+@pytest.mark.parametrize("p", [128, 1024])
+@pytest.mark.parametrize("n", [5, 500, 10**30, 10**200], ids=["5", "500", "1e30", "1e200"])
+def test_f_eval_at_an_exact_integer_ball_equals_the_int_result(n, p):
     # n = 5 and 500 lie on either side of the 128-bit shift threshold (18);
-    # an exact integer ball takes the cancellation-free psi_gap series, so
-    # f keeps the precision it has at the int n
-    b = f_eval(Ball.from_int(n), 128)
-    assert compare(b, f_eval(n, 128)) is Order.OVERLAPPING
-    assert b.rad_fraction() < Fraction(1, 2**100)
+    # an int n is the exact ball (n, 0, 0), so both take one psi_gap entry
+    # and one precision rule, and f keeps the precision it has at the int n
+    b = f_eval(Ball.from_int(n), p)
+    assert b == f_eval(n, p)
+    assert b.rad_fraction() < Fraction(1, 2 ** (p - 28))
 
 
 def test_g_positivity_keys_each_grid_point_once():
