@@ -13,8 +13,9 @@ to an exact algebraic identity.
 _STAGES is the one list of these stages: it maps each stage name, in report
 order, to the function that yields its records, and CHECK_NAMES is its
 keys.  verify_all runs the selected stages from it, each once, in that
-order.  Only the bound sweep fans out over worker processes, and
-multiprocessing is imported only when it does.
+order.  Only the bound sweep fans out over worker processes: the parent
+runs the other selected stages while the workers sweep, and multiprocessing
+is imported only when it does.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
 the precision that decided it.  Each inequality is stated as certified
@@ -631,17 +632,33 @@ def _bounds_chunk(args: tuple[int, int, int]) -> list[CheckRecord]:
     return [check_bound(bid, n, p).record() for n in range(n_lo, n_hi) for bid in bound_ids()]
 
 
-def _sweep_bounds(max_n: int, p: int, jobs: int) -> list[CheckRecord]:
-    """The catalog at every n in [1, max_n], in catalog order, then by n.
+def _in_catalog_order(parts: Iterable[list[CheckRecord]]) -> list[CheckRecord]:
+    """The n-chunks' records as one list in catalog order, then by n: one
+    stable sort, so the order does not depend on the worker count."""
+    records = [r for part in parts for r in part]
+    index = {bid: i for i, bid in enumerate(bound_ids())}
+    records.sort(key=lambda r: index[r.params_dict()["id"]])
+    return records
+
+
+def _sweep_bounds(
+    max_n: int, p: int, jobs: int,
+    meanwhile: Callable[[], list[CheckRecord]] = list,
+) -> list[CheckRecord]:
+    """The catalog at every n in [1, max_n], in catalog order, then by n,
+    followed by the records of meanwhile().
+
     The n-chunks go through a forked pool of at most one worker per core
     when that leaves two or more workers, max_n is at least 4 per worker
-    and fork exists, and through the builtin map otherwise; one stable sort
-    then restores catalog order, so the records do not depend on the
-    worker count."""
+    and fork exists: the parent runs meanwhile() while the workers sweep,
+    and the pool is terminated once both are done, or a worker has raised.
+    If meanwhile() raises, its error leaves once the workers are done.
+    Otherwise the chunks go through the builtin map, and meanwhile() runs
+    after.
+    """
     jobs = min(jobs, os.cpu_count() or 1)
     chunk = -(-max_n // (4 * jobs))
     args = [(lo, min(lo + chunk, max_n + 1), p) for lo in range(1, max_n + 1, chunk)]
-    parts = map(_bounds_chunk, args)
     if jobs > 1 and max_n >= 4 * jobs:
         # imported here, not at the top: it costs several milliseconds,
         # which every single-process run would otherwise pay at start-up
@@ -649,14 +666,22 @@ def _sweep_bounds(max_n: int, p: int, jobs: int) -> list[CheckRecord]:
 
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-                parts = pool.map(_bounds_chunk, args)
-    records = [r for part in parts for r in part]
-    index = {bid: i for i, bid in enumerate(bound_ids())}
-    records.sort(key=lambda r: index[r.params_dict()["id"]])
-    return records
+                pending = pool.map_async(_bounds_chunk, args)
+                try:
+                    rest = meanwhile()
+                except Exception:
+                    # a worker terminated while it sends a chunk would leave
+                    # the result queue's lock held, and the pool's shutdown
+                    # would wait for it forever: let the workers finish first
+                    pending.wait()
+                    raise
+                parts = pending.get()
+            return _in_catalog_order(parts) + rest
+    return _in_catalog_order(map(_bounds_chunk, args)) + meanwhile()
 
 
-# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records
+# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records;
+# verify_all hands the other selected stages to the bound sweep as meanwhile
 _STAGES: dict[str, Callable[[int, int, int], list[CheckRecord]]] = {
     "bounds": _sweep_bounds,
     "sharpness": lambda max_n, p, jobs: sharpness_main(max_n, p).records,
@@ -684,7 +709,8 @@ def verify_all(
 
     Results are deterministic for fixed arguments regardless of jobs: only
     the bound sweep fans out over worker processes, and it reassembles in
-    catalog order; every other stage runs serially.
+    catalog order; the parent runs every other stage, in order, while the
+    workers sweep.
     """
     specfun.check_index(max_n, 3, "max_n")
     specfun.check_index(jobs, 1, "jobs")
@@ -698,8 +724,12 @@ def verify_all(
         raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
     p = bits_of(prec)
 
-    rep = VerificationReport()
-    for name, stage in _STAGES.items():
-        if name in selected:
-            rep.extend(stage(max_n, p, jobs))
-    return rep
+    def serial() -> list[CheckRecord]:
+        return [
+            r for name, stage in _STAGES.items() if name != "bounds" and name in selected
+            for r in stage(max_n, p, jobs)
+        ]
+
+    return VerificationReport(
+        _sweep_bounds(max_n, p, jobs, serial) if "bounds" in selected else serial()
+    )

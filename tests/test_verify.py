@@ -13,6 +13,7 @@ import multiprocessing.pool
 import os
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import pytest
@@ -568,8 +569,14 @@ def test_verify_all_starts_at_most_one_worker_per_core(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return list(map(fn, args))
+        def map_async(self, fn, args):
+            return FakeResult(list(map(fn, args)))
+
+    class FakeResult(NamedTuple):
+        value: list
+
+        def get(self):
+            return self.value
 
     class FakeContext:
         Pool = FakePool
@@ -589,6 +596,92 @@ def test_verify_all_starts_at_most_one_worker_per_core(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
     assert sizes == [2]
+
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """A fake fork pool on two cores: it maps in-process and logs map_async,
+    wait, get and its exit in the list returned."""
+    events = []
+
+    class FakeResult(NamedTuple):
+        value: list
+
+        def wait(self):
+            events.append("wait")
+
+        def get(self):
+            events.append("get")
+            return self.value
+
+    class FakePool:
+        def __init__(self, processes):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append("exit")
+            return False
+
+        def map_async(self, fn, args):
+            events.append("map_async")
+            return FakeResult(list(map(fn, args)))
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return events
+
+
+def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, pool_events):
+    def logged(name, stage):
+        def run(*args):
+            pool_events.append(name)
+            return stage(*args)
+        return run
+
+    serial = verify_all(20, 128, jobs=1).records
+    for name, stage in list(verify._STAGES.items()):
+        if name != "bounds":
+            monkeypatch.setitem(verify._STAGES, name, logged(name, stage))
+    assert verify_all(20, 128, jobs=2).records == serial
+    assert pool_events == ["map_async", *CHECK_NAMES[1:], "get", "exit"]
+
+    # without bounds no pool is started, and the stages run in order
+    pool_events.clear()
+    verify_all(20, 128, checks=("refinement", "epsilon"), jobs=2)
+    assert pool_events == ["epsilon", "refinement"]
+
+
+def test_verify_all_lets_the_workers_finish_before_a_stage_error_leaves(monkeypatch, pool_events):
+    monkeypatch.setitem(verify._STAGES, "epsilon", _fails)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        verify_all(20, 128, jobs=2)
+    assert pool_events == ["map_async", "wait", "exit"]
+
+
+def _fails(*args):
+    raise RuntimeError("stage failed")
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method",
+)
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_verify_all_a_failure_propagates_and_leaves_no_worker_behind(monkeypatch, where):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if where == "parent":
+        monkeypatch.setitem(verify._STAGES, "epsilon", _fails)
+    else:
+        monkeypatch.setattr(verify, "_bounds_chunk", _fails)
+    with pytest.raises(RuntimeError, match="stage failed"):
+        verify_all(40, 128, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_all_decides_every_claim_at_the_callers_precision():
