@@ -299,13 +299,7 @@ class Ball:
         )
 
     def __hash__(self):
-        # (man, exp, r) with the trailing zero bits man and r share moved
-        # into exp: one tuple per midpoint and radius, as __eq__ compares
-        low = self.man | self.r
-        if not low:
-            return hash((0, 0, 0))
-        z = (low & -low).bit_length() - 1
-        return hash((self.man >> z, self.exp + z, self.r >> z))
+        return hash((self.mid_fraction(), self.rad_fraction()))
 
 
 def _dyadic_fraction(m: int, e: int) -> Fraction:

@@ -694,12 +694,7 @@ def psi_gap(x, prec) -> Ball:
 @lru_cache(maxsize=1024)
 def _psi_gap(man: int, exp: int, r: int, p: int) -> Ball:
     """psi_gap at the ball (man, exp, r), rebuilt exactly as it was given;
-    an int n is the exact ball (n, 0, 0).  At an exact point _gap_point's
-    value, already rounded to p, is the enclosure."""
-    if r == 0:
-        if man <= 0:
-            raise DomainError("argument enclosure must be strictly positive")
-        return _gap_point(man, exp, p + 16, p)
+    an int n is the exact ball (n, 0, 0)."""
     return _eval_on_ball(partial(_gap_point, p=p), Ball(man, exp, r, exp), p + 16, p, monotone=True)
 
 

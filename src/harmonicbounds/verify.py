@@ -642,8 +642,7 @@ def _in_catalog_order(parts: Iterable[list[CheckRecord]]) -> list[CheckRecord]:
 
 
 def _sweep_bounds(
-    max_n: int, p: int, jobs: int,
-    meanwhile: Callable[[], list[CheckRecord]] = list,
+    max_n: int, p: int, jobs: int, meanwhile: Callable[[], list[CheckRecord]],
 ) -> list[CheckRecord]:
     """The catalog at every n in [1, max_n], in catalog order, then by n,
     followed by the records of meanwhile().
@@ -651,10 +650,9 @@ def _sweep_bounds(
     The n-chunks go through a forked pool of at most one worker per core
     when that leaves two or more workers, max_n is at least 4 per worker
     and fork exists: the parent runs meanwhile() while the workers sweep,
-    and the pool is terminated once both are done, or a worker has raised.
-    If meanwhile() raises, its error leaves once the workers are done.
-    Otherwise the chunks go through the builtin map, and meanwhile() runs
-    after.
+    and the pool is terminated once both are done.  An error, in a worker
+    or in meanwhile(), leaves only once every chunk is back.  Otherwise the
+    chunks go through the builtin map, and meanwhile() runs after.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     chunk = -(-max_n // (4 * jobs))
@@ -680,9 +678,10 @@ def _sweep_bounds(
     return _in_catalog_order(map(_bounds_chunk, args)) + meanwhile()
 
 
-# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records;
-# verify_all hands the other selected stages to the bound sweep as meanwhile
-_STAGES: dict[str, Callable[[int, int, int], list[CheckRecord]]] = {
+# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records,
+# except the bound sweep, which verify_all calls as
+# stage(max_n, p, jobs, meanwhile) with the other selected stages as meanwhile
+_STAGES: dict[str, Callable[..., list[CheckRecord]]] = {
     "bounds": _sweep_bounds,
     "sharpness": lambda max_n, p, jobs: sharpness_main(max_n, p).records,
     "g_positivity": lambda max_n, p, jobs: g_positivity(None, p).records,
@@ -731,5 +730,5 @@ def verify_all(
         ]
 
     return VerificationReport(
-        _sweep_bounds(max_n, p, jobs, serial) if "bounds" in selected else serial()
+        _STAGES["bounds"](max_n, p, jobs, serial) if "bounds" in selected else serial()
     )

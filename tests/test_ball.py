@@ -184,27 +184,16 @@ def test_sign_predicates():
 
 
 def test_structural_equality_and_hash():
-    a = Ball(1, -1, 1, -5)
-    b = Ball(2, -2, 2, -6)  # same midpoint and radius, different encoding
-    assert a == b and hash(a) == hash(b)
-    assert a != Ball(1, -1)
-
-
-@pytest.mark.parametrize("a, b", [
-    (Ball(2, 0), Ball(1, 1)),
-    (Ball(4, 0, 1, -5), Ball(256, -6, 2, -6)),
-    (Ball(0, 0), Ball(0, 9)),
-    (Ball(0, 0, 1, -3), Ball(0, 0, 2, -4)),
-])
-def test_equal_balls_written_differently_hash_equal(a, b):
-    assert a == b and hash(a) == hash(b)
-
-
-@given(balls(), st.integers(min_value=0, max_value=200))
-@settings(max_examples=200)
-def test_equal_balls_hash_equal_at_any_encoding(b, k):
-    c = Ball(b.man << k, b.exp - k, b.r << k, b.exp - k)
-    assert c == b and hash(c) == hash(b)
+    # the same midpoint and radius, each pair in two encodings
+    for a, b in [
+        (Ball(1, -1, 1, -5), Ball(2, -2, 2, -6)),
+        (Ball(2, 0), Ball(1, 1)),
+        (Ball(4, 0, 1, -5), Ball(256, -6, 2, -6)),
+        (Ball(0, 0), Ball(0, 9)),
+        (Ball(0, 0, 1, -3), Ball(0, 0, 2, -4)),
+    ]:
+        assert a == b and hash(a) == hash(b)
+    assert Ball(1, -1, 1, -5) != Ball(1, -1)
 
 
 @given(balls())
