@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import elementary
@@ -562,9 +562,8 @@ def _shift_ball(xman: int, nexp: int, m: int, s: int, w: int) -> Ball:
     return _from_int_interval(total, total + m, -f, w)
 
 
-def _gap_point(man: int, exp: int, w: int, p: int) -> Ball:
-    """gap(x) = ln x + 1/(2x) - psi(x+1) at x = man 2^exp > 0, summed at w
-    bits and rounded to p.
+def _gap_point(man: int, exp: int, w: int) -> Ball:
+    """gap(x) = ln x + 1/(2x) - psi(x+1) at x = man 2^exp > 0, at w bits.
 
     At or above the shift threshold it is psi's series S(x) alone.  Below
     it, with N = x + m, psi(x+1) = psi(N+1) - (1/(x+1) + ... + 1/N) and
@@ -574,19 +573,19 @@ def _gap_point(man: int, exp: int, w: int, p: int) -> Ball:
     m, xman, nman, nexp = _shifted_arg(man, exp, w)
     psi = _SERIES["psi"]
     if not m:
-        return round_ball(psi.at(xman, nexp, w), p)
+        return psi.at(xman, nexp, w)
     one = 1 << -nexp  # x = xman / one and N = nman / one
     series = sub(psi.at(nman, nexp, w), Ball.from_fraction(Fraction(one, 2 * nman), w), w)
     res = add(_shift_ball(xman + one, nexp, m, 1, w), series, w)
     res = add(Ball.from_fraction(Fraction(one, 2 * xman), w), res, w)
-    return add(elementary.ln(Ball.from_fraction(Fraction(xman, nman), w), w), res, p)
+    return add(elementary.ln(Ball.from_fraction(Fraction(xman, nman), w), w), res, w)
 
 
 def _digamma_point(man: int, exp: int, w: int) -> Ball:
     # psi(x) = psi(x+1) - 1/x = ln x - 1/(2x) - gap(x)
     x = Ball(man, exp)
     res = sub(elementary.ln(x, w), scale2(recip(x, w), -1), w)
-    return sub(res, _gap_point(man, exp, w, w), w)
+    return sub(res, _gap_point(man, exp, w), w)
 
 
 def _trigamma_point(man: int, exp: int, w: int) -> Ball:
@@ -623,6 +622,8 @@ def _lgamma_point(man: int, exp: int, w: int) -> Ball:
 
 
 def _eval_on_ball(point_fn, x: Ball, w: int, p: int, monotone: bool) -> Ball:
+    """point_fn(man, exp, w), a value at w bits, over the ball x, rounded
+    once to p: the one place a point function's result is rounded."""
     lo, hi, e = _endpoints_scaled(x)
     if lo <= 0:
         raise DomainError("argument enclosure must be strictly positive")
@@ -695,7 +696,7 @@ def psi_gap(x, prec) -> Ball:
 def _psi_gap(man: int, exp: int, r: int, p: int) -> Ball:
     """psi_gap at the ball (man, exp, r), rebuilt exactly as it was given;
     an int n is the exact ball (n, 0, 0)."""
-    return _eval_on_ball(partial(_gap_point, p=p), Ball(man, exp, r, exp), p + 16, p, monotone=True)
+    return _eval_on_ball(_gap_point, Ball(man, exp, r, exp), p + 16, p, monotone=True)
 
 
 def stirling_tail(kind: str, order: int, x, prec) -> Ball:

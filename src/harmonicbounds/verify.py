@@ -12,10 +12,18 @@ to an exact algebraic identity.
 
 _STAGES is the one list of these stages: it maps each stage name, in report
 order, to the function that yields its records, and CHECK_NAMES is its
-keys.  verify_all runs the selected stages from it, each once, in that
-order.  Only the bound sweep fans out over worker processes: the parent
-runs the other selected stages while the workers sweep, and multiprocessing
-is imported only when it does.
+keys.  Every stage but the bound sweep is called as stage(max_n, p).
+verify_all runs the selected stages from it, each once, in that order.
+Only the bound sweep fans out over worker processes: the parent runs the
+other selected stages while the workers sweep, and multiprocessing is
+imported only when it does.
+
+The per-n claims, f_below_limit, f_monotone, epsilon, refinement and
+x_decreasing, are the rows of one table, _PER_N.  A row names its check,
+its first n, how far below max_n its last n lies, its params after n, and
+the differences at (n, w) that must be > 0.  _per_n is the one loop over
+the rows: n by n, and at each n every row whose range holds n, in row
+order.  The anchors and one-off records stay in their stage functions.
 
 Every check yields a CheckRecord with a verdict, a margin enclosure and
 the precision that decided it.  Each inequality is stated as certified
@@ -45,10 +53,15 @@ upper end, capped at MAX_PRECISION, and rounds to p.  The stages call _f
 at p directly.
 
 Every stage decides at the caller's precision p, the precision
-bounds.check_bound starts at, so the stages read the psi_gap, g and ln
-values the bound sweep has already cached.  Refinement compares the
-bounds' intervals for H(n) - ln n - g, the frame in which their targets
-differ by terms free of ln n and g (bounds._frame_offset).
+bounds.check_bound starts at.  Within one process the stages share what is
+memoised per precision, such as g and ln 2; the values at each n they
+share less.  Under fan-out the bound sweep runs in forked workers, whose
+memos the parent never sees.  With one job psi_gap's memo keeps only its
+last 1024 arguments, so past about a thousand indices each stage computes
+its gaps at n again.  Within a stage the rows of one n share them: f(n)
+is computed once for f_below_limit and f_monotone.  Refinement compares
+the bounds' intervals for H(n) - ln n - g, the frame in which their
+targets differ by terms free of ln n and g (bounds._frame_offset).
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from . import elementary, specfun
@@ -228,16 +241,7 @@ def sharpness_main(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
             lambda w, n=n: _inside(_f(n, w), *_F_DIGITS[n], w), p,
         ))
 
-    for n in range(1, max_n + 1):
-        rep.append(_certify(
-            "f_below_limit", (("n", n),),
-            lambda w, n=n: (sub(_F_LIMIT.value(w), _f(n, w), w),), p,
-        ))
-        if n < max_n:
-            rep.append(_certify(
-                "f_monotone", (("n", n),),
-                lambda w, n=n: (sub(_f(n + 1, w), _f(n, w), w),), p,
-            ))
+    rep.extend(_per_n("sharpness", max_n, p))
 
     samples = [n for n in _GAP_SAMPLES if n <= max_n]
     for a, b in zip(samples, samples[1:]):
@@ -431,10 +435,7 @@ def epsilon_window(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     window = Fraction("0.733"), Fraction("0.735")
     rep.append(_anchor("epsilon_anchor", lambda w: _epsilon(1, w), exact1, window, p))
 
-    for n in range(1, max_n + 1):
-        rep.append(_certify(
-            "epsilon", (("n", n),), lambda w, n=n: _inside(_epsilon(n, w), 0, 1, w), p
-        ))
+    rep.extend(_per_n("epsilon", max_n, p))
     return rep
 
 
@@ -453,21 +454,17 @@ def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
     return add(spec.lower(n, w), r, w), add(spec.upper(n, w), r, w)
 
 
+def _nests(outer: str, n: int, w: int) -> tuple[Ball, Ball]:
+    """The main bound's interval at n nests strictly inside outer's."""
+    o_lo, o_hi = _implied_interval(outer, n, w)
+    m_lo, m_hi = _implied_interval("main", n, w)
+    return sub(m_lo, o_lo, w), sub(o_hi, m_hi, w)
+
+
 def refinement_check(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:
     """Certify the quadratic-window H(n) interval sits inside the older ones."""
     specfun.check_index(max_n, 2, "max_n")
-    p = bits_of(prec)
-    rep = VerificationReport()
-    for n in range(2, max_n + 1):
-        for other in _REFINED_IDS:
-            def sides(ww: int, n=n, o=other) -> tuple[Ball, Ball]:
-                # the main interval nests strictly inside the outer one
-                o_lo, o_hi = _implied_interval(o, n, ww)
-                m_lo, m_hi = _implied_interval("main", n, ww)
-                return sub(m_lo, o_lo, ww), sub(o_hi, m_hi, ww)
-
-            rep.append(_certify("refinement", (("n", n), ("outer", other)), sides, p))
-    return rep
+    return VerificationReport(_per_n("refinement", max_n, bits_of(prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +493,45 @@ def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport
         (_X_AT_ONE.window_lo, _X_AT_ONE.window_hi), p,
     ))
 
-    for n in range(1, max_n):
-        rep.append(_certify(
-            "x_decreasing", (("n", n),),
-            lambda w, n=n: (sub(_alt_x(n, w), _alt_x(n + 1, w), w),), p,
-        ))
-
+    rep.extend(_per_n("alt_tail", max_n, p))
     rep.append(_certify(
         "x_above_limit", (("n", max_n),),
         lambda w: (sub(_alt_x(max_n, w), _X_LIMIT.value(w), w),), p,
     ))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the per-n claims
+# ---------------------------------------------------------------------------
+
+# each stage's per-n claims, one row per family: (check, first n, how far
+# below max_n the last n lies, params after n, diffs(n, w)), where every
+# ball in diffs(n, w) must be > 0
+_PER_N: dict[str, tuple[tuple, ...]] = {
+    "sharpness": (
+        ("f_below_limit", 1, 0, (), lambda n, w: (sub(_F_LIMIT.value(w), _f(n, w), w),)),
+        ("f_monotone", 1, 1, (), lambda n, w: (sub(_f(n + 1, w), _f(n, w), w),)),
+    ),
+    "epsilon": (("epsilon", 1, 0, (), lambda n, w: _inside(_epsilon(n, w), 0, 1, w)),),
+    "refinement": tuple(
+        ("refinement", 2, 0, (("outer", o),), partial(_nests, o)) for o in _REFINED_IDS
+    ),
+    "alt_tail": (
+        ("x_decreasing", 1, 1, (), lambda n, w: (sub(_alt_x(n, w), _alt_x(n + 1, w), w),)),
+    ),
+}
+
+
+def _per_n(stage: str, max_n: int, p: int) -> list[CheckRecord]:
+    """The records of stage's rows, n by n: at each n, every row whose
+    range holds n, in row order."""
+    return [
+        _certify(check, (("n", n), *params), partial(diffs, n), p)
+        for n in range(1, max_n + 1)
+        for check, first, short, params, diffs in _PER_N[stage]
+        if first <= n <= max_n - short
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -678,21 +703,21 @@ def _sweep_bounds(
     return _in_catalog_order(map(_bounds_chunk, args)) + meanwhile()
 
 
-# every stage of verify_all, in report order: stage(max_n, p, jobs) -> records,
+# every stage of verify_all, in report order: stage(max_n, p) -> records,
 # except the bound sweep, which verify_all calls as
 # stage(max_n, p, jobs, meanwhile) with the other selected stages as meanwhile
 _STAGES: dict[str, Callable[..., list[CheckRecord]]] = {
     "bounds": _sweep_bounds,
-    "sharpness": lambda max_n, p, jobs: sharpness_main(max_n, p).records,
-    "g_positivity": lambda max_n, p, jobs: g_positivity(None, p).records,
-    "epsilon": lambda max_n, p, jobs: epsilon_window(max_n, p).records,
-    "refinement": lambda max_n, p, jobs: refinement_check(max_n, p).records,
-    "alt_tail": lambda max_n, p, jobs: alt_tail_constants(max_n, p).records,
-    "cm": lambda max_n, p, jobs: [
+    "sharpness": lambda max_n, p: sharpness_main(max_n, p).records,
+    "g_positivity": lambda max_n, p: g_positivity(None, p).records,
+    "epsilon": lambda max_n, p: epsilon_window(max_n, p).records,
+    "refinement": lambda max_n, p: refinement_check(max_n, p).records,
+    "alt_tail": lambda max_n, p: alt_tail_constants(max_n, p).records,
+    "cm": lambda max_n, p: [
         r for kind, order in (("F", 2), ("G", 1))
         for r in cm_spotcheck(kind, order, range(1, 21), 4, p).records
     ],
-    "equality": lambda max_n, p, jobs: equality_witnesses(p).records,
+    "equality": lambda max_n, p: equality_witnesses(p).records,
 }
 
 CHECK_NAMES: tuple[str, ...] = tuple(_STAGES)
@@ -726,7 +751,7 @@ def verify_all(
     def serial() -> list[CheckRecord]:
         return [
             r for name, stage in _STAGES.items() if name != "bounds" and name in selected
-            for r in stage(max_n, p, jobs)
+            for r in stage(max_n, p)
         ]
 
     return VerificationReport(

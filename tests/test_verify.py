@@ -414,6 +414,34 @@ def test_alt_tail_validation():
         alt_tail_constants(1, 128)
 
 
+def test_per_n_stages_at_their_smallest_max_n_emit_each_range_edge_in_order():
+    # n by n, and at each n every family whose range holds it: a loop over
+    # families first, or a range one short or one long, changes the list
+    def seq(rep):
+        return [(r.check, r.params) for r in rep.records]
+
+    def at(check, n, *rest):
+        return (check, (("n", n), *rest))
+
+    assert seq(sharpness_main(3, 128)) == [
+        at("f_value", 1), at("f_digits", 1),
+        at("f_value", 2), at("f_digits", 2),
+        at("f_value", 3), at("f_digits", 3),
+        at("f_below_limit", 1), at("f_monotone", 1),
+        at("f_below_limit", 2), at("f_monotone", 2),
+        at("f_below_limit", 3),
+        at("f_gap_decreasing", 1, ("next", 2)), at("f_gap_decreasing", 2, ("next", 3)),
+    ]
+    assert seq(epsilon_window(1, 128)) == [at("epsilon_anchor", 1), at("epsilon", 1)]
+    assert seq(refinement_check(2, 128)) == [
+        at("refinement", 2, ("outer", o))
+        for o in ("chen", "toth_sharp", "detemple", "franel", "young")
+    ]
+    assert seq(alt_tail_constants(2, 128)) == [
+        at("x_anchor", 1), at("x_decreasing", 1), at("x_above_limit", 2),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # finite-difference sign signatures
 # ---------------------------------------------------------------------------
