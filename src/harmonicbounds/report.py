@@ -13,13 +13,18 @@ and has a `len`, and it equals a plain tuple of the same fields.  A
 CPython's `json` runs its pure-Python encoder, which cost more than
 certifying the report.  Each record is one f-string in the fixed key
 order, with `indent=2`'s whitespace, every string escaped by
-`json.encoder.encode_basestring_ascii` and every int written by
-`int.__repr__`, as `json` does.  A record whose check is not exactly a
-`str`, whose precision is not exactly an `int`, or whose params hold a key
-that is not exactly a `str` or a value that is not exactly an `int` or a
-`str` (a bool, a float, None, an `IntEnum`, a list) is written by
-`json.dumps(record.to_json_obj(), indent=2)` instead, indented to its
-place, so its bytes are `json`'s by construction.
+`json.encoder.encode_basestring_ascii` and every exact int formatted as
+`int.__repr__` writes it, as `json` does.  The margins' decimal strings
+hold only digits, '.', '-', '+' and 'e', which `json` does not escape, so
+they are quoted as they are.  A record whose check is not exactly a
+`str`, whose verdict is not a `Verdict`, whose precision is not exactly an
+`int`, or whose params hold a key that is not exactly a `str` or a value
+that is not exactly an `int` or a `str` (a bool, a float, None, an
+`IntEnum`, a list) is written by `json.dumps(record.to_json_obj(),
+indent=2)` instead, indented to its place, so its bytes are `json`'s by
+construction.  `to_json` joins the record texts once: the head rides on
+the first record's text and the tail on the last's, so the document is
+never copied again.
 """
 
 from __future__ import annotations
@@ -64,6 +69,10 @@ def ball_rad_str(b: Ball | None) -> str:
     return radius_decimal(b.r, b.exp)
 
 
+# each verdict's value as `json` writes it, read once per record by _json_text
+_VERDICT_JSON = {v: _str(v.value) for v in Verdict}
+
+
 class CheckRecord(NamedTuple):
     """Outcome of one verification step."""
 
@@ -89,19 +98,20 @@ class CheckRecord(NamedTuple):
     def _json_text(self) -> str:
         """This record as an element of the report's "records" list: the
         bytes `json.dumps(self.to_json_obj(), indent=2)` writes there."""
-        params, m = self.params_dict(), self.margin
+        params, m, verdict = self.params_dict(), self.margin, _VERDICT_JSON.get(self.verdict)
         items = [
-            f"        {_str(k)}: {_str(v) if type(v) is str else int.__repr__(v)}"
+            f"        {_str(k)}: {_str(v) if type(v) is str else v}"
             for k, v in params.items() if type(k) is str and type(v) in (int, str)
         ]
-        if len(items) < len(params) or not (type(self.check) is str and type(self.precision_bits) is int):
+        if (len(items) < len(params) or verdict is None
+                or not (type(self.check) is str and type(self.precision_bits) is int)):
             return "    " + json.dumps(self.to_json_obj(), indent=2).replace("\n", "\n    ")
         items = "{\n" + ",\n".join(items) + "\n      }" if items else "{}"
         return (
             f'    {{\n      "check": {_str(self.check)},\n      "params": {items},\n'
-            f'      "verdict": {_str(self.verdict.value)},\n'
-            f'      "margin_mid": {_str(ball_mid_str(m))},\n      "margin_rad": {_str(ball_rad_str(m))},\n'
-            f'      "precision_bits": {int.__repr__(self.precision_bits)}\n    }}'
+            f'      "verdict": {verdict},\n'
+            f'      "margin_mid": "{ball_mid_str(m)}",\n      "margin_rad": "{ball_rad_str(m)}",\n'
+            f'      "precision_bits": {self.precision_bits}\n    }}'
         )
 
 
@@ -147,11 +157,16 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """`json.dumps({"summary": ..., "records": [...]}, indent=2)`, record
-        by record through `CheckRecord._json_text`."""
+        by record through `CheckRecord._json_text`, in one join: the head
+        rides on the first record's text and the tail on the last's."""
         summary = ",\n".join(f"    {_str(k)}: {v}" for k, v in self.summary().items())
-        records = ",\n".join(r._json_text() for r in self.records)
-        records = f"[\n{records}\n  ]" if records else "[]"
-        return f'{{\n  "summary": {{\n{summary}\n  }},\n  "records": {records}\n}}'
+        head = f'{{\n  "summary": {{\n{summary}\n  }},\n  "records": '
+        if not self.records:
+            return head + "[]\n}"
+        texts = [r._json_text() for r in self.records]
+        texts[0] = head + "[\n" + texts[0]
+        texts[-1] += "\n  ]\n}"
+        return ",\n".join(texts)
 
     def to_csv_rows(self) -> list[list[str]]:
         head = ["check", "params", "verdict", "margin_mid", "margin_rad", "precision_bits"]

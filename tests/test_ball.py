@@ -487,6 +487,50 @@ def test_decimal_kernel_matches_exact_rounding(cases):
         assert rad == _decimal_reference(man, exp, 2, up=True), (man, exp)
 
 
+# (a, exp, sig, up, how far t settles from its first estimate: 0 = right,
+# +1 = one too low, -1 = one too high).  The estimate reads only the bit
+# length, so 15 (4 bits, estimate 0) is one too low; 2^13301 is the first
+# power of two where 30103/100000 > log10(2) lifts it one too high.  999 and
+# 991 (up) settle only after q rounds up to exactly 10^sig.
+_BRANCH_CASES = [
+    (3, 10, 2, False, 0),  # exp >= 0, 10^2 into den: 3072
+    (3, 4, 5, False, 0),  # exp >= 0, 10^3 into num: 48
+    (1, -3, 2, False, 0),  # exp < 0, 10^2 into num: 0.125
+    (3 << 40, -20, 2, False, 0),  # exp < 0, 10^5 into den: 3145728
+    (15, 0, 2, False, 1),
+    (1, 13301, 12, False, -1),
+    (999, 0, 2, False, 1),
+    (991, 0, 2, True, 1),
+    (16, 0, 2, True, 0),  # up, zero remainder: stays 16
+    (17, 0, 1, True, 0),  # up, nonzero remainder: 2e1
+    (5, -7, 3, True, 0),  # up, exp < 0: 0.0390625 -> 0.0391
+]
+
+
+@pytest.mark.parametrize("a, exp, sig, up, moved", _BRANCH_CASES)
+def test_decimal_digits_each_branch_matches_exact_rounding(a, exp, sig, up, moved):
+    from harmonicbounds import ball
+
+    q, t = ball._decimal_digits(a, exp, sig, up)
+    assert 10 ** (sig - 1) <= q < 10**sig
+    assert q * Fraction(10) ** (t - sig + 1) == _decimal_reference(a, exp, sig, up)
+    assert t - (a.bit_length() - 1 + exp) * 30103 // 100000 == moved
+
+
+def test_radius_memo_agrees_with_the_function_and_holds_a_report():
+    from harmonicbounds.verify import verify_all
+
+    rep = verify_all(500, 128)
+    margins = {(r.margin.r, r.margin.exp) for r in rep.records if r.margin is not None}
+    for rman, rexp in margins:
+        assert radius_decimal(rman, rexp) == radius_decimal.__wrapped__(rman, rexp)
+    radius_decimal.cache_clear()
+    rep.to_json()
+    info = radius_decimal.cache_info()
+    # every distinct radius fits, so the report never evicts one it needs again
+    assert 0 < info.misses <= info.maxsize == 1024 and info.hits > info.misses
+
+
 def test_pow10_memo_holds_a_whole_report():
     from harmonicbounds import ball
     from harmonicbounds.verify import verify_all

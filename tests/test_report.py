@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 import pytest
 
@@ -146,4 +146,24 @@ def test_to_json_matches_json_dumps_on_every_check_and_on_edge_reports():
     # a check name that is a str subclass and a bool precision take the fallback
     odd_fields = CheckRecord(Verdict.PASS, (("n", 1),), Verdict.PASS, None, True)
     for rep in (full, VerificationReport(), VerificationReport([empty_params, odd_fields])):
+        assert rep.to_json() == _dumps(rep)
+
+
+class _OtherVerdict(Enum):
+    """A verdict that is not a `Verdict` but has the same wire value."""
+
+    PASS = "pass"
+
+
+def test_to_json_head_and_tail_ride_on_the_first_and_last_record():
+    template = _rec("a", Verdict.PASS)
+    fallback = CheckRecord("odd", (("x", 0.5),), Verdict.PASS, Ball(3, -2, 1, -9), 128)
+    foreign = CheckRecord("alien", (("n", 1),), _OtherVerdict.PASS, None, 64)
+    for records in (
+        [template],  # one record, through the template
+        [fallback],  # one record, through json.dumps
+        [foreign],  # one record, through json.dumps: its verdict is not a Verdict
+        [fallback, template, _rec("b", Verdict.FAIL, None)],  # the first takes the fallback
+    ):
+        rep = VerificationReport(records)
         assert rep.to_json() == _dumps(rep)
