@@ -15,6 +15,9 @@ the same power of two, rounding up.  A wide ball, whose radius is about as
 long as its midpoint, is given a shorter midpoint instead, so that after
 every rounding r is at most 2^64 + 1.
 
+A ball is built once, by _ball, which fills its three slots through the
+slots' own setters; afterwards every write or delete raises.
+
 Every operation returns a ball whose interval contains the exact image of
 the input intervals.  No infinities or NaNs exist in this model — out-of-
 domain inputs raise instead.
@@ -180,18 +183,6 @@ def _dyadic_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     return (a > b) - (a < b)
 
 
-_new_ball = object.__new__
-_set = object.__setattr__
-
-
-def _ball(man: int, exp: int, r: int) -> "Ball":
-    b = _new_ball(Ball)
-    _set(b, "man", man)
-    _set(b, "exp", exp)
-    _set(b, "r", r)
-    return b
-
-
 class Ball:
     """Closed interval [(man - r)*2^exp, (man + r)*2^exp], with r >= 0."""
 
@@ -213,6 +204,9 @@ class Ball:
     def __setattr__(self, name, value):
         raise AttributeError("Ball is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Ball is immutable")
+
     def __reduce__(self):
         return (Ball, (self.man, self.exp, self.r, self.exp))
 
@@ -220,7 +214,7 @@ class Ball:
 
     @classmethod
     def from_int(cls, value: int) -> "Ball":
-        return cls(value, 0)
+        return _ball(value, 0, 0)
 
     @classmethod
     def exact_dyadic(cls, man: int, exp: int) -> "Ball":
@@ -300,6 +294,22 @@ class Ball:
 
     def __hash__(self):
         return hash((self.mid_fraction(), self.rad_fraction()))
+
+
+_new_ball = object.__new__
+# The slots' own setters, bound once: _ball fills a new ball through them,
+# and Ball.__setattr__ and __delattr__ refuse every later write.
+_set_man = Ball.__dict__["man"].__set__
+_set_exp = Ball.__dict__["exp"].__set__
+_set_r = Ball.__dict__["r"].__set__
+
+
+def _ball(man: int, exp: int, r: int) -> Ball:
+    b = _new_ball(Ball)
+    _set_man(b, man)
+    _set_exp(b, exp)
+    _set_r(b, r)
+    return b
 
 
 def _dyadic_fraction(m: int, e: int) -> Fraction:

@@ -108,11 +108,12 @@ def judge(
     open_ = None
     equal = False
     for i, d in enumerate(diffs):
-        if d.is_negative():
+        m, r = d.man, d.r
+        if -m > r:  # certainly negative
             return Verdict.FAIL, d, d
-        if _dyadic_cmp(d.man, d.exp, lowest.man, lowest.exp) < 0:
+        if d is not lowest and _dyadic_cmp(m, d.exp, lowest.man, lowest.exp) < 0:
             lowest = d
-        if d.is_positive():
+        if m > r:  # certainly positive
             continue
         if i in may_equal and d.rad_fraction() < EQUALITY_RADIUS:
             equal = True
@@ -584,7 +585,9 @@ def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundC
     lo = spec.lower(n, p)
     hi = spec.upper(n, p)
     diffs = (sub(t, lo, p), sub(hi, t, p))
-    declared = [i for i, eq in enumerate((spec.lower_equalities, spec.upper_equalities)) if n in eq]
+    declared = ()
+    if n in spec.lower_equalities or n in spec.upper_equalities:
+        declared = [i for i, eq in enumerate((spec.lower_equalities, spec.upper_equalities)) if n in eq]
     verdict, margin, deciding = judge(diffs, declared)
     equal = ""
     if verdict is Verdict.EQUALITY:

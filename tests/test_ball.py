@@ -199,11 +199,27 @@ def test_structural_equality_and_hash():
 @given(balls())
 @settings(max_examples=200)
 def test_balls_are_immutable_and_picklable(b):
+    fields = (b.man, b.exp, b.r)
+    for name in ("man", "exp", "r"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, 6)
+        with pytest.raises(AttributeError):
+            delattr(b, name)
     with pytest.raises(AttributeError):
-        b.man = 6
+        b.other = 6
+    # memoised balls are shared between callers: a refused write changes nothing
+    assert (b.man, b.exp, b.r) == fields
     # sweep_2jobs sends balls between processes
     c = pickle.loads(pickle.dumps(b))
     assert type(c) is Ball and (c.man, c.exp, c.r) == (b.man, b.exp, b.r)
+
+
+@given(st.sampled_from([0, 1, -1]) | st.integers(min_value=-(2**300), max_value=2**300))
+@settings(max_examples=200)
+def test_from_int_builds_what_the_general_constructor_builds(v):
+    a, b = Ball.from_int(v), Ball(v, 0)
+    assert type(a) is Ball
+    assert (a.man, a.exp, a.r) == (b.man, b.exp, b.r)
 
 
 # ---------------------------------------------------------------------------

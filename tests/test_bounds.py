@@ -374,6 +374,53 @@ def test_judge_verdict_order_and_margin(diffs, may_equal, verdict, pick):
         assert deciding is margin
 
 
+def _judge_reference(diffs, may_equal):
+    """judge's rule written with the sign predicates and exact midpoints."""
+    lowest = diffs[0]
+    open_ = None
+    equal = False
+    for i, d in enumerate(diffs):
+        if d.is_negative():
+            return Verdict.FAIL, d, d
+        if d.mid_fraction() < lowest.mid_fraction():
+            lowest = d
+        if d.is_positive():
+            continue
+        if i in may_equal and d.rad_fraction() < EQUALITY_RADIUS:
+            equal = True
+        elif open_ is None:
+            open_ = d
+    if open_ is not None:
+        return None, open_, open_
+    return Verdict.EQUALITY if equal else Verdict.PASS, lowest, lowest
+
+
+# exact zeros, straddling and one-sided balls, equal midpoints in two
+# encodings, and radii on both sides of EQUALITY_RADIUS
+_judged_balls = st.builds(
+    _diff,
+    st.sampled_from([0, 1, -1, "1/4", "-1/4", "1/2", 3]),
+    st.sampled_from([0, _TINY, EQUALITY_RADIUS, 2 * EQUALITY_RADIUS, "1/8", "1/4", 1, 2]),
+) | st.builds(Ball, st.integers(-8, 8), st.integers(-3, 3), st.integers(0, 4), st.integers(-3, 3))
+
+
+@st.composite
+def _judged(draw):
+    pool = draw(st.lists(_judged_balls, min_size=1, max_size=3))
+    # the same ball may stand at more than one place
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3))
+    return tuple(pool[i] for i in picks), draw(st.lists(st.integers(0, 2), unique=True))
+
+
+@given(_judged())
+@settings(max_examples=400)
+def test_judge_matches_the_rule_written_with_sign_predicates(case):
+    diffs, may_equal = case
+    got, want = judge(diffs, may_equal), _judge_reference(diffs, may_equal)
+    assert got[0] is want[0]
+    assert got[1] is want[1] and got[2] is want[2]
+
+
 def test_equality_difference_is_zero_to_thirty_digits():
     chk = check_bound("main", 1, prec=256)
     d = sub(chk.target, chk.lower, 256)
