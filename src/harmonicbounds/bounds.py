@@ -288,14 +288,18 @@ def _half_recip(n: int, w: int) -> Ball:
     return Ball.from_fraction(Fraction(1, 2 * n), w)
 
 
-def _frame_offset(target_id: str, n: int, w: int) -> Ball:
-    """What a target adds to become H(n) - ln n - g, the frame its bounds compare in.
+@lru_cache(maxsize=4)
+def _frame_offset(target_id: str, n: int, w: int) -> Ball | None:
+    """What a target adds to become H(n) - ln n - g, the frame its bounds
+    compare in, or None for that frame itself.
 
     Defined for the targets that differ from that frame by a term free of
     ln n and g, so bounds on different targets compare without cancelling.
+    Memoised for the few targets at one (n, w): detemple and chen share
+    ln(1 + 1/(2n)).
     """
     if target_id == "H_minus_ln_gamma":
-        return Ball.from_int(0)
+        return None
     if target_id == "H_minus_lnhalf_gamma":
         return _ln1p_half_recip(n, w)
     if target_id == "H_minus_ln_half_n_gamma":

@@ -152,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_int_at_least(1),
         default=1,
-        help="worker processes for the bound stage, the only stage that fans "
-        "out; it does so only at max-n >= 4*jobs where fork exists, with at "
-        "most one worker per core (default 1)",
+        help="processes for the bound stage, the only stage that fans out: "
+        "jobs - 1 forked children and this process, at most one per core; it "
+        "fans out only at max-n >= 4*jobs where fork exists (default 1)",
     )
     add_format(p)
     add_precision(p)

@@ -14,9 +14,9 @@ _STAGES is the one list of these stages: it maps each stage name, in report
 order, to the function that yields its records, and CHECK_NAMES is its
 keys.  Every stage but the bound sweep is called as stage(max_n, p).
 verify_all runs the selected stages from it, each once, in that order.
-Only the bound sweep fans out over worker processes: the parent runs the
-other selected stages while the workers sweep, and multiprocessing is
-imported only when it does.
+Only the bound sweep fans out: with jobs J it forks J - 1 children, which
+sweep at once, while the parent runs the other selected stages and then
+sweeps with them as the last job (_fan_out).
 
 The per-n claims, f_below_limit, f_monotone, epsilon, refinement and
 x_decreasing, are the rows of one table, _PER_N.  A row names its check,
@@ -55,10 +55,10 @@ at p directly.
 Every stage decides at the caller's precision p, the precision
 bounds.check_bound starts at.  Within one process the stages share what is
 memoised per precision, such as g and ln 2; the values at each n they
-share less.  Under fan-out the bound sweep runs in forked workers, whose
-memos the parent never sees.  With one job psi_gap's memo keeps only its
-last 1024 arguments, so past about a thousand indices each stage computes
-its gaps at n again.  Within a stage the rows of one n share them: f(n)
+share less.  Under fan-out most of the bound sweep runs in forked
+children, whose memos the parent never sees.  With one job psi_gap's
+memo keeps only its last 1024 arguments, so past about a thousand
+indices each stage computes its gaps at n again.  Within a stage the rows of one n share them: f(n)
 is computed once for f_below_limit and f_monotone.  Refinement compares
 the bounds' intervals for H(n) - ln n - g, the frame in which their
 targets differ by terms free of ln n and g (bounds._frame_offset).
@@ -70,7 +70,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, NoReturn, Sequence
 
 from . import elementary, specfun
 from .ball import (
@@ -450,8 +450,9 @@ _REFINED_IDS = ("chen", "toth_sharp", "detemple", "franel", "young")
 def _implied_interval(bound_id: str, n: int, w: int) -> tuple[Ball, Ball]:
     """A bound's interval for H(n) - ln n - g."""
     spec = _SPECS[bound_id]
+    lo, hi = spec.lower(n, w), spec.upper(n, w)
     r = _frame_offset(spec.target, n, w)
-    return add(spec.lower(n, w), r, w), add(spec.upper(n, w), r, w)
+    return (lo, hi) if r is None else (add(lo, r, w), add(hi, r, w))
 
 
 def _nests(outer: str, n: int, w: int) -> tuple[Ball, Ball]:
@@ -666,40 +667,121 @@ def _in_catalog_order(parts: Iterable[list[CheckRecord]]) -> list[CheckRecord]:
     return records
 
 
+def _fan_out(
+    args: list[tuple[int, int, int]], children: int, meanwhile: Callable[[], list[CheckRecord]],
+) -> tuple[list[list[CheckRecord]], list[CheckRecord]]:
+    """Each n-chunk's records, in chunk order, and the records of meanwhile().
+
+    Forks `children` children before anything else.  They take chunks from
+    the front; the parent runs meanwhile(), then takes chunks from the
+    back.  The unclaimed chunks are [front, back), two slots in a shared
+    anonymous mmap, and a pipe holding one token byte is their lock.  Each
+    child pickles each chunk's records to its own unlinked temporary file
+    (a pipe would fill and block it while the parent runs meanwhile()), or
+    its exception in their place, and leaves through os._exit, never into
+    the caller's stack.  The parent reaps each child, then reads its file:
+    a child's exception is raised again, and any other failed exit raises
+    an error naming it.  On any error in the parent, every child not yet
+    reaped is killed and reaped before the error leaves.
+    """
+    # imported here, not at the top: only the fan-out uses them, and every
+    # single-process run would otherwise pay for them at start-up
+    import mmap
+    import pickle
+    import signal
+    import tempfile
+
+    def claim(front: bool) -> int | None:
+        os.read(lock_r, 1)
+        try:
+            lo, hi = ends
+            if lo == hi:
+                return None
+            ends[0], ends[1] = (lo + 1, hi) if front else (lo, hi - 1)
+            return lo if front else hi - 1
+        finally:
+            os.write(lock_w, b"\0")
+
+    def child(out: IO[bytes]) -> NoReturn:
+        code = 1
+        try:
+            try:
+                for i in iter(partial(claim, True), None):
+                    pickle.dump((i, _bounds_chunk(args[i])), out)
+                out.flush()
+                code = 0
+            except BaseException as exc:  # the parent raises it again
+                out.seek(0)
+                out.truncate()
+                pickle.dump(exc, out)
+                out.flush()
+        finally:
+            os._exit(code)
+
+    lock_r, lock_w = os.pipe()
+    os.write(lock_w, b"\0")
+    parts: list = [None] * len(args)
+    outs: list[IO[bytes]] = []
+    pids: dict[int, IO[bytes]] = {}  # the children not yet reaped, with their files
+    with mmap.mmap(-1, 16) as shared, memoryview(shared).cast("q") as ends:
+        ends[1] = len(args)
+        try:
+            for _ in range(children):
+                outs.append(tempfile.TemporaryFile())
+                pid = os.fork()
+                if pid == 0:
+                    child(outs[-1])
+                pids[pid] = outs[-1]
+            rest = meanwhile()
+            for i in iter(partial(claim, False), None):
+                parts[i] = _bounds_chunk(args[i])
+            for pid, out in list(pids.items()):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pids[pid]
+                out.seek(0)
+                if code != 0:
+                    try:
+                        exc = pickle.load(out)
+                    except Exception:  # cut short: the child wrote no exception
+                        exc = None
+                    if isinstance(exc, BaseException):
+                        raise exc
+                    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    raise RuntimeError(f"a bound sweep worker {how}")
+                while out.peek(1):
+                    i, parts[i] = pickle.load(out)
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            for pid in pids:
+                os.waitpid(pid, 0)
+            for out in outs:
+                out.close()
+            os.close(lock_r)
+            os.close(lock_w)
+    if None in parts:
+        raise RuntimeError("the bound sweep lost an n-chunk")
+    return parts, rest
+
+
 def _sweep_bounds(
     max_n: int, p: int, jobs: int, meanwhile: Callable[[], list[CheckRecord]],
 ) -> list[CheckRecord]:
     """The catalog at every n in [1, max_n], in catalog order, then by n,
     followed by the records of meanwhile().
 
-    The n-chunks go through a forked pool of at most one worker per core
-    when that leaves two or more workers, max_n is at least 4 per worker
-    and fork exists: the parent runs meanwhile() while the workers sweep,
-    and the pool is terminated once both are done.  An error, in a worker
-    or in meanwhile(), leaves only once every chunk is back.  Otherwise the
-    chunks go through the builtin map, and meanwhile() runs after.
+    With jobs capped at one per core, the n-chunks fan out (_fan_out) to
+    jobs - 1 forked children and the parent, which runs meanwhile() first,
+    when that leaves at least one child, max_n is at least 4 per job and
+    fork exists.  Otherwise the chunks go through the builtin map, and
+    meanwhile() runs after.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     chunk = -(-max_n // (4 * jobs))
     args = [(lo, min(lo + chunk, max_n + 1), p) for lo in range(1, max_n + 1, chunk)]
-    if jobs > 1 and max_n >= 4 * jobs:
-        # imported here, not at the top: it costs several milliseconds,
-        # which every single-process run would otherwise pay at start-up
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-                pending = pool.map_async(_bounds_chunk, args)
-                try:
-                    rest = meanwhile()
-                except Exception:
-                    # a worker terminated while it sends a chunk would leave
-                    # the result queue's lock held, and the pool's shutdown
-                    # would wait for it forever: let the workers finish first
-                    pending.wait()
-                    raise
-                parts = pending.get()
-            return _in_catalog_order(parts) + rest
+    if jobs > 1 and max_n >= 4 * jobs and hasattr(os, "fork"):
+        parts, rest = _fan_out(args, jobs - 1, meanwhile)
+        return _in_catalog_order(parts) + rest
     return _in_catalog_order(map(_bounds_chunk, args)) + meanwhile()
 
 
@@ -732,9 +814,9 @@ def verify_all(
     """Run the selected stages of _STAGES, each once and in its order.
 
     Results are deterministic for fixed arguments regardless of jobs: only
-    the bound sweep fans out over worker processes, and it reassembles in
-    catalog order; the parent runs every other stage, in order, while the
-    workers sweep.
+    the bound sweep fans out, to jobs - 1 forked children and the parent,
+    and it reassembles in catalog order; the parent runs every other
+    stage, in order, while the children sweep, and then joins them.
     """
     specfun.check_index(max_n, 3, "max_n")
     specfun.check_index(jobs, 1, "jobs")

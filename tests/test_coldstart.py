@@ -29,7 +29,8 @@ def test_the_first_line_is_the_import_time(monkeypatch, capsys):
 
 
 # the modules that every run would pay for at start-up and none needs:
-# dataclasses pulls in inspect, and multiprocessing serves only the fan-out
+# dataclasses pulls in inspect, and nothing uses multiprocessing: the fan-out
+# forks its children with os.fork
 _UNNEEDED = ("dataclasses", "inspect", "multiprocessing")
 
 _STARTUP = f"""\

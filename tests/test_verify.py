@@ -8,12 +8,14 @@ deterministic sweep.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
 
 import mpmath as mp
 import pytest
@@ -572,104 +574,53 @@ def test_verify_all_runs_each_selected_stage_once_in_check_names_order():
     assert a == b
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
 def test_verify_all_without_fork_sweeps_in_process(monkeypatch):
-    # the probe reports no fork, so no pool may be built
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started without fork")
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
-    assert verify_all(20, 128, jobs=2).to_json() == verify_all(20, 128, jobs=1).to_json()
-
-
-def test_verify_all_starts_at_most_one_worker_per_core(monkeypatch):
-    # a fake fork context records the pool size and maps in-process, so
-    # the test starts no process whatever jobs asks for
-    sizes = []
-
-    class FakePool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map_async(self, fn, args):
-            return FakeResult(list(map(fn, args)))
-
-    class FakeResult(NamedTuple):
-        value: list
-
-        def get(self):
-            return self.value
-
-    class FakeContext:
-        Pool = FakePool
-
-    def get_context(method):
-        assert method == "fork"
-        return FakeContext()
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    # with no os.fork the sweep runs in-process, whatever jobs and the cores say
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = verify_all(20, 128, checks=("bounds",)).to_json()
-    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
-    assert sizes == [2]
-
-    # one core leaves one worker, which runs in-process
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
-    assert sizes == [2]
+    serial = verify_all(20, 128, jobs=1).to_json()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert verify_all(20, 128, jobs=2).to_json() == serial
 
 
 @pytest.fixture
-def pool_events(monkeypatch):
-    """A fake fork pool on two cores: it maps in-process and logs map_async,
-    wait, get and its exit in the list returned."""
-    events = []
+def events(monkeypatch):
+    """On two cores, the list of the parent's real forks, logged as "fork",
+    and of whatever else a test logs in the parent."""
+    log = []
+    real_fork = os.fork
 
-    class FakeResult(NamedTuple):
-        value: list
+    def fork():
+        pid = real_fork()
+        if pid:
+            log.append("fork")
+        return pid
 
-        def wait(self):
-            events.append("wait")
-
-        def get(self):
-            events.append("get")
-            return self.value
-
-    class FakePool:
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            events.append("exit")
-            return False
-
-        def map_async(self, fn, args):
-            events.append("map_async")
-            return FakeResult(list(map(fn, args)))
-
-    class FakeContext:
-        Pool = FakePool
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return events
+    return log
 
 
-def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, pool_events):
+@needs_fork
+def test_verify_all_starts_at_most_one_worker_per_core(monkeypatch, events):
+    serial = verify_all(20, 128, checks=("bounds",)).to_json()
+    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
+    # two cores: the parent and one child
+    assert events == ["fork"]
+
+    # one core leaves the parent alone
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert verify_all(20, 128, checks=("bounds",), jobs=64).to_json() == serial
+    assert events == ["fork"]
+
+
+@needs_fork
+def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, events):
     def logged(name, stage):
         def run(*args):
-            pool_events.append(name)
+            events.append(name)
             return stage(*args)
         return run
 
@@ -677,39 +628,222 @@ def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, p
     for name, stage in list(verify._STAGES.items()):
         if name != "bounds":
             monkeypatch.setitem(verify._STAGES, name, logged(name, stage))
-    assert verify_all(20, 128, jobs=2).records == serial
-    assert pool_events == ["map_async", *CHECK_NAMES[1:], "get", "exit"]
+    parent = os.getpid()
+    gate_r, gate_w = os.pipe()
+    waited = []
+    real_chunk = verify._bounds_chunk
 
-    # without bounds no pool is started, and the stages run in order
-    pool_events.clear()
+    def chunk(args):
+        # the child waits in its first chunk until the parent starts one,
+        # so the parent takes at least one chunk
+        if os.getpid() == parent:
+            events.append(args[0])
+            os.write(gate_w, b"\0")
+        elif not waited:
+            waited.append(os.read(gate_r, 1))
+        return real_chunk(args)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    try:
+        assert verify_all(20, 128, jobs=2).records == serial
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    # every other stage, in order, before the parent's first chunk; then
+    # chunks from the back (20 n in chunks of 3: the last starts at 19)
+    stages = ["fork", *CHECK_NAMES[1:]]
+    assert events[:len(stages)] == stages
+    starts = events[len(stages):]
+    assert starts[:1] == [19] and starts == sorted(starts, reverse=True)
+
+    # without bounds nothing forks, and the stages run in order
+    events.clear()
     verify_all(20, 128, checks=("refinement", "epsilon"), jobs=2)
-    assert pool_events == ["epsilon", "refinement"]
-
-
-def test_verify_all_lets_the_workers_finish_before_a_stage_error_leaves(monkeypatch, pool_events):
-    monkeypatch.setitem(verify._STAGES, "epsilon", _fails)
-    with pytest.raises(RuntimeError, match="stage failed"):
-        verify_all(20, 128, jobs=2)
-    assert pool_events == ["map_async", "wait", "exit"]
+    assert events == ["epsilon", "refinement"]
 
 
 def _fails(*args):
     raise RuntimeError("stage failed")
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method",
-)
-@pytest.mark.parametrize("where", ["parent", "worker"])
-def test_verify_all_a_failure_propagates_and_leaves_no_worker_behind(monkeypatch, where):
+def _open_fds() -> set[str]:
+    """This process's open file descriptors, where /proc lists them."""
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _assert_nothing_left(fds: set[str]) -> None:
+    """No child process is left, and no file the sweep opened."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@needs_fork
+@pytest.mark.parametrize("where, message", [
+    ("parent", "stage failed"),
+    ("worker", "chunk failed in a worker"),
+    ("parents_chunk", "chunk failed in the parent"),
+], ids=["parent", "worker", "parents_chunk"])
+def test_verify_all_a_failure_propagates_and_leaves_no_worker_behind(monkeypatch, where, message):
+    # a stage fails in the parent, or a chunk only in the child, or a chunk
+    # only in the parent: each error leaves with its own message
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if where == "parent":
         monkeypatch.setitem(verify._STAGES, "epsilon", _fails)
-    else:
-        monkeypatch.setattr(verify, "_bounds_chunk", _fails)
-    with pytest.raises(RuntimeError, match="stage failed"):
-        verify_all(40, 128, jobs=2)
-    assert multiprocessing.active_children() == []
+    parent = os.getpid()
+    fds = _open_fds()
+    gate_r, gate_w = os.pipe()
+    real_chunk = verify._bounds_chunk
+
+    def chunk(args):
+        in_child = os.getpid() != parent
+        if where == "worker" and in_child:
+            os.write(gate_w, b"\0")
+            raise RuntimeError("chunk failed in a worker")
+        if where == "worker":
+            # the parent's chunks wait until the child's has failed
+            select.select([gate_r], [], [], 60)
+        if where == "parents_chunk" and in_child:
+            # the child's first chunk stalls until the parent kills it
+            select.select([gate_r], [], [], 60)
+            os.write(gate_w, b"\0")
+        if where == "parents_chunk" and not in_child:
+            raise RuntimeError("chunk failed in the parent")
+        return real_chunk(args)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            verify_all(40, 128, jobs=2)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+def test_verify_all_kills_and_reaps_the_workers_before_a_stage_error_leaves(monkeypatch):
+    # the child stalls in its first chunk for a minute, so the stage error
+    # leaves well within it only if it kills the child rather than wait
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(verify._STAGES, "epsilon", _fails)
+    parent = os.getpid()
+    fds = _open_fds()
+    gate_r, gate_w = os.pipe()
+    real_chunk = verify._bounds_chunk
+
+    def chunk(args):
+        if os.getpid() != parent:
+            select.select([gate_r], [], [], 60)
+            os.write(gate_w, b"\0")
+        return real_chunk(args)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="stage failed"):
+            verify_all(40, 128, jobs=2)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    assert time.monotonic() - start < 30
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+@pytest.mark.parametrize("how, message", [
+    ("exit", "exited with status 3"),
+    ("signal", f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit", "signal"])
+def test_verify_all_refuses_to_report_when_a_worker_dies(monkeypatch, how, message):
+    # a child that dies with no exception leaves its chunks unswept: the
+    # sweep raises rather than return a report with bound records missing
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+    fds = _open_fds()
+    gate_r, gate_w = os.pipe()
+    real_chunk = verify._bounds_chunk
+
+    def chunk(args):
+        if os.getpid() == parent:
+            # the parent's chunks wait until the child has died in one
+            select.select([gate_r], [], [], 60)
+            return real_chunk(args)
+        os.write(gate_w, b"\0")
+        if how == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    try:
+        with pytest.raises(RuntimeError, match=message):
+            verify_all(40, 128, jobs=2)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
+    _assert_nothing_left(fds)
+
+
+@needs_fork
+def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypatch):
+    # fifteen children and the parent, on fewer cores, claim 64 one-n
+    # chunks through the shared slots as fast as they can; each chunk logs
+    # its n to a pipe, and a lost update would run one twice or never
+    def timed_out(signum, frame):
+        raise TimeoutError("the sweep took over 120 s")
+
+    def chunk(args):
+        os.write(log_w, b"%d " % args[0])
+        return []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    fds = _open_fds()
+    log_r, log_w = os.pipe()
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    try:
+        verify_all(64, 128, checks=("bounds",), jobs=16)
+        starts = sorted(map(int, os.read(log_r, 1 << 16).split()))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        os.close(log_r)
+        os.close(log_w)
+    assert starts == list(range(1, 65))
+    _assert_nothing_left(fds)
+
+
+_FRESH_SWEEP = """\
+import os, sys, warnings
+warnings.simplefilter("error")
+from harmonicbounds.verify import verify_all
+real_fork, forks = os.fork, []
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+os.fork, os.cpu_count = fork, lambda: 2
+print("before the sweep")
+verify_all(40, 128, jobs=2)
+print(sum(pid > 0 for pid in forks), "multiprocessing" in sys.modules)
+"""
+
+
+@needs_fork
+def test_verify_all_fans_out_in_a_fresh_interpreter_without_warnings_or_multiprocessing():
+    # stdout is a pipe, so "before the sweep" is still buffered at the fork:
+    # a child that flushed it on its way out would print it twice
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SWEEP],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "before the sweep\n1 False\n"
 
 
 def test_verify_all_decides_every_claim_at_the_callers_precision():
