@@ -186,6 +186,13 @@ class BoundSpec(NamedTuple):
         )
 
 
+@lru_cache(maxsize=64, typed=True)
+def _param(key: str, value: object) -> tuple[str, object]:
+    """(key, value) as one tuple, shared by the records that carry it: all
+    those of one id and, since a sweep takes n in order, those of one n."""
+    return key, value
+
+
 class BoundCheck(NamedTuple):
     """Result of checking one bound at one n."""
 
@@ -207,7 +214,7 @@ class BoundCheck(NamedTuple):
     def record(self) -> CheckRecord:
         """The report record of this check."""
         return CheckRecord(
-            check="bound", params=(("id", self.bound_id), ("n", self.n)),
+            check="bound", params=(_param("id", self.bound_id), _param("n", self.n)),
             verdict=self.verdict, margin=self.margin, precision_bits=self.precision_bits,
         )
 

@@ -230,13 +230,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 ]
             )
     else:
-        print(rep.to_json())
+        _write_json(rep)
     return rep.exit_code()
+
+
+def _write_json(rep: VerificationReport) -> None:
+    """The report's JSON on stdout, record by record, and a newline."""
+    rep.write_json(sys.stdout)
+    sys.stdout.write("\n")
 
 
 def _emit_report(rep: VerificationReport, fmt: str) -> int:
     if fmt == "json":
-        print(rep.to_json())
+        _write_json(rep)
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rep.to_csv_rows())

@@ -8,23 +8,30 @@ A `CheckRecord` is an immutable named tuple: it is iterable, indexable
 and has a `len`, and it equals a plain tuple of the same fields.  A
 `VerificationReport` is a plain class whose `records` list grows in place.
 
-`VerificationReport.to_json` writes exactly the bytes of
-`json.dumps(obj, indent=2)`, but not through it: with `indent` set,
-CPython's `json` runs its pure-Python encoder, which cost more than
-certifying the report.  Each record is one f-string in the fixed key
-order, with `indent=2`'s whitespace, every string escaped by
-`json.encoder.encode_basestring_ascii` and every exact int formatted as
-`int.__repr__` writes it, as `json` does.  The margins' decimal strings
-hold only digits, '.', '-', '+' and 'e', which `json` does not escape, so
-they are quoted as they are.  A record whose check is not exactly a
-`str`, whose verdict is not a `Verdict`, whose precision is not exactly an
-`int`, or whose params hold a key that is not exactly a `str` or a value
-that is not exactly an `int` or a `str` (a bool, a float, None, an
-`IntEnum`, a list) is written by `json.dumps(record.to_json_obj(),
-indent=2)` instead, indented to its place, so its bytes are `json`'s by
-construction.  `to_json` joins the record texts once: the head rides on
-the first record's text and the tail on the last's, so the document is
-never copied again.
+The JSON report is exactly the bytes of `json.dumps(obj, indent=2)`, but
+not written through it: with `indent` set, CPython's `json` runs its
+pure-Python encoder, which cost more than certifying the report.  Each
+record is one f-string in the fixed key order, with `indent=2`'s
+whitespace, every string escaped by `json.encoder.encode_basestring_ascii`
+and every exact int formatted as `int.__repr__` writes it, as `json` does.
+The margins' decimal strings hold only digits, '.', '-', '+' and 'e',
+which `json` does not escape, so they are quoted as they are.  A record
+whose check is not exactly a `str`, whose verdict is not a `Verdict`,
+whose precision is not exactly an `int`, or whose params hold a key that
+is not exactly a `str` or a value that is not exactly an `int` or a `str`
+(a bool, a float, None, an `IntEnum`, a list) is written by
+`json.dumps(record.to_json_obj(), indent=2)` instead, indented to its
+place, so its bytes are `json`'s by construction.
+
+`VerificationReport.write_json` writes it to a stream record by record,
+so neither all the texts nor the whole document need be in memory at
+once; `to_json` is the join of what it writes.  `_json_text` is the one
+writer of a record's text, but it need not run where the report is
+written: a fanned-out `verify_all` has its jobs render each record where
+it is made, and hands the texts to the report it returns as one list
+aligned with `records`.  A job-made text is used only while the record at
+its index is the very object it was rendered from; a record replaced,
+inserted, removed or moved since is rendered again when it is written.
 """
 
 from __future__ import annotations
@@ -120,6 +127,15 @@ class VerificationReport:
 
     def __init__(self, records: list[CheckRecord] | None = None) -> None:
         self.records = [] if records is None else records
+        # job-made texts: _texts[i] is _texts_of[i]._json_text()
+        self._texts: list[str] = []
+        self._texts_of: list[CheckRecord] = []
+
+    def _with_texts(self, texts: list[str]) -> VerificationReport:
+        """This report, which writes texts[i] for records[i] while records[i]
+        is the record it is now; texts[i] must be its _json_text()."""
+        self._texts, self._texts_of = texts, self.records[:len(texts)]
+        return self
 
     def __eq__(self, other):
         return self.records == other.records if other.__class__ is self.__class__ else NotImplemented
@@ -155,18 +171,30 @@ class VerificationReport:
             return 3
         return 0
 
-    def to_json(self) -> str:
-        """`json.dumps({"summary": ..., "records": [...]}, indent=2)`, record
-        by record through `CheckRecord._json_text`, in one join: the head
-        rides on the first record's text and the tail on the last's."""
+    def write_json(self, stream) -> None:
+        """Write `json.dumps({"summary": ..., "records": [...]}, indent=2)` to
+        stream, a text stream, record by record: each record's job-made text
+        while the record is the one it was made from, else its
+        `CheckRecord._json_text`."""
+        write = stream.write
         summary = ",\n".join(f"    {_str(k)}: {v}" for k, v in self.summary().items())
-        head = f'{{\n  "summary": {{\n{summary}\n  }},\n  "records": '
+        write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "records": ')
         if not self.records:
-            return head + "[]\n}"
-        texts = [r._json_text() for r in self.records]
-        texts[0] = head + "[\n" + texts[0]
-        texts[-1] += "\n  ]\n}"
-        return ",\n".join(texts)
+            write("[]\n}")
+            return
+        texts, texts_of = self._texts, self._texts_of
+        made, sep = len(texts_of), "[\n"
+        for i, r in enumerate(self.records):
+            write(sep)
+            write(texts[i] if i < made and texts_of[i] is r else r._json_text())
+            sep = ",\n"
+        write("\n  ]\n}")
+
+    def to_json(self) -> str:
+        """What write_json writes, as one string."""
+        pieces = _Pieces()
+        self.write_json(pieces)
+        return "".join(pieces)
 
     def to_csv_rows(self) -> list[list[str]]:
         head = ["check", "params", "verdict", "margin_mid", "margin_rad", "precision_bits"]
@@ -183,6 +211,12 @@ class VerificationReport:
                 ]
             )
         return rows
+
+
+class _Pieces(list):
+    """A list that write_json can write to: each write appends a piece."""
+
+    write = list.append
 
 
 def render_table(rows: list[list[str]]) -> str:

@@ -16,7 +16,12 @@ keys.  Every stage but the bound sweep is called as stage(max_n, p).
 verify_all runs the selected stages from it, each once, in that order.
 Only the bound sweep fans out: with jobs J it forks J - 1 children, which
 sweep at once, while the parent runs the other selected stages and then
-sweeps with them as the last job (_fan_out).
+sweeps with them as the last job (_fan_out).  The jobs claim ranges of n
+that shrink as fewer are left, and each job renders the JSON text of each
+record it makes, with CheckRecord._json_text; the report that verify_all
+returns then writes those texts, not the parent (report module).  A chunk
+holds, per n, one record per bound id in catalog order, so the sweep
+reassembles in catalog order, then by n, by slicing, with no sort.
 
 The per-n claims, f_below_limit, f_monotone, epsilon, refinement and
 x_decreasing, are the rows of one table, _PER_N.  A row names its check,
@@ -653,103 +658,169 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
 # the full sweep
 # ---------------------------------------------------------------------------
 
+# the fewest n a claim of the fanned-out sweep takes while as many are left
+_CLAIM_FLOOR = 4
+
+
 def _bounds_chunk(args: tuple[int, int, int]) -> list[CheckRecord]:
+    """The catalog at every n in [n_lo, n_hi): per n, one record per id, in
+    bound_ids() order."""
     n_lo, n_hi, p = args
     return [check_bound(bid, n, p).record() for n in range(n_lo, n_hi) for bid in bound_ids()]
 
 
-def _in_catalog_order(parts: Iterable[list[CheckRecord]]) -> list[CheckRecord]:
-    """The n-chunks' records as one list in catalog order, then by n: one
-    stable sort, so the order does not depend on the worker count."""
-    records = [r for part in parts for r in part]
-    index = {bid: i for i, bid in enumerate(bound_ids())}
-    records.sort(key=lambda r: index[r.params_dict()["id"]])
-    return records
+def _in_catalog_order(parts: list[list]) -> list:
+    """The entries of n-chunks in n order, each holding per n one entry per
+    bound id in bound_ids() order, as one list in catalog order, then by n:
+    id k's entries of a chunk are part[k::len(bound_ids())]."""
+    ids = len(bound_ids())
+    return [x for k in range(ids) for part in parts for x in part[k::ids]]
+
+
+def _render(records: list[CheckRecord]) -> list[str]:
+    return [r._json_text() for r in records]
 
 
 def _fan_out(
-    args: list[tuple[int, int, int]], children: int, meanwhile: Callable[[], list[CheckRecord]],
-) -> tuple[list[list[CheckRecord]], list[CheckRecord]]:
-    """Each n-chunk's records, in chunk order, and the records of meanwhile().
+    max_n: int, p: int, children: int, meanwhile: Callable[[], list[CheckRecord]],
+) -> tuple[list[CheckRecord], list[str]]:
+    """The bound records at every n in [1, max_n], in catalog order, then by
+    n, followed by those of meanwhile(), and each record's _json_text().
 
-    Forks `children` children before anything else.  They take chunks from
-    the front; the parent runs meanwhile(), then takes chunks from the
-    back.  The unclaimed chunks are [front, back), two slots in a shared
-    anonymous mmap, and a pipe holding one token byte is their lock.  Each
-    child pickles each chunk's records to its own unlinked temporary file
-    (a pipe would fill and block it while the parent runs meanwhile()), or
-    its exception in their place, and leaves through os._exit, never into
-    the caller's stack.  The parent reaps each child, then reads its file:
-    a child's exception is raised again, and any other failed exit raises
-    an error naming it.  On any error in the parent, every child not yet
-    reaped is killed and reaped before the error leaves.
+    Forks `children` children before anything else.  They take n from the
+    front; the parent runs meanwhile() and renders its records, then takes
+    n from the back.  The unclaimed n are [front, back), two slots in a
+    shared anonymous mmap; each claim takes about a 1/(2 jobs) share of
+    them, at least _CLAIM_FLOOR, so the claims shrink toward the meeting
+    point and no job idles long at the end (guided self-scheduling).  A
+    POSIX record lock on an unlinked temporary file guards the slots; the
+    kernel drops it when its holder dies, so a child killed while holding
+    it blocks no one.  Each job renders the texts of the records it makes.
+    Each child appends each claim's range, records and texts, pickled, to
+    its own unlinked temporary file (a pipe would fill and block it while
+    the parent runs meanwhile()), and at its next claim publishes how many
+    bytes of complete entries it has written, in a slot of its own; on an
+    exception it appends that instead, and it leaves through os._exit,
+    never into the caller's stack.  Before each of its claims the parent
+    reads every child's published entries, with os.pread, since the file
+    offset is shared across the fork.  It then reaps each child and reads
+    the rest of its file: a child's exception is raised again, and any
+    other failed exit raises an error naming it.  On any error in the
+    parent, every child not yet reaped is killed and reaped before the
+    error leaves.
     """
     # imported here, not at the top: only the fan-out uses them, and every
     # single-process run would otherwise pay for them at start-up
+    import fcntl
+    import io
     import mmap
     import pickle
     import signal
     import tempfile
+    from contextlib import contextmanager
 
-    def claim(front: bool) -> int | None:
-        os.read(lock_r, 1)
+    jobs = children + 1
+
+    @contextmanager
+    def held():
+        fcntl.lockf(lock, fcntl.LOCK_EX)
         try:
-            lo, hi = ends
-            if lo == hi:
-                return None
-            ends[0], ends[1] = (lo + 1, hi) if front else (lo, hi - 1)
-            return lo if front else hi - 1
+            yield
         finally:
-            os.write(lock_w, b"\0")
+            fcntl.lockf(lock, fcntl.LOCK_UN)
 
-    def child(out: IO[bytes]) -> NoReturn:
+    def claim(me: int, published: int = 0) -> tuple[int, int] | None:
+        """Under the lock, child me (the parent: -1) publishes its flushed
+        size and takes n from its end, or None when none are left."""
+        with held():
+            lo, hi = slots[0], slots[1]
+            if me >= 0:
+                slots[2 + me] = published
+            take = min(hi - lo, max(_CLAIM_FLOOR, (hi - lo) // (2 * jobs)))
+            if not take:
+                return None
+            if me >= 0:
+                slots[0] = lo + take
+                return lo, lo + take
+            slots[1] = hi - take
+            return hi - take, hi
+
+    def sweep(span: tuple[int, int]) -> tuple[int, list[CheckRecord], list[str]]:
+        records = _bounds_chunk((*span, p))
+        return span[1], records, _render(records)
+
+    def child(me: int, out: IO[bytes]) -> NoReturn:
         code = 1
         try:
             try:
-                for i in iter(partial(claim, True), None):
-                    pickle.dump((i, _bounds_chunk(args[i])), out)
-                out.flush()
+                size = 0
+                while (span := claim(me, size)) is not None:
+                    entry = pickle.dumps((span[0], *sweep(span)))
+                    out.write(entry)
+                    out.flush()
+                    size += len(entry)
                 code = 0
             except BaseException as exc:  # the parent raises it again
-                out.seek(0)
-                out.truncate()
-                pickle.dump(exc, out)
+                out.write(pickle.dumps(exc))
                 out.flush()
         finally:
             os._exit(code)
 
-    lock_r, lock_w = os.pipe()
-    os.write(lock_w, b"\0")
-    parts: list = [None] * len(args)
+    def read(me: int, end: int) -> BaseException | None:
+        """Keep child me's entries from where the last read stopped up to
+        byte end; its exception, if that is what it wrote."""
+        start, done[me] = done[me], end
+        data = io.BytesIO(os.pread(outs[me].fileno(), end - start, start))
+        while data.tell() < end - start:
+            entry = pickle.load(data)
+            if isinstance(entry, BaseException):
+                return entry
+            parts[entry[0]] = entry[1:]
+        return None
+
+    parts: dict[int, tuple[int, list[CheckRecord], list[str]]] = {}  # by first n
     outs: list[IO[bytes]] = []
-    pids: dict[int, IO[bytes]] = {}  # the children not yet reaped, with their files
-    with mmap.mmap(-1, 16) as shared, memoryview(shared).cast("q") as ends:
-        ends[1] = len(args)
+    done: list[int] = []  # how far the parent has read each child's file
+    pids: dict[int, int] = {}  # the children not yet reaped, with their numbers
+    with (
+        tempfile.TemporaryFile() as lock,
+        mmap.mmap(-1, 8 * (2 + children)) as shared,
+        memoryview(shared).cast("q") as slots,
+    ):
+        slots[0], slots[1] = 1, max_n + 1
         try:
-            for _ in range(children):
+            for me in range(children):
                 outs.append(tempfile.TemporaryFile())
+                done.append(0)
                 pid = os.fork()
                 if pid == 0:
-                    child(outs[-1])
-                pids[pid] = outs[-1]
+                    child(me, outs[-1])
+                pids[pid] = me
             rest = meanwhile()
-            for i in iter(partial(claim, False), None):
-                parts[i] = _bounds_chunk(args[i])
-            for pid, out in list(pids.items()):
+            rest_texts = _render(rest)
+            while True:
+                with held():  # what a child published before it released the lock
+                    published = slots[2:].tolist()
+                for me, size in enumerate(published):
+                    read(me, size)
+                span = claim(-1)
+                if span is None:
+                    break
+                parts[span[0]] = sweep(span)
+            for pid, me in list(pids.items()):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del pids[pid]
-                out.seek(0)
+                try:
+                    exc = read(me, os.fstat(outs[me].fileno()).st_size)
+                except Exception:  # cut short: the child died while writing
+                    if code == 0:
+                        raise
+                    exc = None
+                if exc is not None:
+                    raise exc
                 if code != 0:
-                    try:
-                        exc = pickle.load(out)
-                    except Exception:  # cut short: the child wrote no exception
-                        exc = None
-                    if isinstance(exc, BaseException):
-                        raise exc
                     how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
                     raise RuntimeError(f"a bound sweep worker {how}")
-                while out.peek(1):
-                    i, parts[i] = pickle.load(out)
         finally:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
@@ -757,37 +828,40 @@ def _fan_out(
                 os.waitpid(pid, 0)
             for out in outs:
                 out.close()
-            os.close(lock_r)
-            os.close(lock_w)
-    if None in parts:
-        raise RuntimeError("the bound sweep lost an n-chunk")
-    return parts, rest
+    chunks = []
+    n = 1
+    while n <= max_n:
+        if n not in parts:
+            raise RuntimeError("the bound sweep lost an n-chunk")
+        n, *chunk = parts[n]
+        chunks.append(chunk)
+    records = _in_catalog_order([r for r, _ in chunks]) + rest
+    return records, _in_catalog_order([t for _, t in chunks]) + rest_texts
 
 
 def _sweep_bounds(
     max_n: int, p: int, jobs: int, meanwhile: Callable[[], list[CheckRecord]],
-) -> list[CheckRecord]:
+) -> tuple[list[CheckRecord], list[str]]:
     """The catalog at every n in [1, max_n], in catalog order, then by n,
-    followed by the records of meanwhile().
+    followed by the records of meanwhile(), and the records' job-made
+    texts: one per record when the sweep fans out, else none.
 
-    With jobs capped at one per core, the n-chunks fan out (_fan_out) to
+    With jobs capped at one per core, the sweep fans out (_fan_out) to
     jobs - 1 forked children and the parent, which runs meanwhile() first,
     when that leaves at least one child, max_n is at least 4 per job and
-    fork exists.  Otherwise the chunks go through the builtin map, and
-    meanwhile() runs after.
+    fork exists.  Otherwise it runs in this process as one chunk, and
+    meanwhile() runs after; the texts are then left to the report.
     """
     jobs = min(jobs, os.cpu_count() or 1)
-    chunk = -(-max_n // (4 * jobs))
-    args = [(lo, min(lo + chunk, max_n + 1), p) for lo in range(1, max_n + 1, chunk)]
     if jobs > 1 and max_n >= 4 * jobs and hasattr(os, "fork"):
-        parts, rest = _fan_out(args, jobs - 1, meanwhile)
-        return _in_catalog_order(parts) + rest
-    return _in_catalog_order(map(_bounds_chunk, args)) + meanwhile()
+        return _fan_out(max_n, p, jobs - 1, meanwhile)
+    return _in_catalog_order([_bounds_chunk((1, max_n + 1, p))]) + meanwhile(), []
 
 
 # every stage of verify_all, in report order: stage(max_n, p) -> records,
 # except the bound sweep, which verify_all calls as
-# stage(max_n, p, jobs, meanwhile) with the other selected stages as meanwhile
+# stage(max_n, p, jobs, meanwhile) with the other selected stages as
+# meanwhile, and which returns (records, texts)
 _STAGES: dict[str, Callable[..., list[CheckRecord]]] = {
     "bounds": _sweep_bounds,
     "sharpness": lambda max_n, p: sharpness_main(max_n, p).records,
@@ -816,7 +890,9 @@ def verify_all(
     Results are deterministic for fixed arguments regardless of jobs: only
     the bound sweep fans out, to jobs - 1 forked children and the parent,
     and it reassembles in catalog order; the parent runs every other
-    stage, in order, while the children sweep, and then joins them.
+    stage, in order, while the children sweep, and then joins them.  When
+    it fans out, the returned report carries each record's text as the
+    job that made it rendered it, and writes its JSON from those.
     """
     specfun.check_index(max_n, 3, "max_n")
     specfun.check_index(jobs, 1, "jobs")
@@ -836,6 +912,7 @@ def verify_all(
             for r in stage(max_n, p)
         ]
 
-    return VerificationReport(
-        _STAGES["bounds"](max_n, p, jobs, serial) if "bounds" in selected else serial()
-    )
+    if "bounds" not in selected:
+        return VerificationReport(serial())
+    records, texts = _STAGES["bounds"](max_n, p, jobs, serial)
+    return VerificationReport(records)._with_texts(texts)

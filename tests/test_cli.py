@@ -209,6 +209,7 @@ def test_bounds_json_reuses_report_schema(capsys):
     assert obj["summary"]["pass"] == 12
     assert {r["check"] for r in obj["records"]} == {"bound"}
     assert [r["params"]["id"] for r in obj["records"]][:3] == ["franel", "klamkin", "odd"]
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_bounds_unknown_bound_is_usage_error():
@@ -238,6 +239,16 @@ def test_verify_sharpness_check_only(capsys):
     checks = {r["check"] for r in obj["records"]}
     assert checks == {"f_value", "f_digits", "f_below_limit", "f_monotone", "f_gap_decreasing"}
     assert obj["summary"]["fail"] == 0 and obj["summary"]["undecided"] == 0
+
+
+def test_verify_json_is_the_reports_to_json_and_a_newline_with_either_job_count(capsys, monkeypatch):
+    from harmonicbounds.verify import verify_all
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    expected = verify_all(20, 128).to_json() + "\n"
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--max-n", "20", "--format", "json", "--jobs", jobs)
+        assert (code, out) == (0, expected)
 
 
 def test_verify_csv_format(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from enum import Enum, IntEnum
 
@@ -147,6 +148,25 @@ def test_to_json_matches_json_dumps_on_every_check_and_on_edge_reports():
     odd_fields = CheckRecord(Verdict.PASS, (("n", 1),), Verdict.PASS, None, True)
     for rep in (full, VerificationReport(), VerificationReport([empty_params, odd_fields])):
         assert rep.to_json() == _dumps(rep)
+
+
+def test_write_json_writes_to_json_record_by_record():
+    from harmonicbounds.verify import verify_all
+
+    fallback = CheckRecord("odd", (("x", 0.5),), Verdict.PASS, Ball(3, -2, 1, -9), 128)
+    large = verify_all(200, 128)
+    fanned_out = verify_all(40, 128, jobs=2)  # with job-made texts, where it fans out
+    for rep in (
+        VerificationReport(),
+        VerificationReport([_rec("a", Verdict.PASS)]),
+        VerificationReport([fallback]),
+        VerificationReport([_rec("a", Verdict.PASS), fallback, _rec("b", Verdict.FAIL, None)]),
+        large,
+        fanned_out,
+    ):
+        stream = io.StringIO()
+        rep.write_json(stream)
+        assert stream.getvalue() == rep.to_json() == _dumps(rep)
 
 
 class _OtherVerdict(Enum):

@@ -22,7 +22,7 @@ import pytest
 
 from harmonicbounds import bounds, specfun, verify
 from harmonicbounds.ball import MAX_PRECISION, Ball, sub
-from harmonicbounds.report import Verdict
+from harmonicbounds.report import Verdict, VerificationReport
 from harmonicbounds.verify import (
     CHECK_NAMES,
     DEFAULT_G_GRID,
@@ -562,10 +562,38 @@ def test_verify_all_subset_of_checks():
     assert set(c) == {"epsilon_anchor", "epsilon"}
 
 
-def test_verify_all_is_deterministic_across_job_counts():
-    a = verify_all(20, 128, jobs=1).to_json()
-    b = verify_all(20, 128, jobs=2).to_json()
-    assert a == b
+def test_verify_all_is_deterministic_across_job_counts(monkeypatch):
+    # on two cores; 8 is the least max_n that fans out to two jobs, and the
+    # others leave the last claims of unequal sizes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for max_n in (8, 9, 13, 20, 37, 200):
+        for checks in (None, ("bounds",)):
+            a = verify_all(max_n, 128, checks=checks, jobs=1).to_json()
+            b = verify_all(max_n, 128, checks=checks, jobs=2).to_json()
+            assert a == b, (max_n, checks)
+
+
+def test_verify_all_job_made_texts_are_used_only_for_the_records_they_render(monkeypatch):
+    # the fanned-out report carries texts rendered by the jobs; whatever is
+    # done to its records, it writes what a fresh report of them writes
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rep = verify_all(40, 128, jobs=2)
+    assert len(rep._texts) == len(rep.records)
+    other = verify_all(3, 128, checks=("epsilon",)).records
+    edits = (
+        lambda records: records.__setitem__(5, other[0]),  # replaced
+        lambda records: records.__setitem__(0, records[0]._replace(verdict=Verdict.FAIL)),  # edited
+        lambda records: records.append(other[1]),  # appended
+        lambda records: records.insert(0, other[2]),  # inserted: every index moves
+        lambda records: records.__delitem__(slice(7, 9)),  # deleted
+        lambda records: records.reverse(),  # reordered
+        lambda records: records.clear(),
+    )
+    for edit in edits:
+        edit(rep.records)
+        assert rep.to_json() == VerificationReport(list(rep.records)).to_json()
+    rep.records = verify_all(40, 128, jobs=2).records  # a new list of new records
+    assert rep.to_json() == VerificationReport(list(rep.records)).to_json()
 
 
 def test_verify_all_runs_each_selected_stage_once_in_check_names_order():
@@ -637,7 +665,7 @@ def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, e
         # the child waits in its first chunk until the parent starts one,
         # so the parent takes at least one chunk
         if os.getpid() == parent:
-            events.append(args[0])
+            events.append(args[:2])
             os.write(gate_w, b"\0")
         elif not waited:
             waited.append(os.read(gate_r, 1))
@@ -650,11 +678,11 @@ def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, e
         os.close(gate_r)
         os.close(gate_w)
     # every other stage, in order, before the parent's first chunk; then
-    # chunks from the back (20 n in chunks of 3: the last starts at 19)
+    # chunks from the back, each ending where the one before began
     stages = ["fork", *CHECK_NAMES[1:]]
     assert events[:len(stages)] == stages
-    starts = events[len(stages):]
-    assert starts[:1] == [19] and starts == sorted(starts, reverse=True)
+    spans = events[len(stages):]
+    assert spans and [hi for _, hi in spans] == [21] + [lo for lo, _ in spans[:-1]]
 
     # without bounds nothing forks, and the stages run in order
     events.clear()
@@ -785,15 +813,49 @@ def test_verify_all_refuses_to_report_when_a_worker_dies(monkeypatch, how, messa
 
 
 @needs_fork
+def test_verify_all_a_worker_killed_while_it_holds_the_claim_lock_blocks_no_one(monkeypatch):
+    # the child kills itself as soon as it holds the lock on the shared
+    # slots; the kernel drops the lock, so the parent claims, sweeps and
+    # then reports the child's death, instead of waiting for the lock
+    import fcntl
+
+    def timed_out(signum, frame):
+        raise TimeoutError("the parent waited over 60 s")
+
+    real_lockf = fcntl.lockf
+    parent = os.getpid()
+
+    def lockf(fd, cmd, *args):
+        real_lockf(fd, cmd, *args)
+        if cmd == fcntl.LOCK_EX and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fcntl, "lockf", lockf)
+    fds = _open_fds()
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    start = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match=f"killed by signal {int(signal.SIGKILL)}"):
+            verify_all(40, 128, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_nothing_left(fds)
+
+
+@needs_fork
 def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypatch):
-    # fifteen children and the parent, on fewer cores, claim 64 one-n
-    # chunks through the shared slots as fast as they can; each chunk logs
-    # its n to a pipe, and a lost update would run one twice or never
+    # fifteen children and the parent, on fewer cores, claim the 64 n
+    # through the shared slots as fast as they can; each claimed range logs
+    # all its n to a pipe, and a lost update would sweep one twice or never
     def timed_out(signum, frame):
         raise TimeoutError("the sweep took over 120 s")
 
     def chunk(args):
-        os.write(log_w, b"%d " % args[0])
+        os.write(log_w, b"".join(b"%d " % n for n in range(args[0], args[1])))
         return []
 
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
@@ -804,13 +866,13 @@ def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypat
     signal.alarm(120)
     try:
         verify_all(64, 128, checks=("bounds",), jobs=16)
-        starts = sorted(map(int, os.read(log_r, 1 << 16).split()))
+        swept = sorted(map(int, os.read(log_r, 1 << 16).split()))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
         os.close(log_r)
         os.close(log_w)
-    assert starts == list(range(1, 65))
+    assert swept == list(range(1, 65))
     _assert_nothing_left(fds)
 
 
