@@ -132,7 +132,7 @@ def _bits(prec, top: int = _INTERNAL_CEILING) -> int:
     return _checked(prec, top)
 
 
-def climb(step, w0: int):
+def climb(step, w0: int, first=None):
     """The precision ladder: run step(w) for w = w0, 2 w0, ... up to
     MAX_PRECISION, where w0 is a caller's precision.
 
@@ -142,11 +142,13 @@ def climb(step, w0: int):
     that decides.  The ladder gives up, returning decision None, at the cap
     or as soon as doubling w did not at least halve the deciding radius:
     the inputs' own width then sets that radius, and no higher rung helps.
+    A caller that has already run step(w0) passes its result as `first`,
+    and the ladder goes on from there without running it again.
     """
     w = w0
     prev = None
+    decision, value, deciding = step(w) if first is None else first
     while True:
-        decision, value, deciding = step(w)
         if decision is not None:
             return decision, value, w
         if w >= MAX_PRECISION or (
@@ -155,6 +157,7 @@ def climb(step, w0: int):
             return None, value, w
         prev = deciding
         w = min(2 * w, MAX_PRECISION)
+        decision, value, deciding = step(w)
 
 
 class Order(Enum):

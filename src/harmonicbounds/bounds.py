@@ -49,7 +49,7 @@ where g is the Euler--Mascheroni constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Collection, NamedTuple, Sequence, Union
 
 from . import elementary, specfun
@@ -382,6 +382,11 @@ def _minus_ln_expm1(n: int, c: Const, p: int) -> Ball:
 
 def _minus_gamma(n: int, c: Const, p: int) -> Ball:
     """c - g, the same at every n: Klamkin."""
+    return _const_minus_gamma(c, p)
+
+
+@lru_cache(maxsize=64)
+def _const_minus_gamma(c: Const, p: int) -> Ball:
     return sub(_const_ball(c, p), specfun.euler_gamma(p), p)
 
 
@@ -589,9 +594,13 @@ def evaluate_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> tuple[Ball,
 _SIDES = ("lower", "upper")
 
 
-def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundCheck, Ball]:
+def _check_rung(
+    spec: BoundSpec, n: int, p: int,
+) -> tuple[Verdict | None, tuple[Ball, Ball, Ball, Ball, str], Ball]:
     """One rung of check_bound's ladder: judge() of target - lower and
-    upper - target, as (verdict or None, the check at p bits, deciding)."""
+    upper - target at p bits, as (verdict or None, (margin, lower, target,
+    upper, equality side), deciding).  The bound sweep builds its records
+    from the margin without a BoundCheck (verify._bounds_chunk)."""
     t = _target_cached(spec.target, n, p)
     lo = spec.lower(n, p)
     hi = spec.upper(n, p)
@@ -603,7 +612,14 @@ def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundC
     equal = ""
     if verdict is Verdict.EQUALITY:
         equal = ",".join(_SIDES[i] for i in declared if not diffs[i].is_positive())
-    chk = BoundCheck(
+    return verdict, (margin, lo, t, hi, equal), deciding
+
+
+def check_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> BoundCheck:
+    """Check one bound at one n, climbing the precision ladder until decided."""
+    spec = _spec_at(bound_id, n)
+    verdict, (margin, lo, t, hi, equal), w = climb(partial(_check_rung, spec, n), bits_of(prec))
+    return BoundCheck(
         bound_id=spec.bound_id,
         n=n,
         verdict=verdict or Verdict.UNDECIDED,
@@ -611,14 +627,6 @@ def _check_rung(spec: BoundSpec, n: int, p: int) -> tuple[Verdict | None, BoundC
         target=t,
         upper=hi,
         margin=margin,
-        precision_bits=p,
+        precision_bits=w,
         equality_side=equal,
     )
-    return verdict, chk, deciding
-
-
-def check_bound(bound_id: str, n: int, prec=DEFAULT_PRECISION) -> BoundCheck:
-    """Check one bound at one n, climbing the precision ladder until decided."""
-    spec = _spec_at(bound_id, n)
-    _, chk, _ = climb(lambda w: _check_rung(spec, n, w), bits_of(prec))
-    return chk

@@ -142,9 +142,32 @@ def _atanh_sum_iv(u_lo: int, u_hi: int, w: int, r: int) -> tuple[int, int]:
     return s_lo, s_hi
 
 
-@lru_cache(maxsize=512)
 def _ln_dyadic(man: int, exp: int, w: int) -> tuple[int, int]:
     """ln(man*2^exp) for man > 0 as an integer interval at scale 2^-w.
+
+    man*2^exp = t * 2^k with t in [1, 2), and t depends on man only through
+    its odd part: ln t comes from the one memo keyed by that odd part and
+    w (_ln_mantissa), and k ln 2 is added after the lookup, so ln(2m + 1)
+    and ln(m + 1/2) share one series.
+    """
+    odd = man >> ((man & -man).bit_length() - 1)
+    lo, hi = _ln_mantissa(odd, w)
+    k = exp + man.bit_length() - 1
+    if k:
+        l2_lo, l2_hi = _ln_constants(w)[0]
+        if k > 0:
+            lo += k * l2_lo
+            hi += k * l2_hi
+        else:
+            lo += k * l2_hi
+            hi += k * l2_lo
+    return lo, hi
+
+
+@lru_cache(maxsize=512)
+def _ln_mantissa(odd: int, w: int) -> tuple[int, int]:
+    """ln t for t = odd / 2^(bit length of odd - 1) in [1, 2), as an
+    integer interval at scale 2^-w.
 
     Dividing out 1 + 2^-j when t >= 1 + 2^-j leaves t < 1 + 2^-j, since
     (1 + 2^-(j-1)) / (1 + 2^-j) < 1 + 2^-j, and a floor keeps t_lo there;
@@ -152,9 +175,7 @@ def _ln_dyadic(man: int, exp: int, w: int) -> tuple[int, int]:
     [t_lo, t_hi] by under 2 ulps, so u_hi is below 2^-(r+1) plus r + 2
     ulps.
     """
-    bl = man.bit_length()
-    k = exp + bl - 1  # man*2^exp = t * 2^k with t in [1, 2)
-    t_lo, t_hi = _floor_ceil(man, w - (bl - 1))
+    t_lo, t_hi = _floor_ceil(odd, w - (odd.bit_length() - 1))
     one = 1 << w
     consts = _ln_constants(w)
     r = len(consts) - 1
@@ -169,17 +190,7 @@ def _ln_dyadic(man: int, exp: int, w: int) -> tuple[int, int]:
     u_lo = ((t_lo - one) << w) // (t_hi + one)
     u_hi = -((-((t_hi - one) << w)) // (t_lo + one))
     s_lo, s_hi = _atanh_sum_iv(u_lo, u_hi, w, r)
-    lo += 2 * s_lo
-    hi += 2 * s_hi
-    if k:
-        l2_lo, l2_hi = consts[0]
-        if k > 0:
-            lo += k * l2_lo
-            hi += k * l2_hi
-        else:
-            lo += k * l2_hi
-            hi += k * l2_lo
-    return lo, hi
+    return lo + 2 * s_lo, hi + 2 * s_hi
 
 
 def ln2_ball(prec) -> Ball:

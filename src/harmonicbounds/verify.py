@@ -19,9 +19,12 @@ sweep at once, while the parent runs the other selected stages and then
 sweeps with them as the last job (_fan_out).  The jobs claim ranges of n
 that shrink as fewer are left, and each job renders the JSON text of each
 record it makes, with CheckRecord._json_text; the report that verify_all
-returns then writes those texts, not the parent (report module).  A chunk
-holds, per n, one record per bound id in catalog order, so the sweep
-reassembles in catalog order, then by n, by slicing, with no sort.
+returns then writes those texts, not the parent (report module).  A child
+hands its records back as flat columns, checks, params, verdict codes,
+precisions and the margins' ints, not as pickled records and balls, and
+the parent rebuilds them (_columns, _from_columns).
+A chunk holds, per n, one record per bound id in catalog order, so the
+sweep reassembles in catalog order, then by n, by slicing, with no sort.
 
 The per-n claims, f_below_limit, f_monotone, epsilon, refinement and
 x_decreasing, are the rows of one table, _PER_N.  A row names its check,
@@ -38,9 +41,12 @@ difference straddles zero the check retries at doubled precision, and
 reports undecided at the cap or as soon as doubling the precision did not
 at least halve that difference's radius, since the input's own width then
 sets it.  A window lo < v < hi is the two differences v - lo and hi - v.
-_certify is the one path from such a claim to its record.  The one check
-that is not an inequality, that two enclosures of the same real
-intersect, compares the balls as sets (_overlap_verdict).
+_certify is the one path from such a claim to its record.  It judges the
+first rung itself and climbs on from it only while the claim is open, as
+the bound sweep does (_bounds_chunk), so a claim decided at the caller's
+precision is judged once.  The one check that is not an inequality, that
+two enclosures of the same real intersect, compares the balls as sets
+(_overlap_verdict).
 
 The g_positivity stage reads no hand-entered polynomial: its envelopes
 of psi, psi' and ln x + 1/(2x) - psi(x+1), and the quartic G whose
@@ -83,6 +89,7 @@ from .ball import (
     DEFAULT_PRECISION,
     MAX_PRECISION,
     Order,
+    _ball,
     add,
     bits_of,
     climb,
@@ -96,7 +103,9 @@ from .ball import (
 )
 from .bounds import (
     SharpConstant,
+    _check_rung,
     _frame_offset,
+    _param,
     bound_ids,
     catalog,
     catalog_map,
@@ -131,12 +140,14 @@ def _certify(
     check: str, params: tuple[tuple[str, object], ...],
     make: Callable[[int], Sequence[Ball]], w0: int,
 ) -> CheckRecord:
-    """The record of the claim that every difference in make(w) is > 0, judged on the ladder."""
-    verdict, margin, w = climb(lambda w: judge(make(w)), w0)
-    return CheckRecord(
-        check=check, params=params, verdict=verdict or Verdict.UNDECIDED,
-        margin=margin, precision_bits=w,
-    )
+    """The record of the claim that every difference in make(w) is > 0:
+    judged at w0, and on up the ladder from there only while that leaves
+    it open."""
+    verdict, margin, _ = rung = judge(make(w0))
+    w = w0
+    if verdict is None:
+        verdict, margin, w = climb(lambda w: judge(make(w)), w0, rung)
+    return CheckRecord(check, params, verdict or Verdict.UNDECIDED, margin, w)
 
 
 def _inside(v: Ball, lo: Fraction, hi: Fraction, w: int) -> tuple[Ball, Ball]:
@@ -662,11 +673,34 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
 _CLAIM_FLOOR = 4
 
 
+def _claim_size(left: int, jobs: int) -> int:
+    """How many of the `left` unclaimed n one claim takes: about a 1/(2 jobs)
+    share, at least _CLAIM_FLOOR, so the claims shrink toward the meeting
+    point (guided self-scheduling).  _fan_out calls it under the claim lock,
+    between its read of the shared slots and its write."""
+    return min(left, max(_CLAIM_FLOOR, left // (2 * jobs)))
+
+
+# each bound's spec with its ("id", bound_id) param, in bound_ids() order
+_BOUND_PARAMS = tuple((spec, _param("id", spec.bound_id)) for spec in catalog())
+
+
 def _bounds_chunk(args: tuple[int, int, int]) -> list[CheckRecord]:
     """The catalog at every n in [n_lo, n_hi): per n, one record per id, in
-    bound_ids() order."""
+    bound_ids() order.  Each is check_bound(id, n, p).record(), built from
+    the first rung's margin with no BoundCheck, and climbed from that rung
+    only while it leaves the claim open."""
     n_lo, n_hi, p = args
-    return [check_bound(bid, n, p).record() for n in range(n_lo, n_hi) for bid in bound_ids()]
+    records = []
+    for n in range(n_lo, n_hi):
+        at_n = _param("n", n)
+        for spec, of_id in _BOUND_PARAMS:
+            verdict, sides, _ = rung = _check_rung(spec, n, p)
+            w = p
+            if verdict is None:
+                verdict, sides, w = climb(partial(_check_rung, spec, n), p, rung)
+            records.append(CheckRecord("bound", (of_id, at_n), verdict or Verdict.UNDECIDED, sides[0], w))
+    return records
 
 
 def _in_catalog_order(parts: list[list]) -> list:
@@ -681,6 +715,38 @@ def _render(records: list[CheckRecord]) -> list[str]:
     return [r._json_text() for r in records]
 
 
+# a verdict's code in the columns a child sends, and the verdict of each code
+_VERDICTS = tuple(Verdict)
+_VERDICT_CODES = {v: i for i, v in enumerate(_VERDICTS)}
+
+
+def _columns(records: list[CheckRecord]) -> tuple[list, ...]:
+    """records as flat columns of strs, ints and params, which pickle with
+    no class and no reduce call per record: checks, params, verdict codes,
+    precisions, and each margin's man, exp and r, all three None where a
+    record has no margin."""
+    margins = [r.margin for r in records]
+    return (
+        [r.check for r in records],
+        [r.params for r in records],
+        [_VERDICT_CODES[r.verdict] for r in records],
+        [r.precision_bits for r in records],
+        [None if m is None else m.man for m in margins],
+        [None if m is None else m.exp for m in margins],
+        [None if m is None else m.r for m in margins],
+    )
+
+
+def _from_columns(
+    checks: list, params: list, codes: list, precisions: list, mans: list, exps: list, rs: list,
+) -> list[CheckRecord]:
+    """The records that _columns made these columns of."""
+    return [
+        CheckRecord(c, q, _VERDICTS[v], None if m is None else _ball(m, e, r), w)
+        for c, q, v, w, m, e, r in zip(checks, params, codes, precisions, mans, exps, rs)
+    ]
+
+
 def _fan_out(
     max_n: int, p: int, children: int, meanwhile: Callable[[], list[CheckRecord]],
 ) -> tuple[list[CheckRecord], list[str]]:
@@ -690,22 +756,24 @@ def _fan_out(
     Forks `children` children before anything else.  They take n from the
     front; the parent runs meanwhile() and renders its records, then takes
     n from the back.  The unclaimed n are [front, back), two slots in a
-    shared anonymous mmap; each claim takes about a 1/(2 jobs) share of
-    them, at least _CLAIM_FLOOR, so the claims shrink toward the meeting
-    point and no job idles long at the end (guided self-scheduling).  A
+    shared anonymous mmap; each claim takes _claim_size of them, about a
+    1/(2 jobs) share, so the claims shrink toward the meeting point and no
+    job idles long at the end (guided self-scheduling).  A
     POSIX record lock on an unlinked temporary file guards the slots; the
     kernel drops it when its holder dies, so a child killed while holding
     it blocks no one.  Each job renders the texts of the records it makes.
-    Each child appends each claim's range, records and texts, pickled, to
-    its own unlinked temporary file (a pipe would fill and block it while
-    the parent runs meanwhile()), and at its next claim publishes how many
-    bytes of complete entries it has written, in a slot of its own; on an
-    exception it appends that instead, and it leaves through os._exit,
-    never into the caller's stack.  Before each of its claims the parent
-    reads every child's published entries, with os.pread, since the file
-    offset is shared across the fork.  It then reaps each child and reads
-    the rest of its file: a child's exception is raised again, and any
-    other failed exit raises an error naming it.  On any error in the
+    Each child appends each claim's range, its records as columns
+    (_columns, so that no record, ball or verdict object is pickled) and
+    their texts, pickled, to its own unlinked temporary file (a pipe would
+    fill and block it while the parent runs meanwhile()), and at its next
+    claim publishes how many bytes of complete entries it has written, in
+    a slot of its own; on an exception it appends that instead, and it
+    leaves through os._exit, never into the caller's stack.  Before each
+    of its claims the parent reads every child's published entries, with
+    os.pread, since the file offset is shared across the fork, and
+    rebuilds their records (_from_columns).  It then reaps each child and
+    reads the rest of its file: a child's exception is raised again, and
+    any other failed exit raises an error naming it.  On any error in the
     parent, every child not yet reaped is killed and reaped before the
     error leaves.
     """
@@ -736,7 +804,7 @@ def _fan_out(
             lo, hi = slots[0], slots[1]
             if me >= 0:
                 slots[2 + me] = published
-            take = min(hi - lo, max(_CLAIM_FLOOR, (hi - lo) // (2 * jobs)))
+            take = _claim_size(hi - lo, jobs)
             if not take:
                 return None
             if me >= 0:
@@ -745,9 +813,9 @@ def _fan_out(
             slots[1] = hi - take
             return hi - take, hi
 
-    def sweep(span: tuple[int, int]) -> tuple[int, list[CheckRecord], list[str]]:
+    def sweep(span: tuple[int, int]) -> tuple[list[CheckRecord], list[str]]:
         records = _bounds_chunk((*span, p))
-        return span[1], records, _render(records)
+        return records, _render(records)
 
     def child(me: int, out: IO[bytes]) -> NoReturn:
         code = 1
@@ -755,7 +823,8 @@ def _fan_out(
             try:
                 size = 0
                 while (span := claim(me, size)) is not None:
-                    entry = pickle.dumps((span[0], *sweep(span)))
+                    records, texts = sweep(span)
+                    entry = pickle.dumps((*span, _columns(records), texts))
                     out.write(entry)
                     out.flush()
                     size += len(entry)
@@ -775,7 +844,8 @@ def _fan_out(
             entry = pickle.load(data)
             if isinstance(entry, BaseException):
                 return entry
-            parts[entry[0]] = entry[1:]
+            lo, hi, columns, texts = entry
+            parts[lo] = hi, _from_columns(*columns), texts
         return None
 
     parts: dict[int, tuple[int, list[CheckRecord], list[str]]] = {}  # by first n
@@ -806,7 +876,7 @@ def _fan_out(
                 span = claim(-1)
                 if span is None:
                     break
-                parts[span[0]] = sweep(span)
+                parts[span[0]] = (span[1], *sweep(span))
             for pid, me in list(pids.items()):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del pids[pid]

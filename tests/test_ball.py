@@ -586,6 +586,13 @@ def test_climb_doubles_until_decided():
 
     assert climb(step, 128) == ("yes", 512, 512)
     assert rungs == [128, 256, 512]
+    # from a first rung the caller already ran, the ladder goes on without
+    # running it again, and a decided one is returned as it is
+    rungs.clear()
+    assert climb(step, 128, step(128)) == ("yes", 512, 512)
+    assert rungs == [128, 256, 512]
+    assert climb(step, 128, ("no", 1, Ball(0, 0))) == ("no", 1, 128)
+    assert rungs == [128, 256, 512]
 
 
 def test_climb_stops_when_doubling_does_not_halve_the_radius():

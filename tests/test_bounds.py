@@ -545,3 +545,11 @@ def test_records_and_configs_survive_a_pickle_round_trip():
     for obj in (rec, chk, Precision(256), EmConfig(q=7)):
         back = pickle.loads(pickle.dumps(obj))
         assert type(back) is type(obj) and back == obj
+
+
+def test_klamkins_sides_are_computed_once_per_precision():
+    # c - g is the same at every n, so every n shares one memoised ball
+    spec = catalog_map()["klamkin"]
+    for side in (spec.lower, spec.upper):
+        assert side(1, 128) is side(500, 128)
+        assert side(2, 256) is side(9, 256) is not side(2, 128)

@@ -20,6 +20,7 @@ from harmonicbounds.elementary import (
     _exp_dyadic,
     _ln_constants,
     _ln_dyadic,
+    _ln_mantissa,
     _reductions,
     exp,
     ln,
@@ -120,6 +121,20 @@ def test_ln_kernel_encloses_mpmath_and_stays_narrow(w):
         assert lo <= _scaled_ln(man, exp, w) <= hi, (w, man, exp)
         k = exp + man.bit_length() - 1
         assert hi - lo <= 4 * (w // (2 * r + 2) + r) + 64 + abs(k) * (l2_hi - l2_lo), (w, man, exp)
+
+
+@pytest.mark.parametrize("w", KERNEL_BITS)
+def test_ln_kernel_reads_the_mantissa_only_through_its_odd_part(w):
+    # man 2^s at exp - s is the same number and gets the same interval, so
+    # the memo is keyed by the odd part: ln(2m + 1) and ln(m + 1/2) share it
+    for man, exp in _kernel_arguments(w):
+        for s in (1, 7, w):
+            assert _ln_dyadic(man << s, exp - s, w) == _ln_dyadic(man, exp, w), (w, man, exp, s)
+    _ln_mantissa.cache_clear()
+    p = w - 24
+    ln(Ball.from_int(2001), p)
+    ln(Ball(2001, -1), p)
+    assert (_ln_mantissa.cache_info().hits, _ln_mantissa.cache_info().misses) == (1, 1)
 
 
 @pytest.mark.parametrize("w", KERNEL_BITS)

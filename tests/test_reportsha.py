@@ -32,6 +32,26 @@ def test_fingerprints_one_configuration_in_a_fresh_interpreter():
     assert all(re.fullmatch(r"  \S+ +[0-9a-f]{64}", line) for line in families)
 
 
+def _tool():
+    spec = importlib.util.spec_from_file_location("reportsha", _PATH)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_fingerprints_with_two_jobs_are_the_one_job_lines():
+    # 40 fans out to two jobs where there are two cores; a report does not
+    # depend on the job count, so neither do its lines
+    proc = subprocess.run(
+        [sys.executable, str(_PATH), "--jobs", "2", "40", "128"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert proc.stdout.splitlines() == _tool().fingerprint(40, 128)
+    for argv in (["40", "128", "--jobs", "2"], ["--jobs"], ["--jobs", "2", "40"]):
+        with pytest.raises(SystemExit, match="usage"):
+            _tool().main(argv)
+
+
 # Report fingerprints of the current code.  A change that moves a verdict, a
 # record or a report byte must update these and say why.
 PINNED = {
@@ -48,8 +68,5 @@ PINNED = {
 
 @pytest.mark.parametrize("max_n, bits", sorted(PINNED))
 def test_report_fingerprints_are_pinned(max_n, bits):
-    spec = importlib.util.spec_from_file_location("reportsha", _PATH)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    _, keys, js, *_ = tool.fingerprint(max_n, bits)
+    _, keys, js, *_ = _tool().fingerprint(max_n, bits)
     assert (keys.split()[-1], js.split()[-1]) == PINNED[max_n, bits]

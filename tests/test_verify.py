@@ -22,7 +22,7 @@ import pytest
 
 from harmonicbounds import bounds, specfun, verify
 from harmonicbounds.ball import MAX_PRECISION, Ball, sub
-from harmonicbounds.report import Verdict, VerificationReport
+from harmonicbounds.report import CheckRecord, Verdict, VerificationReport
 from harmonicbounds.verify import (
     CHECK_NAMES,
     DEFAULT_G_GRID,
@@ -875,6 +875,137 @@ def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypat
     assert swept == list(range(1, 65))
     _assert_nothing_left(fds)
 
+
+
+def _sweep_with_overlapping_claims_stalled(monkeypatch, wait_s: float) -> tuple[list[int], bool]:
+    """verify_all(8, 128) on two cores, with each job's first claim whose
+    size would overlap another claim of that size (2 * size > left) held
+    inside _claim_size, between the read of the slots and the write, until
+    the other job is held there too or wait_s pass.  The child takes [1, 5)
+    first: the parent's meanwhile stage waits for it.  Returns the swept n,
+    sorted, and whether the parent met the child inside _claim_size."""
+    def timed_out(signum, frame):
+        raise TimeoutError("the sweep took over 120 s")
+
+    parent = os.getpid()
+    real_size = verify._claim_size
+    held, met = [], []
+
+    def claim_size(left, jobs):
+        size = real_size(left, jobs)
+        if 2 * size > left and not held:
+            held.append(left)
+            mine, other = (to_child_w, to_parent_r) if os.getpid() == parent else (to_parent_w, to_child_r)
+            os.write(mine, b"\0")
+            ready = select.select([other], [], [], wait_s)[0]
+            if os.getpid() == parent:
+                met.append(bool(ready))
+        return size
+
+    def chunk(args):
+        os.write(log_w, b"".join(b"%d " % n for n in range(args[0], args[1])))
+        if os.getpid() != parent:
+            os.write(first_w, b"\0")
+        return []
+
+    def after_the_childs_first_claim(max_n, p):
+        select.select([first_r], [], [], 60)
+        return []
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_claim_size", claim_size)
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    monkeypatch.setitem(verify._STAGES, "epsilon", after_the_childs_first_claim)
+    fds = _open_fds()
+    pipes = [os.pipe() for _ in range(4)]
+    (log_r, log_w), (first_r, first_w), (to_child_r, to_child_w), (to_parent_r, to_parent_w) = pipes
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    try:
+        verify_all(8, 128, checks=("bounds", "epsilon"), jobs=2)
+        swept = sorted(map(int, os.read(log_r, 1 << 16).split()))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        for fd in (fd for pair in pipes for fd in pair):
+            os.close(fd)
+    _assert_nothing_left(fds)
+    return swept, bool(met and met[0])
+
+
+@needs_fork
+def test_the_claim_lock_keeps_two_jobs_from_claiming_the_same_n(monkeypatch):
+    # under the lock a job held inside _claim_size keeps the other out, so
+    # the two never meet there and every n is swept exactly once
+    assert _sweep_with_overlapping_claims_stalled(monkeypatch, 2) == (list(range(1, 9)), False)
+
+    # with fcntl.lockf a no-op the two meet there, both having read the same
+    # slots, and the last n are swept twice: the handshake forces the
+    # interleaving that the lock must rule out
+    import fcntl
+
+    monkeypatch.setattr(fcntl, "lockf", lambda *args: None)
+    swept, met = _sweep_with_overlapping_claims_stalled(monkeypatch, 30)
+    assert met
+    assert swept != list(range(1, 9))
+
+
+@needs_fork
+@pytest.mark.parametrize("max_n", [8, 37, 200])
+def test_verify_all_two_job_records_are_the_one_job_records(monkeypatch, max_n):
+    # the records a child sends as columns come back equal field by field:
+    # each verdict the Verdict member itself, each margin a Ball with the
+    # same man, exp and r
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    one = verify_all(max_n, 128, jobs=1).records
+    two = verify_all(max_n, 128, jobs=2).records
+    assert two == one
+    assert all(a.verdict is b.verdict for a, b in zip(one, two))
+    assert [type(r.margin) for r in two] == [type(r.margin) for r in one]
+    fields = lambda records: [m and (m.man, m.exp, m.r) for m in (r.margin for r in records)]
+    assert fields(two) == fields(one)
+
+
+
+@pytest.mark.parametrize("n_lo, n_hi, p", [
+    (1, 12, 53),  # the equalities at n = 1 climb one rung
+    (10**20, 10**20 + 2, 128),  # the last ids climb two
+    (10**400, 10**400 + 1, 128),  # main stays undecided at the cap
+])
+def test_bounds_chunk_makes_check_bounds_records(n_lo, n_hi, p):
+    # the sweep judges each first rung itself and climbs only from an open
+    # one, yet makes the very records check_bound's would
+    records = verify._bounds_chunk((n_lo, n_hi, p))
+    assert records == [
+        bounds.check_bound(b, n, p).record() for n in range(n_lo, n_hi) for b in bounds.bound_ids()
+    ]
+    assert {r.precision_bits for r in records} != {p}
+
+@needs_fork
+def test_the_fan_out_sends_any_record_across_unchanged(monkeypatch):
+    # records with no margin, with params that are no bound's (str and int
+    # values, or none) and with every verdict cross the fork as they are
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    margins = (None, Ball(7, -3), Ball(-5, 2, 3, 2), Ball(0, 0, 1, -9))
+    verdicts = tuple(Verdict)
+
+    def chunk(args):
+        n_lo, n_hi, p = args
+        return [
+            CheckRecord(
+                "probe", (("label", f"x{n}"), ("k", -k)) if k else (),
+                verdicts[(n + k) % 4], margins[(n * k) % 4], p + k,
+            )
+            for n in range(n_lo, n_hi) for k in range(len(bounds.bound_ids()))
+        ]
+
+    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
+    one = verify_all(40, 128, checks=("bounds",), jobs=1)
+    two = verify_all(40, 128, checks=("bounds",), jobs=2)
+    assert len(two.records) == 480 and two.records == one.records
+    assert all(a.verdict is b.verdict and a.params == b.params for a, b in zip(one.records, two.records))
+    assert {r.margin is None for r in two.records} == {True, False}
+    assert two.to_json() == one.to_json()
 
 _FRESH_SWEEP = """\
 import os, sys, warnings

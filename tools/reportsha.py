@@ -1,9 +1,9 @@
 """Fingerprints of verify_all reports, for comparing two versions of the code.
 
-Usage: python3 tools/reportsha.py [MAX_N BITS ...]
+Usage: python3 tools/reportsha.py [--jobs J] [MAX_N BITS ...]
 
 For each (MAX_N, BITS) pair (default: 500 128, 25 1024 and 10000 128) it
-runs verify_all(MAX_N, BITS) with one job and prints:
+runs verify_all(MAX_N, BITS, jobs=J), J = 1 unless given, and prints:
 
   - the record count and the verdict summary
   - keys: the SHA-256 of the sorted (check, params, verdict) triples, which
@@ -12,8 +12,10 @@ runs verify_all(MAX_N, BITS) with one job and prints:
   - one SHA-256 per check family (the records sharing a `check` name),
     which shows where the bytes moved
 
-It imports the package from the src/ next to it and needs nothing beyond
-the standard library.
+A report does not depend on J, so neither do the lines: the same
+arguments with --jobs 2 must print what they print with one job, which
+checks the fan-out's records and bytes.  It imports the package from the
+src/ next to it and needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def fingerprint(max_n: int, bits: int) -> list[str]:
-    """The printed lines for verify_all(max_n, bits)."""
-    rep = verify_all(max_n, bits)
+def fingerprint(max_n: int, bits: int, jobs: int = 1) -> list[str]:
+    """The printed lines for verify_all(max_n, bits, jobs=jobs)."""
+    rep = verify_all(max_n, bits, jobs=jobs)
     keys = sorted(
         json.dumps([r.check, r.params_dict(), r.verdict.value], separators=(",", ":"))
         for r in rep.records
@@ -56,12 +58,15 @@ def fingerprint(max_n: int, bits: int) -> list[str]:
 
 
 def main(argv: list[str]) -> None:
-    if len(argv) % 2:
-        raise SystemExit("usage: reportsha.py [MAX_N BITS ...]")
+    jobs = 1
+    if argv[:1] == ["--jobs"] and len(argv) > 1:
+        jobs, argv = int(argv[1]), argv[2:]
+    if len(argv) % 2 or "--jobs" in argv:
+        raise SystemExit("usage: reportsha.py [--jobs J] [MAX_N BITS ...]")
     nums = [int(a) for a in argv]
     pairs = list(zip(nums[::2], nums[1::2])) or DEFAULT_PAIRS
     for max_n, bits in pairs:
-        print("\n".join(fingerprint(max_n, bits)), flush=True)
+        print("\n".join(fingerprint(max_n, bits, jobs)), flush=True)
 
 
 if __name__ == "__main__":
