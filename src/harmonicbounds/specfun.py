@@ -47,17 +47,24 @@ That radius holds at every truncation length, for two reasons:
 Arguments below the shift threshold are pushed up by the recurrences
 psi(x+1) = psi(x) + 1/x and Gamma(x+1) = x*Gamma(x) before the series is
 applied, so the series is only ever used where its terms decay far below
-the working precision.  The sum those recurrences carry, 1/x + ... +
-1/(x+m-1) or its squares, is one fixed-point helper (`_shift_ball`) for
-trigamma and psi_gap at every x: each term is floored to a fixed number
-of fraction bits and the floors are carried as the radius, so no Fraction
-grows with m.  The same helper sums H(2^k) for gamma.  One point function
-(`_gap_point`) holds the shifted formula for gap(x) = ln x + 1/(2x) -
-psi(x+1), free of cancellation: psi_gap reads it at a ball's endpoints,
-gap being decreasing, and at an int n as the exact ball (n, 0, 0), and
-digamma reads it as psi(x) = ln x - 1/(2x) - gap(x).  ln Gamma carries an
-exact product instead, and its Stirling formula is one helper
-(`_stirling`) for lgamma and stirling_tail.
+the working precision.  The threshold is sized by cost: at about 0.115
+(w + 10) the series could just reach the target, but with about as many
+terms as it can have (269 at 1040 bits), and every fresh process would
+build Bernoulli and coefficient tables that long.  At twice that, 0.23
+(w + 10), it needs about half (131), and the shift pays for the
+difference with a few hundred short divisions.  The sum those
+recurrences carry, 1/x + ... + 1/(x+m-1) or its squares, is one
+fixed-point helper (`_shift_ball`) for trigamma and psi_gap at every x:
+each term is floored to a fixed number of fraction bits and the floors
+are carried as the radius, so no Fraction grows with m.  The same helper
+sums H(2^k) for gamma, at twice the power of two at or above the
+threshold.  One point function (`_gap_point`) holds the shifted formula
+for gap(x) = ln x + 1/(2x) - psi(x+1), free of cancellation: psi_gap
+reads it at a ball's endpoints, gap being decreasing, and at an int n as
+the exact ball (n, 0, 0), and digamma reads it as
+psi(x) = ln x - 1/(2x) - gap(x).  ln Gamma carries an exact product
+instead, and its Stirling formula is one helper (`_stirling`) for lgamma
+and stirling_tail.
 """
 
 from __future__ import annotations
@@ -233,8 +240,9 @@ class _Series:
         with self._lock:
             ints = self._fixed.setdefault(f, [])
             for k in range(len(ints) + 1, count + 1):
-                c = self.coeff(k)
-                ints.append((c.numerator << f) // c.denominator)
+                # floor(coeff(k) 2^f) without the Fraction's gcd
+                b = bernoulli_number(2 * k)
+                ints.append((b.numerator << f) // (b.denominator * math.prod(self._divisors(k))))
             return ints[:count]
 
     def truncation(self, count: int) -> tuple[Poly, int]:
@@ -477,9 +485,16 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
 
     Rearranges the Euler--Maclaurin formula at n = 2^k so the only
     transcendental input is ln 2: gamma = H(n) - k ln 2 - 1/(2n) + sum of
-    Bernoulli corrections, with the first omitted term as radius.  H(n) is
-    summed in fixed point (`_shift_ball`), n floors of less than an ulp
-    each at p + 48 fraction bits, so it costs n short divisions, not an
+    Bernoulli corrections, with the first omitted term as radius.  The alt
+    policy takes n = 2^k, the power of two at or above the shift threshold
+    of the working precision p + 16 (64, 256 and 1024 at 128, 1024 and 4096
+    bits), and the default takes 2n.  At either n the series needs no more
+    terms than psi's sums at the threshold, so it reads the Bernoulli
+    numbers they built; where none were built (a run whose points all lie
+    above the threshold), the default's shorter series builds a table about
+    three quarters as long, for n more short divisions.
+    H(n) is summed in fixed point (`_shift_ball`), n floors of less than an
+    ulp each at p + 48 fraction bits, so it costs n short divisions, not an
     exact Fraction with a 1.44 n-bit denominator.  The two policies pick
     different k (and hence different orders q), giving independent
     derivations whose enclosures must overlap.
@@ -491,12 +506,9 @@ def euler_gamma(prec, policy: str = "default") -> Ball:
 
 @lru_cache(maxsize=64)
 def _euler_gamma(p: int, policy: str) -> Ball:
-    if policy == "default":
-        k = min(-(-p // 8), 13)
-    else:
-        k = min(-(-p // 8) + 1, 12)
-    n = 1 << k
     w = p + 16
+    k = (_shift_threshold(w) - 1).bit_length() + (policy == "default")
+    n = 1 << k
     psi = _SERIES["psi"]
     series = sub(psi.enclose(n, 0, psi.terms(k, p + 10), w), Ball(1, -k - 1), w)
     acc = add(_shift_ball(1, 0, n, 1, w), series, w)
@@ -509,9 +521,13 @@ def _euler_gamma(p: int, policy: str) -> Ball:
 # ---------------------------------------------------------------------------
 
 def _shift_threshold(w: int) -> int:
-    # smallest argument at which the asymptotic series can reach 2^-(w+8):
-    # the minimal term is about e^(-2 pi x), i.e. 2^(-9.06 x)
-    return max(16, -(-(115 * (w + 10)) // 1000))
+    # twice the smallest argument at which the asymptotic series can reach
+    # 2^-(w+8) (its minimal term is about e^(-2 pi x), i.e. 2^(-9.06 x)):
+    # there each kind needs about half the terms, 131 instead of 269 at
+    # 1040 bits and 519 instead of 1071 at 4112, so the Bernoulli and
+    # coefficient tables stop at half the index and cost a fifth as much,
+    # while the shift gains about 0.115 (w + 10) short divisions
+    return max(16, -(-(23 * (w + 10)) // 100))
 
 
 def _as_ball(x, w: int) -> Ball:

@@ -46,3 +46,21 @@ print(" ".join(sorted(set({_UNNEEDED!r}) & (set(sys.modules) - before))))
 def test_importing_the_package_loads_no_dataclasses_inspect_or_multiprocessing():
     # modules loaded before the import (by site, say) do not count
     assert coldstart.fresh(_STARTUP).split() == []
+
+
+_TABLES = """\
+from harmonicbounds import specfun, verify
+verify.verify_all(25, 1024)
+print(len(specfun._BERNOULLI))
+print(max(len(ints) for s in specfun._SERIES.values() for ints in s._fixed.values()))
+"""
+
+
+def test_a_fresh_1024_bit_certification_builds_short_tables():
+    # at the shift threshold of 1040 working bits each kind needs 131-135
+    # terms, about half the 269-273 it needs at half that threshold, and the
+    # longest table is expm1's at x = 2 (140 terms): the Bernoulli table
+    # stops at B_282, where at half the threshold it reaches B_548
+    bernoulli, longest = map(int, coldstart.fresh(_TABLES).split())
+    assert bernoulli <= 300
+    assert longest <= 150

@@ -57,11 +57,11 @@ def test_fingerprints_with_two_jobs_are_the_one_job_lines():
 PINNED = {
     (500, 128): (
         "620791a783fd1b4d3384cf9c16f013db10d8ab1842892c6177fd54eb5bef342b",
-        "f72d71b8512594fe73aced3850236bea968ffd3a47a08d32e7deca37e537bac8",
+        "8f8428110c67a54b498caad8c4f0e187d7938660e3be3978593a664f6a1c4631",
     ),
     (25, 1024): (
         "cc80eafc8ddfa7aa7123604fb49f61bea79609b667f1882f97b4889029354c75",
-        "8e5fe7b21cd7ffaae1e332f2c500cdb6f5f747fe1367e6b2a4797c484f2af5cc",
+        "c847164cf94b27c1461627d990391c1a67ee084076704f842fec8aec09cc7e71",
     ),
 }
 

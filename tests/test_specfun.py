@@ -104,9 +104,11 @@ def _ladder_top() -> int:
 
 
 def test_bernoulli_denominators_follow_von_staudt_clausen():
-    # the denominator of B_2k is the product of the primes p with (p-1) | 2k
-    top = _ladder_top()
-    assert top > 1000
+    # the denominator of B_2k is the product of the primes p with (p-1) | 2k,
+    # checked through k = 1072, the ladder's top when the shift threshold
+    # was half what it is, and so past every B_2k that the ladder reads
+    top = 1072
+    assert 500 < _ladder_top() <= top
     sieve = bytearray([1]) * (2 * top + 2)
     sieve[0] = sieve[1] = 0
     for i in range(2, int(len(sieve) ** 0.5) + 1):
@@ -292,12 +294,24 @@ def test_euler_gamma_policies_agree_and_differ_in_derivation(monkeypatch):
     monkeypatch.setattr(
         specfun, "_shift_ball", lambda *args: sums.append(args[2]) or shift_ball(*args)
     )
-    specfun._euler_gamma.cache_clear()
-    a = euler_gamma(256, "default")
-    b = euler_gamma(256, "alt")
-    assert compare(a, b) is Order.OVERLAPPING
-    # distinct derivations: each policy sums H(2^k) at its own k
-    assert len(sums) == 2 and sums[0] != sums[1], sums
+    want = oracle(lambda: +mp.euler, dps=1300)
+    for p in (128, 256, 1024, 4096):
+        sums.clear()
+        specfun._euler_gamma.cache_clear()
+        try:
+            a = euler_gamma(p, "default")
+            b = euler_gamma(p, "alt")
+        finally:
+            specfun._euler_gamma.cache_clear()
+        assert compare(a, b) is Order.OVERLAPPING, p
+        for policy, g in (("default", a), ("alt", b)):
+            assert_contains(g, want, fuzz=Fraction(1, 10**1290), label=f"gamma@{p}/{policy}")
+        # distinct derivations: each policy sums H(2^k) at its own k, alt at
+        # the power of two at or above the shift threshold and the default
+        # at twice that, where the table psi's sums built there is long enough
+        threshold = specfun._shift_threshold(p + 16)
+        assert sums == [2 * sums[1], sums[1]], (p, sums)
+        assert sums[1] & (sums[1] - 1) == 0 and threshold <= sums[1] < 2 * threshold, (p, sums)
     with pytest.raises(ValueError):
         euler_gamma(256, "fastest")
 
@@ -487,7 +501,7 @@ def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
         "enclose",
         lambda self, *args: seen.append("enclose") or enclose(self, *args),
     )
-    # the shift below the threshold (121 at 1024 bits) is in fixed point at
+    # the shift below the threshold (242 at 1024 bits) is in fixed point at
     # every x, whatever side the series takes
     shift_ball = specfun._shift_ball
     monkeypatch.setattr(
@@ -495,8 +509,9 @@ def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
     )
     # integers, short and long dyadics, and a ball with a radius (1/3)
     for x, shifted in (
-        (Fraction(121), False),
-        (Fraction(12345, 64), False),
+        (Fraction(specfun._shift_threshold(1040)), False),
+        (Fraction(12345, 32), False),
+        (Fraction(12345, 64), True),
         (Fraction(2**16 + 1, 2**8), False),
         (Fraction(2**17 + 1, 2**9), False),
         (Fraction(1), True),
@@ -520,7 +535,7 @@ def test_series_is_summed_by_one_kernel_at_every_dyadic(monkeypatch):
 
 
 def test_points_below_the_threshold_share_one_series_sum(monkeypatch):
-    # every integer below the shift threshold (121 at 1024 bits) sums its
+    # every integer below the shift threshold (242 at 1024 bits) sums its
     # series at the threshold itself, and psi_gap sums psi's series there too
     from harmonicbounds import specfun
 
@@ -590,7 +605,7 @@ def test_shift_ball_contains_the_exact_shift_sum(s):
             assert b.contains(want), (x, m)
             assert b.rad_fraction() <= want / 2**1030, (x, m)
     if s == 1:
-        # gamma's H(2^13)
+        # H(2^13), longer than gamma's longest, H(2^11) at 4096 bits
         want = harmonic_exact(2**13)
         b = _shift_ball(1, 0, 2**13, 1, 1040)
         assert b.contains(want)
@@ -660,7 +675,7 @@ def test_psi_gap_at_a_ball_contains_gap_at_each_of_its_points(x):
 
 @pytest.mark.parametrize("p", [128, 1024])
 def test_psi_gap_at_an_exact_integer_ball_equals_the_int_result(p):
-    # the shift threshold is 18 at 128 bits and 121 at 1024, so both sides
+    # the shift threshold is 36 at 128 bits and 242 at 1024, so both sides
     # of it are covered at both precisions
     for n in (*range(1, 200), 500, 10**6):
         assert psi_gap(Ball.from_int(n), p) == psi_gap(n, p)
@@ -785,6 +800,19 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
             assert c[0] / x ** (2 + s) + second <= first.upper(), (kind, w)
             assert [series.coeff(k) for k in range(1, count + 1)] == c[:count], (kind, w)
             assert series._ints(f, count) == [math.floor(ck * 2**f) for ck in c[:count]]
+
+
+@pytest.mark.parametrize("f", [64, 1072, 4144])
+def test_coefficient_floors_are_the_floors_of_the_exact_coefficients(f):
+    # _ints floors B_2k 2^f over the product of the divisors, with no
+    # Fraction in between: the floor of the same rational as coeff(k) 2^f
+    from harmonicbounds import specfun
+
+    for kind, series in specfun._SERIES.items():
+        fresh = specfun._Series(series.s, series._divisors)
+        want = [math.floor(_coeff(kind, k) * 2**f) for k in range(1, 301)]
+        assert fresh._ints(f, 300) == want, kind
+        assert fresh._ints(f, 7) == want[:7], kind
 
 
 @pytest.mark.parametrize("x", [Fraction(7, 2), Fraction(7), Fraction(1000)], ids=str)

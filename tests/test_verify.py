@@ -257,7 +257,7 @@ def test_g_positivity_at_a_non_dyadic_rational_point():
 @pytest.mark.parametrize("p", [128, 1024])
 @pytest.mark.parametrize("n", [5, 500, 10**30, 10**200], ids=["5", "500", "1e30", "1e200"])
 def test_f_eval_at_an_exact_integer_ball_equals_the_int_result(n, p):
-    # n = 5 and 500 lie on either side of the 128-bit shift threshold (18);
+    # n = 5 and 500 lie on either side of the 128-bit shift threshold (36);
     # an int n is the exact ball (n, 0, 0), so both take one psi_gap entry
     # and one precision rule, and f keeps the precision it has at the int n
     b = f_eval(Ball.from_int(n), p)
