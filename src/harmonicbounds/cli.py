@@ -9,14 +9,17 @@ Four subcommands:
 
 Exit codes: 0 when everything passes (equalities count as passes), 1 when
 any check fails, 2 for usage errors, 3 when a comparison stayed undecided
-at the precision cap.  Reports are deterministic: identical flags produce
-identical bytes regardless of --jobs.
+at the precision cap, and 141 (128 + SIGPIPE) when the reader closed stdout
+before the output ended, as in `verify --format json | head`.  Reports are
+deterministic: identical flags produce identical bytes regardless of
+--jobs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from decimal import Decimal
 from typing import Sequence
@@ -268,7 +271,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the interpreter's last flush of
+        # what is still buffered does not raise again on its way out
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

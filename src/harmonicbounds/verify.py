@@ -16,15 +16,19 @@ keys.  Every stage but the bound sweep is called as stage(max_n, p).
 verify_all runs the selected stages from it, each once, in that order.
 Only the bound sweep fans out: with jobs J it forks J - 1 children, which
 sweep at once, while the parent runs the other selected stages and then
-sweeps with them as the last job (_fan_out).  The jobs claim ranges of n
-that shrink as fewer are left, and each job renders the JSON text of each
-record it makes, with CheckRecord._json_text; the report that verify_all
-returns then writes those texts, not the parent (report module).  A child
-hands its records back as flat columns, checks, params, verdict codes,
-precisions and the margins' ints, not as pickled records and balls, and
-the parent rebuilds them (_columns, _from_columns).
-A chunk holds, per n, one record per bound id in catalog order, so the
-sweep reassembles in catalog order, then by n, by slicing, with no sort.
+sweeps with them as the last job (_fan_out).  Before it forks, the parent
+writes every claim, a range of n, to one queue file; the claims shrink as
+fewer n are left (_claims), and each job takes the next one with a single
+read at the file offset that all jobs share, so no lock is held and no
+memory is shared.  Each job renders the JSON text of each record it makes,
+with CheckRecord._json_text; the report that verify_all returns then
+writes those texts, not the parent (report module).  A child hands its
+records back in a file of its own, as flat columns, checks, params,
+verdict codes, precisions and the margins' ints, not as pickled records
+and balls, and the parent reads that file once, after reaping the child,
+and rebuilds them (_columns, _from_columns).  A chunk holds, per n, one
+record per bound id in catalog order, so the sweep reassembles in catalog
+order, then by n, by slicing, with no sort.
 
 The per-n claims, f_below_limit, f_monotone, epsilon, refinement and
 x_decreasing, are the rows of one table, _PER_N.  A row names its check,
@@ -69,10 +73,11 @@ memoised per precision, such as g and ln 2; the values at each n they
 share less.  Under fan-out most of the bound sweep runs in forked
 children, whose memos the parent never sees.  With one job psi_gap's
 memo keeps only its last 1024 arguments, so past about a thousand
-indices each stage computes its gaps at n again.  Within a stage the rows of one n share them: f(n)
-is computed once for f_below_limit and f_monotone.  Refinement compares
-the bounds' intervals for H(n) - ln n - g, the frame in which their
-targets differ by terms free of ln n and g (bounds._frame_offset).
+indices each stage computes its gaps at n again.  Within a stage the rows
+of one n share them: f(n) is computed once for f_below_limit and
+f_monotone.  Refinement compares the bounds' intervals for
+H(n) - ln n - g, the frame in which their targets differ by terms free
+of ln n and g (bounds._frame_offset).
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import IO, Callable, Iterable, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import elementary, specfun
 from .ball import (
@@ -673,12 +678,20 @@ def equality_witnesses(prec=DEFAULT_PRECISION) -> VerificationReport:
 _CLAIM_FLOOR = 4
 
 
-def _claim_size(left: int, jobs: int) -> int:
-    """How many of the `left` unclaimed n one claim takes: about a 1/(2 jobs)
-    share, at least _CLAIM_FLOOR, so the claims shrink toward the meeting
-    point (guided self-scheduling).  _fan_out calls it under the claim lock,
-    between its read of the shared slots and its write."""
-    return min(left, max(_CLAIM_FLOOR, left // (2 * jobs)))
+def _claims(max_n: int, jobs: int) -> list[tuple[int, int]]:
+    """Every claim [lo, hi) of the fanned-out sweep of [1, max_n], in order.
+    Each takes about a 1/(2 jobs) share of the n left, at least
+    _CLAIM_FLOOR, so the claims shrink toward the end and no job idles long
+    waiting for another (guided self-scheduling).  A size depends only on
+    how many n are left, so the whole schedule is known before any job
+    starts."""
+    claims, lo = [], 1
+    while lo <= max_n:
+        left = max_n + 1 - lo
+        hi = lo + min(left, max(_CLAIM_FLOOR, left // (2 * jobs)))
+        claims.append((lo, hi))
+        lo = hi
+    return claims
 
 
 # each bound's spec with its ("id", bound_id) param, in bound_ids() order
@@ -753,135 +766,100 @@ def _fan_out(
     """The bound records at every n in [1, max_n], in catalog order, then by
     n, followed by those of meanwhile(), and each record's _json_text().
 
-    Forks `children` children before anything else.  They take n from the
-    front; the parent runs meanwhile() and renders its records, then takes
-    n from the back.  The unclaimed n are [front, back), two slots in a
-    shared anonymous mmap; each claim takes _claim_size of them, about a
-    1/(2 jobs) share, so the claims shrink toward the meeting point and no
-    job idles long at the end (guided self-scheduling).  A
-    POSIX record lock on an unlinked temporary file guards the slots; the
-    kernel drops it when its holder dies, so a child killed while holding
-    it blocks no one.  Each job renders the texts of the records it makes.
-    Each child appends each claim's range, its records as columns
-    (_columns, so that no record, ball or verdict object is pickled) and
-    their texts, pickled, to its own unlinked temporary file (a pipe would
-    fill and block it while the parent runs meanwhile()), and at its next
-    claim publishes how many bytes of complete entries it has written, in
-    a slot of its own; on an exception it appends that instead, and it
-    leaves through os._exit, never into the caller's stack.  Before each
-    of its claims the parent reads every child's published entries, with
-    os.pread, since the file offset is shared across the fork, and
-    rebuilds their records (_from_columns).  It then reaps each child and
-    reads the rest of its file: a child's exception is raised again, and
-    any other failed exit raises an error naming it.  On any error in the
-    parent, every child not yet reaped is killed and reaped before the
-    error leaves.
+    Before it forks, writes every claim of _claims(max_n, jobs) as a 16-byte
+    record to one unlinked temporary file, the queue, and flushes it.  Then
+    forks `children` children, which sweep at once; the parent runs
+    meanwhile() and renders its records, then sweeps too.  Each job takes
+    its next claim with one os.read of 16 bytes at the file offset that all
+    jobs share across the fork, until the queue is empty.  No lock is
+    needed: POSIX (XSH 2.9.7) makes read() on a regular file atomic,
+    offset update included, and Linux enforces this for an offset shared
+    between processes with the open file's f_pos_lock, so no two jobs read
+    the same claim.  A child that dies holds nothing another job waits on.
+
+    Each job renders the texts of the records it makes.  Each child
+    appends each claim's first n, its records as columns (_columns, so that
+    no record, ball or verdict object is pickled) and their texts, pickled,
+    to its own unlinked temporary file (a pipe would fill and block it
+    while the parent runs meanwhile()); on an exception it appends that
+    instead, and it leaves through os._exit, never into the caller's
+    stack.  After its own sweep the parent reaps each child and reads its
+    file once from the start, rebuilding the records (_from_columns): a
+    child's exception is raised again, and any other failed exit raises an
+    error naming it.  On any error in the parent, every child not yet
+    reaped is killed and reaped before the error leaves.  The parts are
+    kept by their first n and put back together in the order of the
+    claims.
     """
     # imported here, not at the top: only the fan-out uses them, and every
     # single-process run would otherwise pay for them at start-up
-    import fcntl
-    import io
-    import mmap
     import pickle
     import signal
+    import struct
     import tempfile
-    from contextlib import contextmanager
 
-    jobs = children + 1
+    claim = struct.Struct("qq")
 
-    @contextmanager
-    def held():
-        fcntl.lockf(lock, fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.lockf(lock, fcntl.LOCK_UN)
-
-    def claim(me: int, published: int = 0) -> tuple[int, int] | None:
-        """Under the lock, child me (the parent: -1) publishes its flushed
-        size and takes n from its end, or None when none are left."""
-        with held():
-            lo, hi = slots[0], slots[1]
-            if me >= 0:
-                slots[2 + me] = published
-            take = _claim_size(hi - lo, jobs)
-            if not take:
-                return None
-            if me >= 0:
-                slots[0] = lo + take
-                return lo, lo + take
-            slots[1] = hi - take
-            return hi - take, hi
+    def spans() -> Iterator[tuple[int, int]]:
+        """This job's claims, each taken from the queue by one read."""
+        while data := os.read(queue.fileno(), claim.size):
+            yield claim.unpack(data)
 
     def sweep(span: tuple[int, int]) -> tuple[list[CheckRecord], list[str]]:
         records = _bounds_chunk((*span, p))
         return records, _render(records)
 
-    def child(me: int, out: IO[bytes]) -> NoReturn:
+    def child(out: IO[bytes]) -> NoReturn:
         code = 1
         try:
             try:
-                size = 0
-                while (span := claim(me, size)) is not None:
+                for span in spans():
                     records, texts = sweep(span)
-                    entry = pickle.dumps((*span, _columns(records), texts))
-                    out.write(entry)
-                    out.flush()
-                    size += len(entry)
+                    pickle.dump((span[0], _columns(records), texts), out)
+                out.flush()
                 code = 0
             except BaseException as exc:  # the parent raises it again
-                out.write(pickle.dumps(exc))
+                pickle.dump(exc, out)
                 out.flush()
         finally:
             os._exit(code)
 
-    def read(me: int, end: int) -> BaseException | None:
-        """Keep child me's entries from where the last read stopped up to
-        byte end; its exception, if that is what it wrote."""
-        start, done[me] = done[me], end
-        data = io.BytesIO(os.pread(outs[me].fileno(), end - start, start))
-        while data.tell() < end - start:
-            entry = pickle.load(data)
+    def gather(out: IO[bytes]) -> BaseException | None:
+        """Keep the entries of a reaped child's file, read from the start;
+        its exception, if that is what it wrote."""
+        out.seek(0)
+        while out.peek(1):
+            entry = pickle.load(out)
             if isinstance(entry, BaseException):
                 return entry
-            lo, hi, columns, texts = entry
-            parts[lo] = hi, _from_columns(*columns), texts
+            lo, columns, texts = entry
+            parts[lo] = _from_columns(*columns), texts
         return None
 
-    parts: dict[int, tuple[int, list[CheckRecord], list[str]]] = {}  # by first n
+    claims = _claims(max_n, children + 1)
+    parts: dict[int, tuple[list[CheckRecord], list[str]]] = {}  # by first n
     outs: list[IO[bytes]] = []
-    done: list[int] = []  # how far the parent has read each child's file
-    pids: dict[int, int] = {}  # the children not yet reaped, with their numbers
-    with (
-        tempfile.TemporaryFile() as lock,
-        mmap.mmap(-1, 8 * (2 + children)) as shared,
-        memoryview(shared).cast("q") as slots,
-    ):
-        slots[0], slots[1] = 1, max_n + 1
+    pids: dict[int, IO[bytes]] = {}  # the children not yet reaped, with their files
+    with tempfile.TemporaryFile() as queue:
+        queue.write(b"".join(claim.pack(*span) for span in claims))
+        queue.flush()
+        queue.seek(0)
         try:
-            for me in range(children):
+            for _ in range(children):
                 outs.append(tempfile.TemporaryFile())
-                done.append(0)
                 pid = os.fork()
                 if pid == 0:
-                    child(me, outs[-1])
-                pids[pid] = me
+                    child(outs[-1])
+                pids[pid] = outs[-1]
             rest = meanwhile()
             rest_texts = _render(rest)
-            while True:
-                with held():  # what a child published before it released the lock
-                    published = slots[2:].tolist()
-                for me, size in enumerate(published):
-                    read(me, size)
-                span = claim(-1)
-                if span is None:
-                    break
-                parts[span[0]] = (span[1], *sweep(span))
-            for pid, me in list(pids.items()):
+            for span in spans():
+                parts[span[0]] = sweep(span)
+            for pid, out in list(pids.items()):
                 code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                 del pids[pid]
                 try:
-                    exc = read(me, os.fstat(outs[me].fileno()).st_size)
+                    exc = gather(out)
                 except Exception:  # cut short: the child died while writing
                     if code == 0:
                         raise
@@ -898,13 +876,9 @@ def _fan_out(
                 os.waitpid(pid, 0)
             for out in outs:
                 out.close()
-    chunks = []
-    n = 1
-    while n <= max_n:
-        if n not in parts:
-            raise RuntimeError("the bound sweep lost an n-chunk")
-        n, *chunk = parts[n]
-        chunks.append(chunk)
+    if len(parts) != len(claims):
+        raise RuntimeError("the bound sweep lost an n-chunk")
+    chunks = [parts[lo] for lo, _ in claims]
     records = _in_catalog_order([r for r, _ in chunks]) + rest
     return records, _in_catalog_order([t for _, t in chunks]) + rest_texts
 

@@ -308,13 +308,18 @@ def test_compare_rejects_small_max_n(capsys):
 # entry points
 # ---------------------------------------------------------------------------
 
-def _run_child(*argv: str) -> subprocess.CompletedProcess:
-    """Run argv under this interpreter, importing the package under test."""
+def _child_env() -> dict[str, str]:
+    """This environment, with the package under test first on the path."""
     src = str(Path(harmonicbounds.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_child(*argv: str) -> subprocess.CompletedProcess:
+    """Run argv under this interpreter, importing the package under test."""
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env
+        [sys.executable, *argv], capture_output=True, text=True, env=_child_env()
     )
 
 
@@ -342,3 +347,21 @@ def test_console_script_usage_error_exit_code():
     )
     assert proc.returncode == 2
     assert "must be >= 1" in proc.stderr
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback_and_status_141():
+    # the json report at max-n 200 is about a megabyte, more than a pipe
+    # holds, so the CLI is still writing when the reader closes its end
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "harmonicbounds", "verify", "--max-n", "200", "--format", "json", "--jobs", "2"],
+        stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(),
+    )
+    os.close(write_end)
+    try:
+        assert os.read(read_end, 16)
+    finally:
+        os.close(read_end)
+    _, err = proc.communicate(timeout=300)
+    assert "Traceback" not in err
+    assert (proc.returncode, err) == (141, "")

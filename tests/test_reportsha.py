@@ -47,7 +47,10 @@ def test_fingerprints_with_two_jobs_are_the_one_job_lines():
         capture_output=True, text=True, check=True, timeout=300,
     )
     assert proc.stdout.splitlines() == _tool().fingerprint(40, 128)
-    for argv in (["40", "128", "--jobs", "2"], ["--jobs"], ["--jobs", "2", "40"]):
+    for argv in (
+        ["40", "128", "--jobs", "2"], ["--jobs"], ["--jobs", "2", "40"],
+        ["20", "abc"], ["--jobs", "x", "40", "128"],
+    ):
         with pytest.raises(SystemExit, match="usage"):
             _tool().main(argv)
 

@@ -678,11 +678,12 @@ def test_verify_all_runs_the_other_stages_while_the_workers_sweep(monkeypatch, e
         os.close(gate_r)
         os.close(gate_w)
     # every other stage, in order, before the parent's first chunk; then
-    # chunks from the back, each ending where the one before began
+    # claims from the one queue, in increasing order
     stages = ["fork", *CHECK_NAMES[1:]]
     assert events[:len(stages)] == stages
     spans = events[len(stages):]
-    assert spans and [hi for _, hi in spans] == [21] + [lo for lo, _ in spans[:-1]]
+    assert spans and spans == sorted(spans)
+    assert set(spans) <= set(verify._claims(20, 2))
 
     # without bounds nothing forks, and the stages run in order
     events.clear()
@@ -813,44 +814,11 @@ def test_verify_all_refuses_to_report_when_a_worker_dies(monkeypatch, how, messa
 
 
 @needs_fork
-def test_verify_all_a_worker_killed_while_it_holds_the_claim_lock_blocks_no_one(monkeypatch):
-    # the child kills itself as soon as it holds the lock on the shared
-    # slots; the kernel drops the lock, so the parent claims, sweeps and
-    # then reports the child's death, instead of waiting for the lock
-    import fcntl
-
-    def timed_out(signum, frame):
-        raise TimeoutError("the parent waited over 60 s")
-
-    real_lockf = fcntl.lockf
-    parent = os.getpid()
-
-    def lockf(fd, cmd, *args):
-        real_lockf(fd, cmd, *args)
-        if cmd == fcntl.LOCK_EX and os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(fcntl, "lockf", lockf)
-    fds = _open_fds()
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(60)
-    start = time.monotonic()
-    try:
-        with pytest.raises(RuntimeError, match=f"killed by signal {int(signal.SIGKILL)}"):
-            verify_all(40, 128, jobs=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert time.monotonic() - start < 30
-    _assert_nothing_left(fds)
-
-
-@needs_fork
 def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypatch):
-    # fifteen children and the parent, on fewer cores, claim the 64 n
-    # through the shared slots as fast as they can; each claimed range logs
-    # all its n to a pipe, and a lost update would sweep one twice or never
+    # fifteen children and the parent, on fewer cores, take the claims of
+    # the 64 n from the one queue as fast as they can; each claim logs all
+    # its n to a pipe, and two jobs reading the same claim would sweep its n
+    # twice, a claim never read would leave them unswept
     def timed_out(signum, frame):
         raise TimeoutError("the sweep took over 120 s")
 
@@ -876,78 +844,20 @@ def test_verify_all_with_more_workers_than_cores_runs_every_chunk_once(monkeypat
     _assert_nothing_left(fds)
 
 
-
-def _sweep_with_overlapping_claims_stalled(monkeypatch, wait_s: float) -> tuple[list[int], bool]:
-    """verify_all(8, 128) on two cores, with each job's first claim whose
-    size would overlap another claim of that size (2 * size > left) held
-    inside _claim_size, between the read of the slots and the write, until
-    the other job is held there too or wait_s pass.  The child takes [1, 5)
-    first: the parent's meanwhile stage waits for it.  Returns the swept n,
-    sorted, and whether the parent met the child inside _claim_size."""
-    def timed_out(signum, frame):
-        raise TimeoutError("the sweep took over 120 s")
-
-    parent = os.getpid()
-    real_size = verify._claim_size
-    held, met = [], []
-
-    def claim_size(left, jobs):
-        size = real_size(left, jobs)
-        if 2 * size > left and not held:
-            held.append(left)
-            mine, other = (to_child_w, to_parent_r) if os.getpid() == parent else (to_parent_w, to_child_r)
-            os.write(mine, b"\0")
-            ready = select.select([other], [], [], wait_s)[0]
-            if os.getpid() == parent:
-                met.append(bool(ready))
-        return size
-
-    def chunk(args):
-        os.write(log_w, b"".join(b"%d " % n for n in range(args[0], args[1])))
-        if os.getpid() != parent:
-            os.write(first_w, b"\0")
-        return []
-
-    def after_the_childs_first_claim(max_n, p):
-        select.select([first_r], [], [], 60)
-        return []
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_claim_size", claim_size)
-    monkeypatch.setattr(verify, "_bounds_chunk", chunk)
-    monkeypatch.setitem(verify._STAGES, "epsilon", after_the_childs_first_claim)
-    fds = _open_fds()
-    pipes = [os.pipe() for _ in range(4)]
-    (log_r, log_w), (first_r, first_w), (to_child_r, to_child_w), (to_parent_r, to_parent_w) = pipes
-    previous = signal.signal(signal.SIGALRM, timed_out)
-    signal.alarm(120)
-    try:
-        verify_all(8, 128, checks=("bounds", "epsilon"), jobs=2)
-        swept = sorted(map(int, os.read(log_r, 1 << 16).split()))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        for fd in (fd for pair in pipes for fd in pair):
-            os.close(fd)
-    _assert_nothing_left(fds)
-    return swept, bool(met and met[0])
-
-
-@needs_fork
-def test_the_claim_lock_keeps_two_jobs_from_claiming_the_same_n(monkeypatch):
-    # under the lock a job held inside _claim_size keeps the other out, so
-    # the two never meet there and every n is swept exactly once
-    assert _sweep_with_overlapping_claims_stalled(monkeypatch, 2) == (list(range(1, 9)), False)
-
-    # with fcntl.lockf a no-op the two meet there, both having read the same
-    # slots, and the last n are swept twice: the handshake forces the
-    # interleaving that the lock must rule out
-    import fcntl
-
-    monkeypatch.setattr(fcntl, "lockf", lambda *args: None)
-    swept, met = _sweep_with_overlapping_claims_stalled(monkeypatch, 30)
-    assert met
-    assert swept != list(range(1, 9))
+def test_claims_tile_the_sweep_in_guided_shares_that_never_grow():
+    floor = verify._CLAIM_FLOOR
+    for max_n in (8, 9, 37, 10**4):
+        for jobs in (2, 3, 16):
+            claims = verify._claims(max_n, jobs)
+            assert claims[0][0] == 1 and claims[-1][1] == max_n + 1, (max_n, jobs)
+            assert all(hi == lo for (_, hi), (lo, _) in zip(claims, claims[1:])), (max_n, jobs)
+            sizes = [hi - lo for lo, hi in claims]
+            assert sizes == sorted(sizes, reverse=True) and sizes[-1] > 0, (max_n, jobs)
+            assert all(size >= floor for size in sizes[:-1]), (max_n, jobs)
+            # each size is the guided share of the n left when it is taken
+            for lo, hi in claims:
+                left = max_n + 1 - lo
+                assert hi - lo == min(left, max(floor, left // (2 * jobs))), (max_n, jobs, lo)
 
 
 @needs_fork

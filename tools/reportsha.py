@@ -30,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from harmonicbounds.verify import verify_all  # noqa: E402
 
 DEFAULT_PAIRS = ((500, 128), (25, 1024), (10000, 128))
+USAGE = "usage: reportsha.py [--jobs J] [MAX_N BITS ...]"
 
 
 def _sha(text: str) -> str:
@@ -59,11 +60,14 @@ def fingerprint(max_n: int, bits: int, jobs: int = 1) -> list[str]:
 
 def main(argv: list[str]) -> None:
     jobs = 1
-    if argv[:1] == ["--jobs"] and len(argv) > 1:
-        jobs, argv = int(argv[1]), argv[2:]
-    if len(argv) % 2 or "--jobs" in argv:
-        raise SystemExit("usage: reportsha.py [--jobs J] [MAX_N BITS ...]")
-    nums = [int(a) for a in argv]
+    try:
+        if argv[:1] == ["--jobs"] and len(argv) > 1:
+            jobs, argv = int(argv[1]), argv[2:]
+        nums = [int(a) for a in argv]
+    except ValueError:  # a stray --jobs, too, is no int
+        raise SystemExit(USAGE) from None
+    if len(nums) % 2:
+        raise SystemExit(USAGE)
     pairs = list(zip(nums[::2], nums[1::2])) or DEFAULT_PAIRS
     for max_n, bits in pairs:
         print("\n".join(fingerprint(max_n, bits, jobs)), flush=True)
