@@ -314,7 +314,10 @@ def _frame_offset(target_id: str, n: int, w: int) -> Ball | None:
     raise KeyError(f"no frame offset for target: {target_id!r}")
 
 
-@lru_cache(maxsize=256)
+# 4096 slots hold the six targets at every n of a sweep up to max_n = 682
+# (verify_all(500, 128), verify_all(100)), so queries after one, and the
+# alt_tail stage, read the sweep's targets; full, about 1.1 MiB at 128 bits
+@lru_cache(maxsize=4096)
 def _target_cached(target_id: str, n: int, w: int) -> Ball:
     if target_id == "alternating_tail":
         return specfun.alternating_tail(n, w)

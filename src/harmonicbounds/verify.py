@@ -73,7 +73,9 @@ memoised per precision, such as g and ln 2; the values at each n they
 share less.  Under fan-out most of the bound sweep runs in forked
 children, whose memos the parent never sees.  With one job psi_gap's
 memo keeps only its last 1024 arguments, so past about a thousand
-indices each stage computes its gaps at n again.  Within a stage the rows
+indices each stage computes its gaps at n again.  The alt_tail stage
+reads its tails from the bound sweep's target memo, which holds a sweep
+up to max_n = 682 (bounds._target_cached).  Within a stage the rows
 of one n share them: f(n) is computed once for f_below_limit and
 f_monotone.  Refinement compares the bounds' intervals for
 H(n) - ln n - g, the frame in which their targets differ by terms free
@@ -111,6 +113,7 @@ from .bounds import (
     _check_rung,
     _frame_offset,
     _param,
+    _target_cached,
     bound_ids,
     catalog,
     catalog_map,
@@ -500,8 +503,8 @@ _X_LIMIT = _sharp("alt_tail", "upper_shift")
 
 @lru_cache(maxsize=16)
 def _alt_x(n: int, w: int) -> Ball:
-    """x_n = 1/|tail| - 2n."""
-    return sub(recip(specfun.alternating_tail(n, w), w), Ball.from_int(2 * n), w)
+    """x_n = 1/|tail| - 2n, the tail read through the bound sweep's memo."""
+    return sub(recip(_target_cached("alternating_tail", n, w), w), Ball.from_int(2 * n), w)
 
 
 def alt_tail_constants(max_n: int, prec=DEFAULT_PRECISION) -> VerificationReport:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from harmonicbounds.ball import Ball, DomainError, RangeError, add, add_rad_fraction, compare, Order, mul
 from harmonicbounds.elementary import (
     _atanh_recip_iv,
+    _atanh_sum_iv,
     _exp_dyadic,
     _ln_constants,
     _ln_dyadic,
@@ -167,6 +168,23 @@ def test_atanh_kernel_upper_end_holds_its_per_term_ulps():
     with mp.workprec(w + 100):
         want = mp.log(mp.mpf(q + 1) / (q - 1)) * mp.mpf(2) ** w
     assert lo <= want <= hi
+
+
+@pytest.mark.parametrize("w, bits", [(152, 400), (1048, 1300)])
+def test_atanh_sum_upper_end_holds_the_width_of_its_argument(w, bits):
+    # the widest argument _ln_mantissa passes, r + 2 ulps, near the top of
+    # the reduced range, at a third and at a thousandth of it: the chain
+    # runs at u_lo only, so an upper end without (8/7)(u_hi - u_lo) misses
+    # atanh(u_hi) by a few ulps
+    r = _reductions(w)
+    top = 1 << (w - r - 1)
+    for u_lo in (top - 15, top // 3, top // 1000):
+        u_hi = u_lo + r + 2
+        s_lo, s_hi = _atanh_sum_iv(u_lo, u_hi, w, r)
+        with mp.workprec(bits):
+            scale = mp.mpf(2) ** w
+            assert s_lo <= mp.atanh(u_lo / scale) * scale, (w, u_lo)
+            assert s_hi >= mp.atanh(u_hi / scale) * scale, (w, u_lo)
 
 
 @pytest.mark.parametrize("p", [128, 1024])

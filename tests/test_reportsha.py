@@ -50,6 +50,8 @@ def test_fingerprints_with_two_jobs_are_the_one_job_lines():
     for argv in (
         ["40", "128", "--jobs", "2"], ["--jobs"], ["--jobs", "2", "40"],
         ["20", "abc"], ["--jobs", "x", "40", "128"],
+        # in range for int() but not for verify_all
+        ["2", "128"], ["--jobs", "0", "5", "128"], ["5", "32"],
     ):
         with pytest.raises(SystemExit, match="usage"):
             _tool().main(argv)

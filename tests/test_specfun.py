@@ -802,6 +802,27 @@ def test_bernoulli_sum_matches_the_per_term_sum(n):
             assert series._ints(f, count) == [math.floor(ck * 2**f) for ck in c[:count]]
 
 
+@pytest.mark.parametrize("count", [26, 28, 30])
+def test_series_interval_holds_its_horner_floor_error(monkeypatch, count):
+    # gap(40) = ln 40 + 1/80 - psi(41) is psi's whole series at 40.  Past
+    # the 21 terms it needs at 152 bits the first omitted term is positive
+    # and at most 4 units of 2^-f, so the upper end rests on the floors'
+    # (2 count + 2) 2^(2+s) units.  The rounding to w bits hides a few
+    # units, so the integer interval the kernel rounds is checked
+    from harmonicbounds import specfun
+
+    seen = []
+    make = specfun._from_int_interval
+    monkeypatch.setattr(
+        specfun, "_from_int_interval", lambda lo, hi, e, w: seen.append((lo, hi, e)) or make(lo, hi, e, w)
+    )
+    specfun._SERIES["psi"].enclose(40, 0, count, 152)
+    (lo, hi, e), = seen
+    with mp.workprec(600):
+        gap = mp.log(40) + mp.mpf(1) / 80 - mp.digamma(41)
+        assert lo <= gap * mp.mpf(2) ** -e <= hi
+
+
 @pytest.mark.parametrize("f", [64, 1072, 4144])
 def test_coefficient_floors_are_the_floors_of_the_exact_coefficients(f):
     # _ints floors B_2k 2^f over the product of the divisors, with no

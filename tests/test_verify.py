@@ -891,6 +891,20 @@ def test_bounds_chunk_makes_check_bounds_records(n_lo, n_hi, p):
     ]
     assert {r.precision_bits for r in records} != {p}
 
+
+def test_queries_after_a_sweep_read_its_targets():
+    # the target memo holds the six targets at every n of a one-job
+    # verify_all(500, 128), so the twelve-bound query at a swept n computes
+    # no target again, and what it reads is what a cold computation gives
+    bounds._target_cached.cache_clear()
+    verify_all(500, 128)
+    misses = bounds._target_cached.cache_info().misses
+    warm = [bounds.check_bound(b, n, 128) for n in (1, 250, 500) for b in bounds.bound_ids()]
+    assert bounds._target_cached.cache_info().misses == misses
+    bounds._target_cached.cache_clear()
+    assert [bounds.check_bound(b, n, 128) for n in (1, 250, 500) for b in bounds.bound_ids()] == warm
+
+
 @needs_fork
 def test_the_fan_out_sends_any_record_across_unchanged(monkeypatch):
     # records with no margin, with params that are no bound's (str and int

@@ -27,6 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from harmonicbounds.ball import bits_of  # noqa: E402
+from harmonicbounds.specfun import check_index  # noqa: E402
 from harmonicbounds.verify import verify_all  # noqa: E402
 
 DEFAULT_PAIRS = ((500, 128), (25, 1024), (10000, 128))
@@ -63,12 +65,17 @@ def main(argv: list[str]) -> None:
     try:
         if argv[:1] == ["--jobs"] and len(argv) > 1:
             jobs, argv = int(argv[1]), argv[2:]
-        nums = [int(a) for a in argv]
-    except ValueError:  # a stray --jobs, too, is no int
+        nums = [int(a) for a in argv]  # a stray --jobs, too, is no int
+        if len(nums) % 2:
+            raise SystemExit(USAGE)
+        pairs = list(zip(nums[::2], nums[1::2])) or DEFAULT_PAIRS
+        # verify_all's own range checks, for every pair before the first runs
+        check_index(jobs, 1, "jobs")
+        for max_n, bits in pairs:
+            check_index(max_n, 3, "max_n")
+            bits_of(bits)
+    except ValueError:
         raise SystemExit(USAGE) from None
-    if len(nums) % 2:
-        raise SystemExit(USAGE)
-    pairs = list(zip(nums[::2], nums[1::2])) or DEFAULT_PAIRS
     for max_n, bits in pairs:
         print("\n".join(fingerprint(max_n, bits, jobs)), flush=True)
 
